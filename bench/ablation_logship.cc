@@ -1,21 +1,13 @@
 // Ablation: the log-shipping / transport optimizations the paper's GlobalDB
 // deployment enables (Section V-A) — LZ redo compression, TCP BBR, Nagle
 // off, sliding-window pipelined shipping — plus the replication mode,
-// measured one at a time on the Three-City cluster.
-//
-// A second section isolates the pipelined transport: catch-up throughput
-// and steady-state visibility lag of one replica behind a 50 ms RTT link,
-// stop-and-wait (window=1) vs the default window=8. With
-// GDB_LOGSHIP_CATCHUP_ONLY set, only that section runs (the check.sh smoke
-// path); with GDB_LOGSHIP_JSON=<path>, its numbers are also written as JSON
-// (BENCH_logship.json).
+// measured one at a time on the Three-City cluster. The pipelined window's
+// catch-up advantage over stop-and-wait on a single WAN link is pinned by
+// PipelineTest.WindowedCatchupBeatsStopAndWaitByFourX.
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench/bench_util.h"
-#include "src/replication/log_shipper.h"
-#include "src/replication/replica_applier.h"
 
 using namespace globaldb;
 using namespace globaldb::bench;
@@ -57,167 +49,43 @@ RunResult RunVariant(const Variant& v, TpccConfig config, int clients,
   return result;
 }
 
-// --- Pipelined transport section --------------------------------------------
-
-struct LogshipRow {
-  double catchup_mbps = 0;
-  double steady_lag_ms = 0;
-};
-
-sim::Task<void> AppendLoad(sim::Simulator* sim, LogStream* stream,
-                           LogShipper* shipper, const bool* stop) {
-  // ~2.2 MB/s of live redo: 20 records (~4.5 KB) every 2 ms.
-  TxnId txn = 1 << 20;
-  while (!*stop) {
-    co_await sim->Sleep(2 * kMillisecond);
-    for (int i = 0; i < 10; ++i) {
-      stream->Append(RedoRecord::Insert(txn, 1, "live_" + std::to_string(txn),
-                                        std::string(200, 'y')));
-      stream->Append(RedoRecord::Commit(txn, static_cast<Timestamp>(txn)));
-      ++txn;
-    }
-    shipper->NotifyAppend();
-  }
-}
-
-/// One primary + one replica over a 50 ms RTT WAN link: ship a ~16 MB redo
-/// backlog (catch-up throughput), then sample the replica's visibility lag
-/// under a steady append load for one second.
-LogshipRow RunLogship(size_t window) {
-  sim::Simulator sim(17);
-  sim::NetworkOptions nopt;
-  nopt.nagle_enabled = false;
-  nopt.bbr_enabled = true;
-  nopt.jitter_fraction = 0;
-  sim::Network net(&sim, sim::Topology::Uniform(2, 50 * kMillisecond), nopt);
-  const NodeId primary = 1, replica = 2;
-  net.RegisterNode(primary, 0);
-  net.RegisterNode(replica, 1);
-
-  LogStream stream;
-  TxnId txn = 0;
-  while (stream.total_bytes() < 16 * 1024 * 1024) {
-    ++txn;
-    stream.Append(RedoRecord::Insert(txn, 1, "key_" + std::to_string(txn),
-                                     std::string(200, 'x')));
-    stream.Append(RedoRecord::Commit(txn, static_cast<Timestamp>(txn)));
-  }
-  const Lsn tail = stream.next_lsn() - 1;
-
-  ShardStore store(0);
-  Catalog catalog;
-  sim::CpuScheduler cpu(&sim, 8);
-  ReplicaApplier applier(&sim, &net, replica, /*shard=*/0, &store, &catalog,
-                         &cpu);
-
-  ShipperOptions options;
-  options.compression = CompressionType::kNone;  // measure the raw transport
-  options.max_inflight_batches = window;
-  LogShipper shipper(&sim, &net, primary, /*shard=*/0, &stream, {replica},
-                     options);
-  LogshipRow row;
-
-  const SimTime start = sim.now();
-  shipper.Start();
-  shipper.NotifyAppend();
-  while (shipper.AckedLsn(replica) < tail && sim.now() < 120 * kSecond) {
-    sim.RunFor(1 * kMillisecond);
-  }
-  GDB_CHECK(shipper.AckedLsn(replica) == tail) << "catch-up did not converge";
-  row.catchup_mbps = static_cast<double>(stream.total_bytes()) / 1e6 /
-                     (static_cast<double>(sim.now() - start) / kSecond);
-
-  // Steady state: live appends at ~10 records/ms, lag sampled every 5 ms.
-  bool stop = false;
-  sim.Spawn(AppendLoad(&sim, &stream, &shipper, &stop));
-  double lag_records_sum = 0;
-  int samples = 0;
-  const SimTime steady_until = sim.now() + 1 * kSecond;
-  while (sim.now() < steady_until) {
-    sim.RunFor(5 * kMillisecond);
-    lag_records_sum += static_cast<double>(stream.next_lsn() - 1 -
-                                           applier.applied_lsn());
-    ++samples;
-  }
-  // 10 records/ms append rate converts record lag into time lag.
-  row.steady_lag_ms = lag_records_sum / samples / 10.0;
-  stop = true;
-  shipper.Stop();
-  sim.RunFor(100 * kMillisecond);
-  return row;
-}
-
 }  // namespace
 
 int main() {
-  const bool catchup_only = getenv("GDB_LOGSHIP_CATCHUP_ONLY") != nullptr;
+  const SimDuration duration = BenchDuration();
+  const int clients = BenchClients();
+  TpccConfig config = MakeTpccConfig();
 
-  if (!catchup_only) {
-    const SimDuration duration = BenchDuration();
-    const int clients = BenchClients();
-    TpccConfig config = MakeTpccConfig();
+  const Variant variants[] = {
+      {"GlobalDB (all optimizations)", [](ClusterOptions*) {}},
+      {"  - no LZ compression",
+       [](ClusterOptions* o) {
+         o->shipper.compression = CompressionType::kNone;
+       }},
+      {"  - stop-and-wait shipping (window=1)",
+       [](ClusterOptions* o) { o->shipper.max_inflight_batches = 1; }},
+      {"  - Nagle re-enabled",
+       [](ClusterOptions* o) { o->network.nagle_enabled = true; }},
+      {"  - loss-based CC (no BBR)",
+       [](ClusterOptions* o) { o->network.bbr_enabled = false; }},
+      {"  - synchronous quorum replication",
+       [](ClusterOptions* o) {
+         o->shipper.mode = ReplicationMode::kSyncQuorum;
+       }},
+      {"  - centralized GTM timestamps",
+       [](ClusterOptions* o) { o->initial_mode = TimestampMode::kGtm; }},
+  };
 
-    const Variant variants[] = {
-        {"GlobalDB (all optimizations)", [](ClusterOptions*) {}},
-        {"  - no LZ compression",
-         [](ClusterOptions* o) {
-           o->shipper.compression = CompressionType::kNone;
-         }},
-        {"  - stop-and-wait shipping (window=1)",
-         [](ClusterOptions* o) { o->shipper.max_inflight_batches = 1; }},
-        {"  - Nagle re-enabled",
-         [](ClusterOptions* o) { o->network.nagle_enabled = true; }},
-        {"  - loss-based CC (no BBR)",
-         [](ClusterOptions* o) { o->network.bbr_enabled = false; }},
-        {"  - synchronous quorum replication",
-         [](ClusterOptions* o) {
-           o->shipper.mode = ReplicationMode::kSyncQuorum;
-         }},
-        {"  - centralized GTM timestamps",
-         [](ClusterOptions* o) { o->initial_mode = TimestampMode::kGtm; }},
-    };
-
-    PrintHeader("Ablation: log shipping & transport optimizations "
-                "(Three-City TPC-C)",
-                "variant                                 tpmC    p50_ms  "
-                "cross_region_MB");
-    for (const Variant& v : variants) {
-      int64_t bytes = 0;
-      RunResult r = RunVariant(v, config, clients, duration, &bytes);
-      printf("%-38s %8.0f %9.1f %12.1f\n", v.label, r.tpm, r.p50_ms,
-             static_cast<double>(bytes) / 1e6);
-      fflush(stdout);
-    }
-  }
-
-  PrintHeader("Pipelined log shipping: 16 MB catch-up + steady-state "
-              "visibility lag (50 ms RTT)",
-              "window      catchup_MB/s   steady_lag_ms");
-  const LogshipRow stop_and_wait = RunLogship(1);
-  printf("%-12s %12.1f %15.1f\n", "1 (s&w)", stop_and_wait.catchup_mbps,
-         stop_and_wait.steady_lag_ms);
-  fflush(stdout);
-  const LogshipRow window8 = RunLogship(8);
-  printf("%-12s %12.1f %15.1f\n", "8", window8.catchup_mbps,
-         window8.steady_lag_ms);
-  const double speedup = window8.catchup_mbps / stop_and_wait.catchup_mbps;
-  printf("catch-up speedup (window=8 / window=1): %.1fx\n", speedup);
-
-  if (const char* json_path = getenv("GDB_LOGSHIP_JSON")) {
-    FILE* f = fopen(json_path, "w");
-    GDB_CHECK(f != nullptr) << "cannot write " << json_path;
-    fprintf(f,
-            "{\n"
-            "  \"rtt_ms\": 50,\n"
-            "  \"window1\": {\"catchup_mbps\": %.2f, \"steady_lag_ms\": "
-            "%.2f},\n"
-            "  \"window8\": {\"catchup_mbps\": %.2f, \"steady_lag_ms\": "
-            "%.2f},\n"
-            "  \"catchup_speedup\": %.2f\n"
-            "}\n",
-            stop_and_wait.catchup_mbps, stop_and_wait.steady_lag_ms,
-            window8.catchup_mbps, window8.steady_lag_ms, speedup);
-    fclose(f);
+  PrintHeader("Ablation: log shipping & transport optimizations "
+              "(Three-City TPC-C)",
+              "variant                                 tpmC    p50_ms  "
+              "cross_region_MB");
+  for (const Variant& v : variants) {
+    int64_t bytes = 0;
+    RunResult r = RunVariant(v, config, clients, duration, &bytes);
+    printf("%-38s %8.0f %9.1f %12.1f\n", v.label, r.tpm, r.p50_ms,
+           static_cast<double>(bytes) / 1e6);
+    fflush(stdout);
   }
   return 0;
 }

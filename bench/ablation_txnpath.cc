@@ -1,23 +1,19 @@
-// Ablation: the hot transaction path amortizations (DESIGN.md §10) —
-// pipelined write batching (per-shard kDnWriteBatch buffers flushed at
-// thresholds/barriers/commit) and GTM timestamp coalescing (concurrent
-// begin/commit requests sharing one kGtmTimestamp RPC) — measured with
-// TPC-C NewOrder on a 3-region uniform topology at 10/50/100 ms RTT under
-// both GTM and GClock timestamping.
+// Ablation: the commit protocol on the hot transaction path (DESIGN.md
+// §10, §15), measured with TPC-C NewOrder on a 3-region uniform topology at
+// 10/50/100 ms RTT under GTM, GClock and EPOCH timestamping. An
+// epoch-interval micro-sweep (1/5/20 ms) shows the seal-wait vs
+// amortization trade, and an acceptance pair compares EPOCH against GTM at
+// 50 ms RTT.
 //
-// A second section isolates the coalescer: N closed-loop begin+commit
-// clients against a GTM server 50 ms away, reporting GTM RPCs per
-// transaction with coalescing on vs off.
+// A second section isolates GTM timestamp coalescing (concurrent
+// begin/commit requests sharing one kGtmTimestamp RPC): N closed-loop
+// begin+commit clients against a GTM server 50 ms away, reporting GTM RPCs
+// per transaction.
 //
-// A third axis is the commit protocol itself: TimestampMode::kEpoch
-// (DESIGN.md §15) joins the mode sweep, an epoch-interval micro-sweep
-// (1/5/20 ms) shows the seal-wait vs amortization trade, and an acceptance
-// pair compares EPOCH against the batched-GTM baseline at 50 ms RTT.
-//
-// With GDB_TXNPATH_GATE_ONLY set, only the 50 ms GTM-mode batching on/off
-// pair, the EPOCH acceptance pair, and the coalescing micro-section run
-// (the check.sh smoke path); with GDB_TXNPATH_JSON=<path>, those numbers
-// are written as JSON (BENCH_txnpath.json).
+// With GDB_TXNPATH_GATE_ONLY set, only the EPOCH acceptance pair and the
+// coalescing micro-section run (the check.sh smoke path); with
+// GDB_TXNPATH_JSON=<path>, those numbers are written as JSON
+// (BENCH_txnpath.json).
 
 #include <cstdio>
 #include <cstdlib>
@@ -55,17 +51,13 @@ const char* ModeLabel(TimestampMode mode) {
   return "?";
 }
 
-TxnPathResult RunTxnPath(bool batching, TimestampMode mode, SimDuration rtt,
+TxnPathResult RunTxnPath(TimestampMode mode, SimDuration rtt,
                          TpccConfig config, int clients, SimDuration duration,
                          SimDuration epoch_interval = 5 * kMillisecond) {
   sim::Simulator sim(47);
   ClusterOptions options =
       MakeClusterOptions(SystemKind::kGlobalDb, sim::Topology::Uniform(3, rtt));
   options.initial_mode = mode;
-  options.coordinator.enable_write_batching = batching;
-  // Coalescing rides along in both variants: the ablation isolates the
-  // write-batching axis; the micro-section below isolates the coalescer.
-  options.coordinator.coalesce_gtm = true;
   options.coordinator.epoch_interval = epoch_interval;
   if (mode == TimestampMode::kEpoch) {
     // Measure steady-state EPOCH: contended NewOrder keys make some seals
@@ -84,8 +76,8 @@ TxnPathResult RunTxnPath(bool batching, TimestampMode mode, SimDuration rtt,
 
   WorkloadDriver::Options driver_options;
   driver_options.clients = clients;
-  // Eager NewOrder pays tens of sequential RTTs per transaction; the
-  // window must hold several of them or the slow variants measure zero.
+  // The window must hold several WAN round trips per transaction or the
+  // high-RTT points measure zero.
   driver_options.warmup = std::max<SimDuration>(400 * kMillisecond, 8 * rtt);
   driver_options.duration = std::max<SimDuration>(duration, 50 * rtt);
   WorkloadDriver driver(&cluster, driver_options);
@@ -156,7 +148,7 @@ struct CoalesceRow {
 
 /// N closed-loop begin+commit clients on one CN with the GTM server 50 ms
 /// away (one-way 25 ms per hop, RTT 50 ms), GTM mode.
-CoalesceRow RunCoalesceMicro(int clients, bool coalesce) {
+CoalesceRow RunCoalesceMicro(int clients) {
   sim::Simulator sim(31);
   sim::NetworkOptions nopt;
   nopt.nagle_enabled = false;
@@ -167,7 +159,6 @@ CoalesceRow RunCoalesceMicro(int clients, bool coalesce) {
   GtmServer gtm(&sim, &net, gtm_node);
   sim::HardwareClock clock(&sim, sim.rng().Fork());
   TimestampSource src(&sim, &net, cn, gtm_node, &clock);
-  src.set_coalescing(coalesce);
 
   const SimDuration duration = 5 * kSecond;
   int64_t done = 0;
@@ -183,7 +174,7 @@ CoalesceRow RunCoalesceMicro(int clients, bool coalesce) {
   row.txn_per_s =
       static_cast<double>(done) / (static_cast<double>(duration) / kSecond);
   // Each transaction issues two timestamp requests (begin + commit); the
-  // gate counts RPCs per *transaction*, so without coalescing this is ~2.
+  // gate counts RPCs per *transaction*, so one RPC per request would be 2.
   const int64_t rpcs = src.metrics().Get("ts.gtm_rpcs");
   if (done > 0) {
     row.rpcs_per_txn = static_cast<double>(rpcs) / static_cast<double>(done);
@@ -201,14 +192,13 @@ int main() {
   TpccConfig config = MakeTpccConfig();
   // Every transaction's home warehouse lives behind a WAN link (the paper's
   // physical-affinity knob at its worst case): with local warehouses the
-  // write statements never leave the region and there is nothing for the
-  // write batch to amortize.
+  // write statements and commit rounds never leave the region.
   config.remote_warehouse_fraction = 1.0;
 
   if (!gate_only) {
     PrintHeader("Ablation: commit protocol x RTT (TPC-C NewOrder, 3-region "
-                "uniform RTT, write batching on)",
-                "mode    rtt_ms  batching   NewOrder/min   p50_ms   p99_ms  "
+                "uniform RTT)",
+                "mode    rtt_ms   NewOrder/min   p50_ms   p99_ms  "
                 "gtm_rpcs/txn  batch_entries");
     const TimestampMode modes[] = {TimestampMode::kGtm, TimestampMode::kGclock,
                                    TimestampMode::kEpoch};
@@ -216,28 +206,24 @@ int main() {
                                 100 * kMillisecond};
     for (TimestampMode mode : modes) {
       for (SimDuration rtt : rtts) {
-        for (bool batching : {false, true}) {
-          TxnPathResult r =
-              RunTxnPath(batching, mode, rtt, config, clients, duration);
-          printf("%-7s %6lld  %-8s %12.0f %8.1f %8.1f %13.3f %14.1f\n",
-                 ModeLabel(mode), static_cast<long long>(rtt / kMillisecond),
-                 batching ? "on" : "off", r.run.tpm, r.run.p50_ms,
-                 r.run.p99_ms, r.gtm_rpcs_per_txn, r.mean_batch_entries);
-          fflush(stdout);
-        }
+        TxnPathResult r = RunTxnPath(mode, rtt, config, clients, duration);
+        printf("%-7s %6lld %14.0f %8.1f %8.1f %13.3f %14.1f\n",
+               ModeLabel(mode), static_cast<long long>(rtt / kMillisecond),
+               r.run.tpm, r.run.p50_ms, r.run.p99_ms, r.gtm_rpcs_per_txn,
+               r.mean_batch_entries);
+        fflush(stdout);
       }
     }
 
-    PrintHeader("Epoch interval micro-sweep (EPOCH, 50 ms RTT, batching on): "
-                "shorter epochs cut the seal wait, longer epochs amortize "
-                "more members per grant",
+    PrintHeader("Epoch interval micro-sweep (EPOCH, 50 ms RTT): shorter "
+                "epochs cut the seal wait, longer epochs amortize more "
+                "members per grant",
                 "interval_ms   NewOrder/min   p50_ms   p99_ms  "
                 "commit_ts_rpcs/txn  members/seal");
     for (SimDuration interval :
          {1 * kMillisecond, 5 * kMillisecond, 20 * kMillisecond}) {
-      TxnPathResult r = RunTxnPath(true, TimestampMode::kEpoch,
-                                   50 * kMillisecond, config, clients,
-                                   duration, interval);
+      TxnPathResult r = RunTxnPath(TimestampMode::kEpoch, 50 * kMillisecond,
+                                   config, clients, duration, interval);
       printf("%11lld %14.0f %8.1f %8.1f %19.4f %13.1f\n",
              static_cast<long long>(interval / kMillisecond), r.run.tpm,
              r.run.p50_ms, r.run.p99_ms, r.epoch_commit_ts_rpcs_per_txn,
@@ -246,50 +232,26 @@ int main() {
     }
   }
 
-  // Acceptance pair: GTM mode, 50 ms RTT, batching off vs on.
-  PrintHeader("Write batching gate (GTM, 50 ms RTT)",
-              "batching   NewOrder/min   p50_ms   p99_ms");
-  TxnPathResult off = RunTxnPath(false, TimestampMode::kGtm,
-                                 50 * kMillisecond, config, clients, duration);
-  printf("%-8s %14.0f %8.1f %8.1f\n", "off", off.run.tpm, off.run.p50_ms,
-         off.run.p99_ms);
-  fflush(stdout);
-  TxnPathResult on = RunTxnPath(true, TimestampMode::kGtm, 50 * kMillisecond,
-                                config, clients, duration);
-  printf("%-8s %14.0f %8.1f %8.1f\n", "on", on.run.tpm, on.run.p50_ms,
-         on.run.p99_ms);
-  const double speedup = off.run.tpm > 0 ? on.run.tpm / off.run.tpm : 0;
-  const double p50_cut =
-      off.run.p50_ms > 0 ? 1.0 - on.run.p50_ms / off.run.p50_ms : 0;
-  printf("speedup (on/off): %.2fx   p50 reduction: %.0f%%\n", speedup,
-         p50_cut * 100.0);
-  fflush(stdout);
-
-  // Epoch/group-commit gate (DESIGN.md §15): EPOCH vs the batched-GTM
-  // baseline just measured, same 50 ms RTT. The headline is the NewOrder
-  // commit tail: EPOCH replaces the per-transaction timestamp fetch +
-  // 2PC rounds with one seal shared by every member. The baseline protocol
-  // is overridable (GDB_TIMESTAMP_MODE=gclock compares against GClock), as
+  // Epoch/group-commit gate (DESIGN.md §15): EPOCH vs a GTM baseline at the
+  // same 50 ms RTT. The headline is the NewOrder commit tail: EPOCH replaces
+  // the per-transaction timestamp fetch + 2PC rounds with one seal shared by
+  // every member. The baseline protocol is overridable (GDB_TIMESTAMP_MODE=gclock compares against GClock), as
   // is the seal cadence (GDB_EPOCH_INTERVAL_MS, README knob table).
   const TimestampMode base_mode =
       TimestampModeFromEnv("GDB_TIMESTAMP_MODE", TimestampMode::kGtm);
   const char* interval_env = getenv("GDB_EPOCH_INTERVAL_MS");
   const SimDuration epoch_interval =
       (interval_env != nullptr ? atoll(interval_env) : 5) * kMillisecond;
-  TxnPathResult base = on;
-  if (base_mode != TimestampMode::kGtm) {
-    base = RunTxnPath(true, base_mode, 50 * kMillisecond, config, clients,
-                      duration);
-  }
-  PrintHeader("Epoch/group-commit gate (50 ms RTT, batching on)",
+  const TxnPathResult base =
+      RunTxnPath(base_mode, 50 * kMillisecond, config, clients, duration);
+  PrintHeader("Epoch/group-commit gate (50 ms RTT)",
               "mode     NewOrder/min   p50_ms   p99_ms  commit_ts_rpcs/txn");
   printf("%-7s %14.0f %8.1f %8.1f %19.4f\n", ModeLabel(base_mode),
          base.run.tpm, base.run.p50_ms, base.run.p99_ms,
          base.epoch_commit_ts_rpcs_per_txn);
   fflush(stdout);
-  TxnPathResult epoch = RunTxnPath(true, TimestampMode::kEpoch,
-                                   50 * kMillisecond, config, clients,
-                                   duration, epoch_interval);
+  TxnPathResult epoch = RunTxnPath(TimestampMode::kEpoch, 50 * kMillisecond,
+                                   config, clients, duration, epoch_interval);
   printf("%-7s %14.0f %8.1f %8.1f %19.4f\n", "EPOCH", epoch.run.tpm,
          epoch.run.p50_ms, epoch.run.p99_ms,
          epoch.epoch_commit_ts_rpcs_per_txn);
@@ -302,14 +264,10 @@ int main() {
 
   PrintHeader("GTM timestamp coalescing (16 closed-loop clients, 50 ms to "
               "the GTM)",
-              "coalescing   txn/s   gtm_rpcs/txn   mean_batch");
-  const CoalesceRow plain = RunCoalesceMicro(16, false);
-  printf("%-10s %7.0f %14.3f %12.1f\n", "off", plain.txn_per_s,
-         plain.rpcs_per_txn, plain.mean_batch);
-  fflush(stdout);
-  const CoalesceRow merged = RunCoalesceMicro(16, true);
-  printf("%-10s %7.0f %14.3f %12.1f\n", "on", merged.txn_per_s,
-         merged.rpcs_per_txn, merged.mean_batch);
+              "  txn/s   gtm_rpcs/txn   mean_batch");
+  const CoalesceRow merged = RunCoalesceMicro(16);
+  printf("%7.0f %14.3f %12.1f\n", merged.txn_per_s, merged.rpcs_per_txn,
+         merged.mean_batch);
 
   if (const char* json_path = getenv("GDB_TXNPATH_JSON")) {
     FILE* f = fopen(json_path, "w");
@@ -317,25 +275,19 @@ int main() {
     fprintf(f,
             "{\n"
             "  \"rtt_ms\": 50,\n"
-            "  \"mode\": \"gtm\",\n"
-            "  \"batching_off\": {\"neworder_per_min\": %.1f, \"p50_ms\": "
-            "%.2f, \"p99_ms\": %.2f},\n"
-            "  \"batching_on\": {\"neworder_per_min\": %.1f, \"p50_ms\": "
-            "%.2f, \"p99_ms\": %.2f},\n"
-            "  \"speedup\": %.3f,\n"
-            "  \"p50_reduction\": %.3f,\n"
+            "  \"base_mode\": \"%s\",\n"
+            "  \"base\": {\"neworder_per_min\": %.1f, \"p50_ms\": %.2f, "
+            "\"p99_ms\": %.2f},\n"
             "  \"coalesce_clients\": 16,\n"
             "  \"gtm_rpcs_per_txn_coalesced\": %.4f,\n"
-            "  \"gtm_rpcs_per_txn_plain\": %.4f,\n"
             "  \"coalesce_mean_batch\": %.2f,\n"
             "  \"epoch\": {\"neworder_per_min\": %.1f, \"p50_ms\": %.2f, "
             "\"p99_ms\": %.2f, \"members_per_seal\": %.2f},\n"
             "  \"epoch_speedup\": %.3f,\n"
             "  \"epoch_commit_ts_rpcs_per_txn\": %.4f\n"
             "}\n",
-            off.run.tpm, off.run.p50_ms, off.run.p99_ms, on.run.tpm,
-            on.run.p50_ms, on.run.p99_ms, speedup, p50_cut,
-            merged.rpcs_per_txn, plain.rpcs_per_txn, merged.mean_batch,
+            ModeLabel(base_mode), base.run.tpm, base.run.p50_ms,
+            base.run.p99_ms, merged.rpcs_per_txn, merged.mean_batch,
             epoch.run.tpm, epoch.run.p50_ms, epoch.run.p99_ms,
             epoch.mean_epoch_batch, epoch_speedup,
             epoch.epoch_commit_ts_rpcs_per_txn);

@@ -67,16 +67,20 @@ sim::Task<void> Audit(Cluster* cluster, int cn_index, int round) {
   CoordinatorNode* cn = &cluster->cn(cn_index);
   auto txn = co_await cn->Begin(/*read_only=*/true);
   if (!txn.ok()) co_return;
-  auto rows = co_await cn->ScanRange(&*txn, "accounts", "", "", 100000);
-  if (!rows.ok()) {
-    printf("audit %d failed: %s\n", round, rows.status().ToString().c_str());
+  std::vector<ScanSpec> all(1);
+  all[0].table = "accounts";
+  auto scanned = co_await cn->ScanBatch(&*txn, std::move(all));
+  if (!scanned.ok()) {
+    printf("audit %d failed: %s\n", round,
+           scanned.status().ToString().c_str());
     co_return;
   }
+  const std::vector<Row>& rows = (*scanned)[0].rows;
   int64_t total = 0;
-  for (const Row& row : *rows) total += std::get<int64_t>(row[1]);
+  for (const Row& row : rows) total += std::get<int64_t>(row[1]);
   printf("audit %d @ cn%d: accounts=%zu total=%lld (%s, snapshot=%llu, "
          "ror=%d)\n",
-         round, cn_index, rows->size(), static_cast<long long>(total),
+         round, cn_index, rows.size(), static_cast<long long>(total),
          total == kAccounts * kInitialBalance ? "CONSISTENT" : "BROKEN!",
          static_cast<unsigned long long>(txn->snapshot), txn->use_ror);
 }

@@ -42,7 +42,6 @@ CoordinatorNode::CoordinatorNode(sim::Simulator* sim, sim::Network* network,
                                                 clock_options);
   ts_source_ = std::make_unique<TimestampSource>(sim, network, self, gtm_node,
                                                  clock_.get());
-  ts_source_->set_coalescing(options_.coalesce_gtm);
   EpochManager::Callbacks epoch_callbacks;
   epoch_callbacks.next_epoch_id = [this] { return NextTxnId(); };
   epoch_callbacks.shard_primary = [this](ShardId shard) {
@@ -358,23 +357,10 @@ std::vector<ShardId> CoordinatorNode::WriteTargets(const TableSchema& schema,
 
 sim::Task<Status> CoordinatorNode::DoWrite(TxnHandle* txn,
                                            const TableSchema& schema,
-                                           WriteRequest::Op op, RowKey key,
+                                           WriteOp op, RowKey key,
                                            std::string value,
                                            const Row& route_row) {
   std::vector<ShardId> targets = WriteTargets(schema, route_row);
-
-  if (!options_.enable_write_batching) {
-    WriteRequest request;
-    request.op = op;
-    request.txn = txn->id;
-    request.snapshot = txn->snapshot;
-    request.table = schema.id;
-    request.key = std::move(key);
-    request.value = std::move(value);
-    co_return co_await DoWriteEager(txn, std::move(request),
-                                    std::move(targets));
-  }
-
   if (txn->writes == nullptr) {
     txn->writes =
         std::make_shared<TxnWriteBuffer>(sim_, txn->id, txn->snapshot);
@@ -403,30 +389,6 @@ sim::Task<Status> CoordinatorNode::DoWrite(TxnHandle* txn,
     }
   }
   co_return Status::OK();
-}
-
-sim::Task<Status> CoordinatorNode::DoWriteEager(TxnHandle* txn,
-                                                WriteRequest request,
-                                                std::vector<ShardId> targets) {
-  // Every target joins the write set before the outcome is known: a write
-  // that failed after acquiring its row lock still needs the abort
-  // broadcast to reach that shard.
-  std::vector<NodeId> nodes;
-  nodes.reserve(targets.size());
-  for (ShardId shard : targets) {
-    nodes.push_back(shard_primaries_[shard]);
-    txn->write_shards.insert(shard);
-  }
-  if (txn->mode == TimestampMode::kEpoch) {
-    txn->epoch_writes.emplace_back(request.table, request.key);
-  }
-  if (nodes.size() == 1) {
-    auto result = co_await client_.Call(nodes[0], kDnWrite, request);
-    co_return result.status();
-  }
-  // Replicated-table write: all shards in parallel, first error wins.
-  auto results = co_await client_.CallAll(nodes, kDnWrite, request);
-  co_return rpc::FirstError(results);
 }
 
 void CoordinatorNode::StartFlush(const std::shared_ptr<TxnWriteBuffer>& wb,
@@ -541,7 +503,7 @@ sim::Task<Status> CoordinatorNode::Insert(TxnHandle* txn,
   GDB_CO_RETURN_IF_ERROR(schema->ValidateRow(row));
   std::string value;
   EncodeRow(row, &value);
-  co_return co_await DoWrite(txn, *schema, WriteRequest::Op::kInsert,
+  co_return co_await DoWrite(txn, *schema, WriteOp::kInsert,
                              schema->PrimaryKeyOf(row), std::move(value),
                              row);
 }
@@ -555,7 +517,7 @@ sim::Task<Status> CoordinatorNode::Update(TxnHandle* txn,
   GDB_CO_RETURN_IF_ERROR(schema->ValidateRow(row));
   std::string value;
   EncodeRow(row, &value);
-  co_return co_await DoWrite(txn, *schema, WriteRequest::Op::kUpdate,
+  co_return co_await DoWrite(txn, *schema, WriteOp::kUpdate,
                              schema->PrimaryKeyOf(row), std::move(value),
                              row);
 }
@@ -574,14 +536,8 @@ sim::Task<Status> CoordinatorNode::Delete(TxnHandle* txn,
   for (size_t i = 0; i < schema->key_columns.size(); ++i) {
     sparse[schema->key_columns[i]] = key_values[i];
   }
-  co_return co_await DoWrite(txn, *schema, WriteRequest::Op::kDelete,
+  co_return co_await DoWrite(txn, *schema, WriteOp::kDelete,
                              schema->PrimaryKeyOf(sparse), "", sparse);
-}
-
-NodeId CoordinatorNode::PickReadNode(const TxnHandle& txn,
-                                     const TableSchema& schema,
-                                     ShardId shard) {
-  return PickReadTarget(txn, RorDdlVisible(schema), shard);
 }
 
 NodeId CoordinatorNode::PickReadTarget(const TxnHandle& txn, bool ddl_visible,
@@ -612,51 +568,11 @@ NodeId CoordinatorNode::PickReadTarget(const TxnHandle& txn, bool ddl_visible,
 
 sim::Task<StatusOr<std::optional<Row>>> CoordinatorNode::Get(
     TxnHandle* txn, const std::string& table, const Row& key_values) {
-  co_await cpu_.Consume(options_.statement_cost);
-  const TableSchema* schema = catalog_.FindTable(table);
-  if (schema == nullptr) co_return Status::NotFound("table " + table);
-  if (key_values.size() != schema->key_columns.size()) {
-    co_return Status::InvalidArgument("key arity mismatch");
-  }
-  Row sparse(schema->columns.size());
-  for (size_t i = 0; i < schema->key_columns.size(); ++i) {
-    sparse[schema->key_columns[i]] = key_values[i];
-  }
-  auto shard = ShardOf(*schema, sparse);
-  if (!shard.ok()) co_return shard.status();
-
-  ReadRequest request;
-  request.table = schema->id;
-  request.key = schema->PrimaryKeyOf(sparse);
-  request.snapshot = txn->snapshot;
-  request.txn = txn->use_ror ? kInvalidTxnId : txn->id;
-  NoteEpochRead(txn, request.table, request.key);
-
-  // Read-your-writes: if this key is sitting in the write buffer (or any
-  // flush is still in flight), flush before reading.
-  if (NeedsFlushForKey(*txn, schema->id, request.key)) {
-    metrics_.Add("cn.flush_barriers");
-    GDB_CO_RETURN_IF_ERROR(co_await FlushWrites(txn));
-  }
-
-  const NodeId target = PickReadNode(*txn, *schema, *shard);
-  const bool is_replica = target != shard_primaries_[*shard];
-  auto result =
-      co_await client_.Call(target, is_replica ? kRorRead : kDnRead, request);
-  if (!result.ok() && is_replica &&
-      rpc::IsTransportError(result.status())) {
-    // Failover: exclude the unreachable replica and retry on the primary.
-    // Application errors are not failed over — the primary would return
-    // the same answer.
-    selector_.MarkFailed(target);
-    metrics_.Add("cn.replica_failovers");
-    result = co_await client_.Call(shard_primaries_[*shard], kDnRead, request);
-  }
-  if (!result.ok()) co_return result.status();
-  if (!result->found) co_return std::optional<Row>{};
-  Row row;
-  GDB_CO_RETURN_IF_ERROR(DecodeRow(Slice(result->value), &row));
-  co_return std::optional<Row>(std::move(row));
+  std::vector<MultiGetKey> keys;
+  keys.push_back({table, key_values, false});
+  auto rows = co_await MultiGet(txn, std::move(keys));
+  if (!rows.ok()) co_return rows.status();
+  co_return std::move((*rows)[0]);
 }
 
 sim::Task<StatusOr<std::vector<std::optional<Row>>>> CoordinatorNode::MultiGet(
@@ -670,11 +586,8 @@ sim::Task<StatusOr<std::vector<std::optional<Row>>>> CoordinatorNode::MultiGet(
 sim::Task<StatusOr<std::vector<std::optional<Row>>>> CoordinatorNode::MultiGet(
     TxnHandle* txn, std::vector<MultiGetKey> keys) {
   if (keys.empty()) co_return std::vector<std::optional<Row>>{};
-  if (!options_.enable_read_batching) {
-    co_return co_await MultiGetSerial(txn, std::move(keys));
-  }
-  // Same parse/plan/route CPU as the serial statements: the batch saves
-  // round trips, not planning work.
+  // Parse/plan/route CPU per key: the batch saves round trips, not planning
+  // work.
   co_await cpu_.Consume(options_.statement_cost *
                         static_cast<SimDuration>(keys.size()));
 
@@ -798,8 +711,8 @@ sim::Task<StatusOr<std::vector<std::optional<Row>>>> CoordinatorNode::MultiGet(
   }
   co_await wg.Wait();
 
-  // First error wins: group envelope errors, then per-entry errors (same
-  // order the serial loop would surface them in).
+  // First error wins: group envelope errors, then per-entry errors, in
+  // group order.
   std::vector<std::optional<Row>> unique_rows(unique.size());
   for (ReadGroup& group : groups) {
     if (!group.reply.ok()) co_return group.reply.status();
@@ -828,9 +741,10 @@ sim::Task<void> CoordinatorNode::CallReadGroup(ReadGroup* group,
       group->request);
   if (!reply.ok() && group->is_replica &&
       rpc::IsTransportError(reply.status())) {
-    // Failover exactly as the serial path, scoped to this group: exclude
-    // the unreachable replica and retry on the shard primary. The other
-    // groups' results are unaffected.
+    // Failover scoped to this group: exclude the unreachable replica and
+    // retry on the shard primary. Application errors are not failed over —
+    // the primary would return the same answer. The other groups' results
+    // are unaffected.
     selector_.MarkFailed(group->target);
     metrics_.Add("cn.replica_failovers");
     reply = co_await client_.Call(shard_primaries_[group->shard],
@@ -838,23 +752,6 @@ sim::Task<void> CoordinatorNode::CallReadGroup(ReadGroup* group,
   }
   group->reply = std::move(reply);
   wg->Done();
-}
-
-sim::Task<StatusOr<std::vector<std::optional<Row>>>>
-CoordinatorNode::MultiGetSerial(TxnHandle* txn, std::vector<MultiGetKey> keys) {
-  std::vector<std::optional<Row>> rows(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    if (keys[i].for_update) {
-      auto row = co_await GetForUpdate(txn, keys[i].table, keys[i].key_values);
-      if (!row.ok()) co_return row.status();
-      rows[i] = std::move(*row);
-    } else {
-      auto row = co_await Get(txn, keys[i].table, keys[i].key_values);
-      if (!row.ok()) co_return row.status();
-      rows[i] = std::move(*row);
-    }
-  }
-  co_return rows;
 }
 
 sim::Task<StatusOr<std::optional<Row>>> CoordinatorNode::GetForUpdate(
@@ -886,105 +783,23 @@ sim::Task<StatusOr<std::optional<Row>>> CoordinatorNode::GetForUpdate(
     GDB_CO_RETURN_IF_ERROR(co_await FlushWrites(txn));
   }
 
+  // The lock must be released at commit/abort, so the shard joins the
+  // transaction's write set even if no write follows — and before the RPC
+  // departs: the DN may take the lock and the reply still be lost, and only
+  // the abort broadcast frees an active transaction's locks.
+  txn->write_shards.insert(shard);
   auto result =
       co_await client_.Call(shard_primaries_[shard], kDnLockRead, request);
   if (!result.ok()) co_return result.status();
-  // The lock must be released at commit/abort, so the shard joins the
-  // transaction's write set even if no write follows.
-  txn->write_shards.insert(shard);
   if (!result->found) co_return std::optional<Row>{};
   Row row;
   GDB_CO_RETURN_IF_ERROR(DecodeRow(Slice(result->value), &row));
   co_return std::optional<Row>(std::move(row));
 }
 
-sim::Task<StatusOr<std::vector<Row>>> CoordinatorNode::ScanRange(
-    TxnHandle* txn, const std::string& table, const RowKey& start,
-    const RowKey& end, uint32_t limit, const Value* route_value) {
-  co_await cpu_.Consume(options_.statement_cost);
-  const TableSchema* schema = catalog_.FindTable(table);
-  if (schema == nullptr) co_return Status::NotFound("table " + table);
-
-  ScanRequest request;
-  request.table = schema->id;
-  request.start = start;
-  request.end = end;
-  request.snapshot = txn->snapshot;
-  request.txn = txn->use_ror ? kInvalidTxnId : txn->id;
-  request.limit = limit;
-
-  if (NeedsFlushForScan(*txn, schema->id, start, end)) {
-    metrics_.Add("cn.flush_barriers");
-    GDB_CO_RETURN_IF_ERROR(co_await FlushWrites(txn));
-  }
-
-  // Determine the shards to touch: a distribution-key-prefixed scan hits
-  // exactly one shard; otherwise broadcast to every shard and merge.
-  std::vector<ShardId> scan_shards;
-  const uint32_t total_shards =
-      static_cast<uint32_t>(shard_primaries_.size());
-  if (schema->distribution == DistributionKind::kReplicated) {
-    auto shard = ShardOf(*schema, {});
-    if (!shard.ok()) co_return shard.status();
-    scan_shards.push_back(*shard);
-  } else if (route_value != nullptr) {
-    scan_shards.push_back(RouteToShard(*schema, *route_value, total_shards));
-  } else {
-    for (ShardId s = 0; s < total_shards; ++s) scan_shards.push_back(s);
-  }
-
-  // Scatter: replicas answer ror.scan, primaries dn.scan, in one sweep.
-  const size_t num_shards = scan_shards.size();
-  std::vector<std::pair<NodeId, rpc::RpcMethod<ScanRequest, ScanReply>>>
-      targets;
-  targets.reserve(num_shards);
-  std::vector<bool> used_replica(num_shards, false);
-  for (size_t i = 0; i < num_shards; ++i) {
-    const ShardId s = scan_shards[i];
-    const NodeId target = PickReadNode(*txn, *schema, s);
-    used_replica[i] = target != shard_primaries_[s];
-    targets.emplace_back(target, used_replica[i] ? kRorScan : kDnScan);
-  }
-  auto results = co_await client_.CallEach(targets, request);
-
-  std::vector<std::pair<RowKey, std::string>> merged;
-  for (size_t i = 0; i < num_shards; ++i) {
-    const ShardId s = scan_shards[i];
-    if (!results[i].ok()) {
-      if (!used_replica[i] ||
-          !rpc::IsTransportError(results[i].status())) {
-        co_return results[i].status();
-      }
-      // Replica failed mid-query: retry this shard on the primary.
-      selector_.MarkFailed(targets[i].first);
-      metrics_.Add("cn.replica_failovers");
-      auto retry =
-          co_await client_.Call(shard_primaries_[s], kDnScan, request);
-      if (!retry.ok()) co_return retry.status();
-      results[i] = std::move(retry);
-    }
-    for (auto& row : results[i]->rows) merged.push_back(std::move(row));
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  if (merged.size() > limit) merged.resize(limit);
-
-  std::vector<Row> rows;
-  rows.reserve(merged.size());
-  for (const auto& [key, value] : merged) {
-    Row row;
-    GDB_CO_RETURN_IF_ERROR(DecodeRow(Slice(value), &row));
-    rows.push_back(std::move(row));
-  }
-  co_return rows;
-}
-
 sim::Task<StatusOr<std::vector<ScanResult>>> CoordinatorNode::ScanBatch(
     TxnHandle* txn, std::vector<ScanSpec> specs) {
   if (specs.empty()) co_return std::vector<ScanResult>{};
-  if (!options_.enable_scan_batching) {
-    co_return co_await ScanBatchSerial(txn, std::move(specs));
-  }
   co_await cpu_.Consume(options_.statement_cost *
                         static_cast<SimDuration>(specs.size()));
   metrics_.Add("cn.scan_batches");
@@ -1150,7 +965,7 @@ sim::Task<StatusOr<std::vector<ScanResult>>> CoordinatorNode::ScanBatch(
                  joined.end());
     // A shard joins every row it returns, but the global limit can drop
     // some of those rows in the merge — their lookups must not leak into
-    // the result (the serial baseline only joins surviving rows). Keep
+    // the result (a join pairs only with rows the spec returns). Keep
     // exactly the entries whose key derives from a merged row: an exact
     // match for point joins, a prefix match for prefix joins (join keys
     // encode the same column sequence, so they are mutually prefix-free
@@ -1265,80 +1080,6 @@ sim::Task<void> CoordinatorNode::CallScanGroup(ScanGroup* group,
     if (!failover) break;
   }
   wg->Done();
-}
-
-sim::Task<StatusOr<std::vector<ScanResult>>> CoordinatorNode::ScanBatchSerial(
-    TxnHandle* txn, std::vector<ScanSpec> specs) {
-  std::vector<ScanResult> out(specs.size());
-  for (size_t i = 0; i < specs.size(); ++i) {
-    const ScanSpec& spec = specs[i];
-    const Value* route = spec.route.has_value() ? &*spec.route : nullptr;
-    // Filter and reverse are applied client-side here, so the limit cannot
-    // ride down with the scan — it would keep the wrong rows.
-    const bool postprocess = spec.filter_col >= 0 || spec.reverse;
-    const uint32_t fetch_limit = postprocess ? 0xffffffffu : spec.limit;
-    auto scanned = co_await ScanRange(txn, spec.table, spec.start, spec.end,
-                                      fetch_limit, route);
-    if (!scanned.ok()) co_return scanned.status();
-    std::vector<Row> rows = std::move(*scanned);
-    if (spec.filter_col >= 0) {
-      rows.erase(std::remove_if(
-                     rows.begin(), rows.end(),
-                     [&spec](const Row& row) {
-                       if (spec.filter_col >=
-                           static_cast<int32_t>(row.size())) {
-                         return true;
-                       }
-                       const int64_t* v =
-                           std::get_if<int64_t>(&row[spec.filter_col]);
-                       return v == nullptr || *v != spec.filter_eq;
-                     }),
-                 rows.end());
-    }
-    if (spec.reverse) {
-      if (rows.size() > spec.limit) {
-        rows.erase(rows.begin(), rows.end() - spec.limit);
-      }
-      std::reverse(rows.begin(), rows.end());
-    } else if (rows.size() > spec.limit) {
-      rows.resize(spec.limit);
-    }
-    if (!spec.join_table.empty()) {
-      // One serial lookup per distinct join key — the transaction shape the
-      // batched path collapses into its single round trip. Lookup keys are
-      // prefix-free, so sorting lookups by key yields the same global
-      // joined-row order the batched merge produces.
-      std::set<RowKey> seen;
-      std::vector<std::pair<RowKey, std::vector<Row>>> lookups;
-      for (const Row& row : rows) {
-        RowKey key = spec.join_key_prefix;
-        bool valid = true;
-        for (uint32_t col : spec.join_key_cols) {
-          if (col >= row.size()) {
-            valid = false;
-            break;
-          }
-          EncodeKeyPart(row[col], &key);
-        }
-        if (!valid || !seen.insert(key).second) continue;
-        const uint32_t join_limit = spec.join_prefix ? spec.join_limit : 1;
-        auto looked = co_await ScanRange(txn, spec.join_table, key,
-                                         PrefixSuccessor(key), join_limit,
-                                         route);
-        if (!looked.ok()) co_return looked.status();
-        if (!looked->empty()) {
-          lookups.emplace_back(std::move(key), std::move(*looked));
-        }
-      }
-      std::sort(lookups.begin(), lookups.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
-      for (auto& [key, found] : lookups) {
-        for (Row& row : found) out[i].joined.push_back(std::move(row));
-      }
-    }
-    out[i].rows = std::move(rows);
-  }
-  co_return out;
 }
 
 sim::Task<Status> CoordinatorNode::EndTxn(TxnHandle* txn, bool commit) {

@@ -47,30 +47,11 @@ struct CoordinatorOptions {
   /// snapshot (the paper's ROR feature). When false (baseline), all reads
   /// go to primaries with regular timestamps.
   bool enable_ror = true;
-  /// When true (default), writes buffer in a per-transaction, per-shard
-  /// queue and flush as kDnWriteBatch RPCs — at the size threshold below,
-  /// at a read-your-writes barrier, or at commit just ahead of precommit
-  /// (DESIGN.md §10). When false, each write is an awaited kDnWrite RPC.
-  bool enable_write_batching = true;
-  /// Per-shard buffered entries that force an early background flush.
+  /// Per-shard buffered-entry count that forces an early background flush
+  /// of a transaction's write buffer. Otherwise writes flush as
+  /// kDnWriteBatch RPCs at a read-your-writes barrier or at commit, just
+  /// ahead of precommit (DESIGN.md §10).
   size_t write_batch_max_entries = 16;
-  /// When true (default), concurrent GTM/DUAL timestamp requests on this CN
-  /// coalesce into single ranged kGtmTimestamp RPCs.
-  bool coalesce_gtm = true;
-  /// When true (default), MultiGet dedups its key set, groups keys by
-  /// shard, and fans the groups out as parallel kDnReadBatch/kRorReadBatch
-  /// RPCs — one WAN round trip for the whole set (DESIGN.md §11). When
-  /// false, MultiGet degrades to the equivalent sequence of serial
-  /// Get/GetForUpdate calls (the ablation baseline).
-  bool enable_read_batching = true;
-  /// When true (default), ScanBatch groups its ranges by shard and fans
-  /// them out as kDnScanBatch/kRorScanBatch streaming RPCs with server-side
-  /// filter/limit pushdown, byte-capped chunks, and an ordered cross-shard
-  /// merge (DESIGN.md §14). When false, ScanBatch degrades to the
-  /// equivalent sequence of serial ScanRange calls with client-side
-  /// filtering (the ablation baseline); workloads also keep their legacy
-  /// serial-scan transaction shapes in this mode.
-  bool enable_scan_batching = true;
   /// Per-chunk reply byte budget requested from scan servers (0 = accept
   /// the server default). Tests shrink it to force truncation +
   /// continuation.
@@ -183,7 +164,7 @@ struct TxnHandle {
   bool read_only = false;
   bool use_ror = false;  // read-only + routed to replicas at the RCP
   std::set<ShardId> write_shards;
-  /// Lazily created on the first buffered write (write batching enabled).
+  /// Lazily created on the first buffered write.
   std::shared_ptr<TxnWriteBuffer> writes;
   /// OCC read/write key sets, recorded only under TimestampMode::kEpoch:
   /// plain point reads (FOR UPDATE reads are excluded — they read the
@@ -254,7 +235,8 @@ class CoordinatorNode {
   /// Delete addressed by key column values (schema.key_columns order).
   sim::Task<Status> Delete(TxnHandle* txn, const std::string& table,
                            const Row& key_values);
-  /// Point lookup by key column values. Returns nullopt when not found.
+  /// Point lookup by key column values: a one-key MultiGet. Returns nullopt
+  /// when not found.
   sim::Task<StatusOr<std::optional<Row>>> Get(TxnHandle* txn,
                                               const std::string& table,
                                               const Row& key_values);
@@ -262,11 +244,9 @@ class CoordinatorNode {
   /// check across all keys with at most one flush barrier, groups keys by
   /// shard, routes each group to a ROR replica or the primary, and fans
   /// every group out in parallel — one WAN round trip for the whole set.
-  /// Results align with `keys` (nullopt = not found); rows are
-  /// byte-identical to an equivalent sequence of serial Get/GetForUpdate
-  /// calls under the same snapshot. A group whose replica fails mid-batch
-  /// fails over to its shard primary; only the first per-entry or
-  /// transport error is returned.
+  /// Results align with `keys` (nullopt = not found). A group whose replica
+  /// fails mid-batch fails over to its shard primary; only the first
+  /// per-entry or transport error is returned.
   sim::Task<StatusOr<std::vector<std::optional<Row>>>> MultiGet(
       TxnHandle* txn, std::vector<MultiGetKey> keys);
   /// Single-table convenience wrapper (plain reads, no locks).
@@ -278,22 +258,15 @@ class CoordinatorNode {
   /// released at commit/abort.
   sim::Task<StatusOr<std::optional<Row>>> GetForUpdate(
       TxnHandle* txn, const std::string& table, const Row& key_values);
-  /// Ordered scan of encoded-key range [start, end) merged across shards.
-  /// When `route_value` is non-null it is the scan's distribution-column
-  /// value: the scan touches only that shard (prefix scans in TPC-C).
-  sim::Task<StatusOr<std::vector<Row>>> ScanRange(
-      TxnHandle* txn, const std::string& table, const RowKey& start,
-      const RowKey& end, uint32_t limit, const Value* route_value = nullptr);
   /// Batched ranged reads (DESIGN.md §14): resolves every spec's shard set,
   /// runs the read-your-writes check across all ranges (and join tables)
   /// with at most one flush barrier, groups ranges by shard, routes each
   /// group to a ROR replica or the primary, streams byte-capped chunks with
   /// client-driven continuation, and k-way-merges each spec's per-shard
   /// cursors into one globally key-ordered result — one WAN round trip (per
-  /// chunk) for the whole batch. Results align with `specs` and are
-  /// row-for-row identical to the serial ScanRange baseline under the same
-  /// snapshot. A group whose replica fails mid-stream restarts on its shard
-  /// primary.
+  /// chunk) for the whole batch. Results align with `specs`. A group whose
+  /// replica fails mid-stream restarts on its shard primary. A single
+  /// ordered range scan is a one-spec batch.
   sim::Task<StatusOr<std::vector<ScanResult>>> ScanBatch(
       TxnHandle* txn, std::vector<ScanSpec> specs);
 
@@ -362,12 +335,8 @@ class CoordinatorNode {
   std::vector<ShardId> WriteTargets(const TableSchema& schema,
                                     const Row& row) const;
   sim::Task<Status> DoWrite(TxnHandle* txn, const TableSchema& schema,
-                            WriteRequest::Op op, RowKey key,
-                            std::string value, const Row& route_row);
-  /// Eager (non-batched) write path: one awaited RPC per target, fanned out
-  /// in parallel for replicated tables.
-  sim::Task<Status> DoWriteEager(TxnHandle* txn, WriteRequest request,
-                                 std::vector<ShardId> targets);
+                            WriteOp op, RowKey key, std::string value,
+                            const Row& route_row);
   /// Moves `shard`'s queued entries into a kDnWriteBatch request and spawns
   /// its flush coroutine. No-op on an empty buffer; defers (chains) when a
   /// batch for the shard is already in flight; drops the entries when a
@@ -391,11 +360,9 @@ class CoordinatorNode {
   /// unbounded).
   bool NeedsFlushForScan(const TxnHandle& txn, TableId table,
                          const RowKey& start, const RowKey& end) const;
-  /// Chooses the node (replica or primary) for a ROR read of `shard`.
-  NodeId PickReadNode(const TxnHandle& txn, const TableSchema& schema,
-                      ShardId shard);
-  /// Same decision with the table's DDL-visibility verdict precomputed
-  /// (MultiGet groups may span tables; ROR needs every table visible).
+  /// Chooses the node (replica or primary) for a ROR read of `shard`, with
+  /// the DDL-visibility verdict precomputed (a read group may span tables;
+  /// ROR needs every table visible).
   NodeId PickReadTarget(const TxnHandle& txn, bool ddl_visible, ShardId shard);
 
   /// One shard's slice of a MultiGet fan-out: the batch request, its
@@ -410,13 +377,8 @@ class CoordinatorNode {
     StatusOr<ReadBatchReply> reply{Status::Unavailable("not attempted")};
   };
   /// Issues one group's batch RPC; on a transport error from a replica,
-  /// fails over only this group to its shard primary (cn.replica_failovers,
-  /// as in the serial path).
+  /// fails over only this group to its shard primary (cn.replica_failovers).
   sim::Task<void> CallReadGroup(ReadGroup* group, sim::WaitGroup* wg);
-  /// Degraded MultiGet (read batching disabled): the equivalent sequence of
-  /// serial Get/GetForUpdate calls, results aligned with `keys`.
-  sim::Task<StatusOr<std::vector<std::optional<Row>>>> MultiGetSerial(
-      TxnHandle* txn, std::vector<MultiGetKey> keys);
   /// One shard's slice of a ScanBatch fan-out: the base request (kept
   /// pristine for failover restarts), the spec index each range feeds, and
   /// per-range raw row accumulators filled across chunks by CallScanGroup.
@@ -439,12 +401,6 @@ class CoordinatorNode {
   /// discarded, so a mid-stream failover can't splice rows from two nodes'
   /// snapshots of the store.
   sim::Task<void> CallScanGroup(ScanGroup* group, sim::WaitGroup* wg);
-  /// Degraded ScanBatch (scan batching disabled): the equivalent sequence
-  /// of serial ScanRange calls with client-side filter/reverse/limit and
-  /// per-row join lookups, results aligned with `specs`. Also the
-  /// byte-for-byte equivalence oracle for the batched path.
-  sim::Task<StatusOr<std::vector<ScanResult>>> ScanBatchSerial(
-      TxnHandle* txn, std::vector<ScanSpec> specs);
   /// DDL visibility conditions for ROR (Section IV-A).
   bool RorDdlVisible(const TableSchema& schema) const;
 

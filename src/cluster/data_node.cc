@@ -272,23 +272,14 @@ sim::Task<void> DataNode::ResolveOutcome(TxnId txn, InDoubtTxn info) {
 }
 
 void DataNode::BindService() {
-  server_.Handle(kDnRead, [this](NodeId from, ReadRequest request) {
-    return HandleRead(from, std::move(request));
-  });
   server_.Handle(kDnLockRead, [this](NodeId from, ReadRequest request) {
     return HandleLockRead(from, std::move(request));
   });
   server_.Handle(kDnReadBatch, [this](NodeId from, ReadBatchRequest request) {
     return HandleReadBatch(from, std::move(request));
   });
-  server_.Handle(kDnScan, [this](NodeId from, ScanRequest request) {
-    return HandleScan(from, std::move(request));
-  });
   server_.Handle(kDnScanBatch, [this](NodeId from, ScanBatchRequest request) {
     return HandleScanBatch(from, std::move(request));
-  });
-  server_.Handle(kDnWrite, [this](NodeId from, WriteRequest request) {
-    return HandleWrite(from, std::move(request));
   });
   server_.Handle(kDnWriteBatch, [this](NodeId from, WriteBatchRequest request) {
     return HandleWriteBatch(from, std::move(request));
@@ -385,23 +376,6 @@ sim::Task<StatusOr<rpc::EmptyMessage>> DataNode::HandleReplHello(
   co_return rpc::EmptyMessage{};
 }
 
-sim::Task<StatusOr<ReadReply>> DataNode::HandleRead(NodeId from,
-                                                    ReadRequest request) {
-  co_await cpu_.Consume(options_.read_cost);
-  metrics_.Add("dn.reads");
-  ReadReply reply;
-  MvccTable* table = store_.GetTable(request.table);
-  if (table == nullptr) {
-    // The table exists in the catalog but no row has reached this shard:
-    // an ordinary miss.
-    co_return reply;
-  }
-  ReadResult result = table->Read(request.key, request.snapshot, request.txn);
-  reply.found = result.found;
-  reply.value = std::move(result.value);
-  co_return reply;
-}
-
 sim::Task<StatusOr<ReadReply>> DataNode::HandleLockRead(NodeId from,
                                                         ReadRequest request) {
   co_await cpu_.Consume(options_.read_cost);
@@ -462,28 +436,6 @@ sim::Task<StatusOr<ReadBatchReply>> DataNode::HandleReadBatch(
   co_return reply;
 }
 
-sim::Task<StatusOr<ScanReply>> DataNode::HandleScan(NodeId from,
-                                                    ScanRequest request) {
-  metrics_.Add("dn.scans");
-  ScanReply reply;
-  MvccTable* table = store_.GetTable(request.table);
-  if (table == nullptr) {
-    // An empty shard simply has no rows in range.
-    co_await cpu_.Consume(options_.read_cost);
-    co_return reply;
-  }
-  auto rows = table->Scan(request.start, request.end, request.snapshot,
-                          request.txn, request.limit, nullptr);
-  co_await cpu_.Consume(options_.read_cost +
-                        options_.scan_row_cost *
-                            static_cast<SimDuration>(rows.size()));
-  reply.rows.reserve(rows.size());
-  for (auto& row : rows) {
-    reply.rows.emplace_back(std::move(row.key), std::move(row.value));
-  }
-  co_return reply;
-}
-
 sim::Task<StatusOr<ScanBatchReply>> DataNode::HandleScanBatch(
     NodeId from, ScanBatchRequest request) {
   metrics_.Add("dn.scan_batches");
@@ -506,8 +458,8 @@ sim::Task<StatusOr<ScanBatchReply>> DataNode::HandleScanBatch(
 }
 
 sim::Task<Status> DataNode::ApplyWrite(TxnId txn, Timestamp snapshot,
-                                       WriteRequest::Op op, TableId table_id,
-                                       RowKey key, std::string value) {
+                                       WriteOp op, TableId table_id, RowKey key,
+                                       std::string value) {
   // Row lock first: writers queue instead of instantly aborting. If the
   // transaction already holds the lock (it did a locked read), the write
   // applies to the latest version — no snapshot conflict is possible.
@@ -519,19 +471,19 @@ sim::Task<Status> DataNode::ApplyWrite(TxnId txn, Timestamp snapshot,
   MvccTable* table = store_.GetOrCreateTable(table_id);
   Status status;
   switch (op) {
-    case WriteRequest::Op::kInsert:
+    case WriteOp::kInsert:
       status = table->Insert(key, value, txn);
       if (status.ok()) {
         AppendAndNotify(RedoRecord::Insert(txn, table_id, key, value));
       }
       break;
-    case WriteRequest::Op::kUpdate:
+    case WriteOp::kUpdate:
       status = table->Update(key, value, txn, snapshot);
       if (status.ok()) {
         AppendAndNotify(RedoRecord::Update(txn, table_id, key, value));
       }
       break;
-    case WriteRequest::Op::kDelete:
+    case WriteOp::kDelete:
       status = table->Delete(key, txn, snapshot);
       if (status.ok()) {
         AppendAndNotify(RedoRecord::Delete(txn, table_id, key));
@@ -539,24 +491,6 @@ sim::Task<Status> DataNode::ApplyWrite(TxnId txn, Timestamp snapshot,
       break;
   }
   co_return status;
-}
-
-sim::Task<StatusOr<rpc::EmptyMessage>> DataNode::HandleWrite(
-    NodeId from, WriteRequest request) {
-  co_await cpu_.Consume(options_.write_cost);
-  metrics_.Add("dn.writes");
-  if (decided_.Lookup(request.txn) != nullptr) {
-    // Duplicated/reordered delivery after the transaction's outcome: do not
-    // create provisional versions nothing will ever resolve.
-    metrics_.Add("dn.decision_dedup_hits");
-    co_return Status::FailedPrecondition("transaction already decided");
-  }
-  Status status = co_await ApplyWrite(request.txn, request.snapshot,
-                                      request.op, request.table,
-                                      std::move(request.key),
-                                      std::move(request.value));
-  if (!status.ok()) co_return status;
-  co_return rpc::EmptyMessage{};
 }
 
 sim::Task<StatusOr<WriteBatchReply>> DataNode::HandleWriteBatch(

@@ -169,23 +169,20 @@ class DataNode {
 
  private:
   void BindService();
-  sim::Task<StatusOr<ReadReply>> HandleRead(NodeId from, ReadRequest request);
   sim::Task<StatusOr<ReadReply>> HandleLockRead(NodeId from,
                                                 ReadRequest request);
   sim::Task<StatusOr<ReadBatchReply>> HandleReadBatch(
       NodeId from, ReadBatchRequest request);
-  sim::Task<StatusOr<ScanReply>> HandleScan(NodeId from, ScanRequest request);
   sim::Task<StatusOr<ScanBatchReply>> HandleScanBatch(NodeId from,
                                                       ScanBatchRequest request);
-  sim::Task<StatusOr<rpc::EmptyMessage>> HandleWrite(NodeId from,
-                                                     WriteRequest request);
   sim::Task<StatusOr<WriteBatchReply>> HandleWriteBatch(
       NodeId from, WriteBatchRequest request);
-  /// Shared write path (single writes and batch entries): row lock, MVCC
-  /// apply, redo append. Parameters are by value — coroutine frame safety.
-  sim::Task<Status> ApplyWrite(TxnId txn, Timestamp snapshot,
-                               WriteRequest::Op op, TableId table_id,
-                               RowKey key, std::string value);
+  /// Shared write path (write-batch entries and epoch prepare tails): row
+  /// lock, MVCC apply, redo append. Parameters are by value — coroutine
+  /// frame safety.
+  sim::Task<Status> ApplyWrite(TxnId txn, Timestamp snapshot, WriteOp op,
+                               TableId table_id, RowKey key,
+                               std::string value);
   sim::Task<StatusOr<rpc::EmptyMessage>> HandlePrecommit(
       NodeId from, TxnControlRequest request);
   sim::Task<StatusOr<rpc::EmptyMessage>> HandleCommit(

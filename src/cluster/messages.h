@@ -12,7 +12,8 @@
 
 namespace globaldb {
 
-/// Point read request (primary or replica).
+/// Locking point read (SELECT ... FOR UPDATE, kDnLockRead): takes the row
+/// lock on the primary and returns the latest committed version.
 struct ReadRequest {
   TableId table = kInvalidTableId;
   RowKey key;
@@ -60,68 +61,6 @@ struct ReadReply {
       return Status::Corruption("read reply value");
     }
     r.value = value.ToString();
-    return r;
-  }
-};
-
-/// Ordered range scan over [start, end); empty end = unbounded.
-struct ScanRequest {
-  TableId table = kInvalidTableId;
-  RowKey start, end;
-  Timestamp snapshot = 0;
-  TxnId txn = kInvalidTxnId;
-  uint32_t limit = 0xffffffff;
-
-  std::string Encode() const {
-    std::string s;
-    PutVarint32(&s, table);
-    PutLengthPrefixed(&s, start);
-    PutLengthPrefixed(&s, end);
-    PutVarint64(&s, snapshot);
-    PutVarint64(&s, txn);
-    PutVarint32(&s, limit);
-    return s;
-  }
-  static StatusOr<ScanRequest> Decode(Slice in) {
-    ScanRequest r;
-    Slice start, end;
-    if (!GetVarint32(&in, &r.table) || !GetLengthPrefixed(&in, &start) ||
-        !GetLengthPrefixed(&in, &end) || !GetVarint64(&in, &r.snapshot) ||
-        !GetVarint64(&in, &r.txn) || !GetVarint32(&in, &r.limit)) {
-      return Status::Corruption("scan req");
-    }
-    r.start = start.ToString();
-    r.end = end.ToString();
-    return r;
-  }
-};
-
-struct ScanReply {
-  std::vector<std::pair<RowKey, std::string>> rows;
-
-  std::string Encode() const {
-    std::string s;
-    PutVarint32(&s, static_cast<uint32_t>(rows.size()));
-    for (const auto& [key, value] : rows) {
-      PutLengthPrefixed(&s, key);
-      PutLengthPrefixed(&s, value);
-    }
-    return s;
-  }
-  static StatusOr<ScanReply> Decode(Slice in) {
-    ScanReply r;
-    uint32_t n = 0;
-    if (!GetVarint32(&in, &n)) {
-      return Status::Corruption("scan reply");
-    }
-    r.rows.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      Slice key, value;
-      if (!GetLengthPrefixed(&in, &key) || !GetLengthPrefixed(&in, &value)) {
-        return Status::Corruption("scan reply row");
-      }
-      r.rows.emplace_back(key.ToString(), value.ToString());
-    }
     return r;
   }
 };
@@ -441,52 +380,19 @@ struct ScanBatchReply {
   }
 };
 
-/// Write (insert / update / delete) executed on the primary under a lock.
-struct WriteRequest {
-  enum class Op : uint8_t { kInsert = 1, kUpdate = 2, kDelete = 3 };
-  Op op = Op::kInsert;
-  TxnId txn = kInvalidTxnId;
-  Timestamp snapshot = 0;
-  TableId table = kInvalidTableId;
-  RowKey key;
-  std::string value;
-
-  std::string Encode() const {
-    std::string s;
-    s.push_back(static_cast<char>(op));
-    PutVarint64(&s, txn);
-    PutVarint64(&s, snapshot);
-    PutVarint32(&s, table);
-    PutLengthPrefixed(&s, key);
-    PutLengthPrefixed(&s, value);
-    return s;
-  }
-  static StatusOr<WriteRequest> Decode(Slice in) {
-    WriteRequest r;
-    if (in.empty()) return Status::Corruption("write req");
-    r.op = static_cast<Op>(in[0]);
-    in.RemovePrefix(1);
-    Slice key, value;
-    if (!GetVarint64(&in, &r.txn) || !GetVarint64(&in, &r.snapshot) ||
-        !GetVarint32(&in, &r.table) || !GetLengthPrefixed(&in, &key) ||
-        !GetLengthPrefixed(&in, &value)) {
-      return Status::Corruption("write req fields");
-    }
-    r.key = key.ToString();
-    r.value = value.ToString();
-    return r;
-  }
-};
+/// Row mutation kind of a buffered write (write batches and epoch prepare
+/// tails).
+enum class WriteOp : uint8_t { kInsert = 1, kUpdate = 2, kDelete = 3 };
 
 /// A pipelined batch of buffered writes for one shard, flushed in statement
 /// order (the CN's per-transaction write buffer, DESIGN.md §10). The primary
-/// applies entries sequentially — lock, apply, redo — exactly as it would
-/// have for individual kDnWrite calls. After the first failing entry it
-/// rolls the transaction back on this shard and releases every lock the
-/// transaction holds there, marking the remaining entries as skipped.
+/// applies entries sequentially — lock, apply, redo. After the first
+/// failing entry it rolls the transaction back on this shard and releases
+/// every lock the transaction holds there, marking the remaining entries as
+/// skipped.
 struct WriteBatchRequest {
   struct Entry {
-    WriteRequest::Op op = WriteRequest::Op::kInsert;
+    WriteOp op = WriteOp::kInsert;
     TableId table = kInvalidTableId;
     RowKey key;
     std::string value;
@@ -519,7 +425,7 @@ struct WriteBatchRequest {
     for (uint32_t i = 0; i < n; ++i) {
       Entry e;
       if (in.empty()) return Status::Corruption("write batch entry");
-      e.op = static_cast<WriteRequest::Op>(in[0]);
+      e.op = static_cast<WriteOp>(in[0]);
       in.RemovePrefix(1);
       Slice key, value;
       if (!GetVarint32(&in, &e.table) || !GetLengthPrefixed(&in, &key) ||
@@ -920,7 +826,7 @@ struct EpochPrepareRequest {
       for (uint32_t e = 0; e < entries; ++e) {
         WriteBatchRequest::Entry entry;
         if (in.empty()) return Status::Corruption("epoch prepare entry");
-        entry.op = static_cast<WriteRequest::Op>(in[0]);
+        entry.op = static_cast<WriteOp>(in[0]);
         in.RemovePrefix(1);
         Slice key, value;
         if (!GetVarint32(&in, &entry.table) ||
@@ -1029,16 +935,12 @@ struct EpochCommitRequest {
 // --- Method descriptors ------------------------------------------------------
 
 // Served by primary data nodes.
-inline constexpr rpc::RpcMethod<ReadRequest, ReadReply> kDnRead{"dn.read"};
 inline constexpr rpc::RpcMethod<ReadRequest, ReadReply> kDnLockRead{
     "dn.lock_read"};
 inline constexpr rpc::RpcMethod<ReadBatchRequest, ReadBatchReply>
     kDnReadBatch{"dn.read_batch"};
-inline constexpr rpc::RpcMethod<ScanRequest, ScanReply> kDnScan{"dn.scan"};
 inline constexpr rpc::RpcMethod<ScanBatchRequest, ScanBatchReply>
     kDnScanBatch{"dn.scan_batch"};
-inline constexpr rpc::RpcMethod<WriteRequest, rpc::EmptyMessage> kDnWrite{
-    "dn.write"};
 inline constexpr rpc::RpcMethod<WriteBatchRequest, WriteBatchReply>
     kDnWriteBatch{"dn.write_batch"};
 inline constexpr rpc::RpcMethod<TxnControlRequest, rpc::EmptyMessage>
@@ -1063,10 +965,8 @@ inline constexpr rpc::RpcMethod<EpochCommitRequest, rpc::EmptyMessage>
     kDnEpochCommit{"dn.epoch_commit"};
 
 // Served by replica data nodes (read-on-replica).
-inline constexpr rpc::RpcMethod<ReadRequest, ReadReply> kRorRead{"ror.read"};
 inline constexpr rpc::RpcMethod<ReadBatchRequest, ReadBatchReply>
     kRorReadBatch{"ror.read_batch"};
-inline constexpr rpc::RpcMethod<ScanRequest, ScanReply> kRorScan{"ror.scan"};
 inline constexpr rpc::RpcMethod<ScanBatchRequest, ScanBatchReply>
     kRorScanBatch{"ror.scan_batch"};
 inline constexpr rpc::RpcMethod<rpc::EmptyMessage, RorStatusReply> kRorStatus{

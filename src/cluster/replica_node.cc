@@ -45,14 +45,8 @@ sim::Task<void> ReplicaNode::SendHello() {
 }
 
 void ReplicaNode::BindService() {
-  server_.Handle(kRorRead, [this](NodeId from, ReadRequest request) {
-    return HandleRead(from, std::move(request));
-  });
   server_.Handle(kRorReadBatch, [this](NodeId from, ReadBatchRequest request) {
     return HandleReadBatch(from, std::move(request));
-  });
-  server_.Handle(kRorScan, [this](NodeId from, ScanRequest request) {
-    return HandleScan(from, std::move(request));
   });
   server_.Handle(kRorScanBatch, [this](NodeId from, ScanBatchRequest request) {
     return HandleScanBatch(from, std::move(request));
@@ -60,35 +54,6 @@ void ReplicaNode::BindService() {
   server_.Handle(kRorStatus, [this](NodeId from, rpc::EmptyMessage request) {
     return HandleStatus(from, request);
   });
-}
-
-sim::Task<StatusOr<ReadReply>> ReplicaNode::HandleRead(NodeId from,
-                                                       ReadRequest request) {
-  co_await cpu_.Consume(options_.read_cost);
-  metrics_.Add("ror.reads");
-  ReadReply reply;
-  // Pending-commit tuple lock: retry after the blocking txn resolves. The
-  // table pointer must be re-fetched on every attempt — a snapshot install
-  // while parked on WaitResolved rebuilds the whole store and frees the old
-  // MvccTable out from under this coroutine.
-  while (true) {
-    MvccTable* table = store_.GetTable(request.table);
-    if (table == nullptr) {
-      // The table may simply have no rows replayed into this shard yet.
-      co_return reply;
-    }
-    ReadResult result = table->Read(request.key, request.snapshot);
-    if (result.provisional_txn != kInvalidTxnId &&
-        applier_->MustWait(result.provisional_txn, request.snapshot)) {
-      metrics_.Add("ror.pending_waits");
-      co_await applier_->WaitResolved(result.provisional_txn);
-      continue;
-    }
-    reply.found = result.found;
-    reply.value = std::move(result.value);
-    break;
-  }
-  co_return reply;
 }
 
 sim::Task<StatusOr<ReadBatchReply>> ReplicaNode::HandleReadBatch(
@@ -130,45 +95,6 @@ sim::Task<StatusOr<ReadBatchReply>> ReplicaNode::HandleReadBatch(
       result.value = std::move(read.value);
       break;
     }
-  }
-  co_return reply;
-}
-
-sim::Task<StatusOr<ScanReply>> ReplicaNode::HandleScan(NodeId from,
-                                                       ScanRequest request) {
-  metrics_.Add("ror.scans");
-  ScanReply reply;
-  while (true) {
-    // Re-fetched per attempt: a snapshot install during WaitResolved frees
-    // the previous MvccTable.
-    MvccTable* table = store_.GetTable(request.table);
-    if (table == nullptr) {
-      co_await cpu_.Consume(options_.read_cost);
-      co_return reply;
-    }
-    std::vector<TxnId> pending;
-    auto rows = table->Scan(request.start, request.end, request.snapshot,
-                            kInvalidTxnId, request.limit, &pending);
-    TxnId blocker = kInvalidTxnId;
-    for (TxnId txn : pending) {
-      if (applier_->MustWait(txn, request.snapshot)) {
-        blocker = txn;
-        break;
-      }
-    }
-    if (blocker != kInvalidTxnId) {
-      metrics_.Add("ror.pending_waits");
-      co_await applier_->WaitResolved(blocker);
-      continue;
-    }
-    co_await cpu_.Consume(options_.read_cost +
-                          options_.scan_row_cost *
-                              static_cast<SimDuration>(rows.size()));
-    reply.rows.reserve(rows.size());
-    for (auto& row : rows) {
-      reply.rows.emplace_back(std::move(row.key), std::move(row.value));
-    }
-    break;
   }
   co_return reply;
 }

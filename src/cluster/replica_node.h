@@ -74,10 +74,8 @@ class ReplicaNode {
  private:
   void BindService();
   sim::Task<void> SendHello();
-  sim::Task<StatusOr<ReadReply>> HandleRead(NodeId from, ReadRequest request);
   sim::Task<StatusOr<ReadBatchReply>> HandleReadBatch(
       NodeId from, ReadBatchRequest request);
-  sim::Task<StatusOr<ScanReply>> HandleScan(NodeId from, ScanRequest request);
   sim::Task<StatusOr<ScanBatchReply>> HandleScanBatch(NodeId from,
                                                       ScanBatchRequest request);
   sim::Task<StatusOr<RorStatusReply>> HandleStatus(NodeId from,

@@ -44,8 +44,8 @@ class LogStream {
                                          size_t max_bytes) const;
 
   /// The boundary a Read(from, max_records, max_bytes) would produce, without
-  /// copying any records. The shipper uses this to key its encoded-batch
-  /// cache before deciding whether it needs to read + encode at all.
+  /// copying any records. The shipper uses this to size and bound a batch
+  /// before it reads and encodes it.
   struct BatchExtent {
     /// Last LSN the batch would include (valid only when records > 0).
     Lsn end_lsn = kInvalidLsn;

@@ -27,7 +27,6 @@ void DurabilityManager::PublishCheckpoint(ShardSnapshot snapshot) {
   if (dropped > 0) {
     metrics_->Add("durability.log_truncated_records",
                   static_cast<int64_t>(dropped));
-    if (shipper_ != nullptr) shipper_->OnTruncate(watermark + 1);
   }
 }
 

@@ -32,8 +32,7 @@ LogShipper::LogShipper(sim::Simulator* sim, sim::Network* network, NodeId self,
       stream_(stream),
       replicas_(std::move(replicas)),
       options_(options),
-      client_(network, self, ShipperRpcPolicy()),
-      cache_(options.encode_cache_entries) {
+      client_(network, self, ShipperRpcPolicy()) {
   for (NodeId r : replicas_) {
     acked_[r] = 0;
     peers_[r].cursor = stream_->begin_lsn();
@@ -176,23 +175,11 @@ void LogShipper::AddReplica(NodeId replica) {
   if (started_ && !stopped_) sim_->Spawn(ShipLoop(replica));
 }
 
-void LogShipper::OnTruncate(Lsn new_begin) {
-  metrics_.Add("ship.cache_evictions",
-               static_cast<int64_t>(cache_.EvictBelow(new_begin)));
-}
-
 std::shared_ptr<const std::string> LogShipper::EncodedRequest(
     Lsn start, const LogStream::BatchExtent& extent) {
-  const BatchCacheKey key{start, extent.end_lsn, options_.compression};
-  if (options_.encode_cache_entries > 0) {
-    if (auto hit = cache_.Get(key)) {
-      metrics_.Add("ship.cache_hits");
-      return hit;
-    }
-    metrics_.Add("ship.cache_misses");
-  }
   // Re-read exactly the extent's record count: the stream may have grown
-  // since Extent(), and the payload must match the (start, end) cache key.
+  // since Extent(), and the payload must cover exactly the extent the
+  // cursor advances past.
   auto batch_or =
       stream_->Read(start, extent.records, std::numeric_limits<size_t>::max());
   if (!batch_or.ok() || batch_or->empty()) return nullptr;
@@ -200,9 +187,7 @@ std::shared_ptr<const std::string> LogShipper::EncodedRequest(
   request.shard = shard_;
   request.start_lsn = start;
   request.batch = LogStream::EncodeBatch(*batch_or, options_.compression);
-  auto payload = std::make_shared<const std::string>(request.Encode());
-  if (options_.encode_cache_entries > 0) cache_.Put(key, payload);
-  return payload;
+  return std::make_shared<const std::string>(request.Encode());
 }
 
 sim::Task<void> LogShipper::ShipLoop(NodeId replica) {

@@ -11,7 +11,6 @@
 #include "src/common/types.h"
 #include "src/compression/lz.h"
 #include "src/log/log_stream.h"
-#include "src/replication/batch_cache.h"
 #include "src/replication/messages.h"
 #include "src/rpc/rpc_client.h"
 #include "src/sim/future.h"
@@ -31,9 +30,6 @@ struct ShipperOptions {
   /// replica. 1 degenerates to stop-and-wait (one batch per RTT, the old
   /// behavior); 8 keeps a 50 ms WAN link busy at the default batch size.
   size_t max_inflight_batches = 8;
-  /// Entries in the shared encoded-batch LRU, so N replica loops encode and
-  /// compress each redo range once instead of N times. 0 disables caching.
-  size_t encode_cache_entries = 16;
   /// Idle poll interval when no new records arrive (heartbeats keep this
   /// path rarely taken).
   SimDuration idle_wait = 2 * kMillisecond;
@@ -119,10 +115,6 @@ class LogShipper {
   /// peer is already tracked.
   void AddReplica(NodeId replica);
 
-  /// Called by the durability manager after it truncated the stream up to
-  /// `new_begin`: re-bases the encoded-batch cache on the new watermark.
-  void OnTruncate(Lsn new_begin);
-
   /// Per-replica health as tracked by the ship loop (false after
   /// `unhealthy_after_failures` consecutive failures, true again on the
   /// first successful ship).
@@ -197,8 +189,8 @@ class LogShipper {
   sim::Task<void> SendBatch(NodeId replica, uint64_t epoch,
                             std::shared_ptr<const std::string> payload);
   /// Returns the fully-encoded kReplAppend payload for the extent starting
-  /// at `start`, via the shared cache when possible. Null if the range was
-  /// truncated away between Extent and Read.
+  /// at `start`. Null if the range was truncated away between Extent and
+  /// Read.
   std::shared_ptr<const std::string> EncodedRequest(
       Lsn start, const LogStream::BatchExtent& extent);
   /// Invalidates the in-flight window and moves the send cursor to `to`
@@ -219,7 +211,6 @@ class LogShipper {
   std::vector<NodeId> replicas_;
   ShipperOptions options_;
   rpc::RpcClient client_;
-  EncodedBatchCache cache_;
   DurabilityManager* durability_ = nullptr;
 
   std::map<NodeId, Lsn> acked_;

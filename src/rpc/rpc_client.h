@@ -102,29 +102,15 @@ class RpcClient {
   sim::Task<std::vector<StatusOr<typename M::Reply>>> CallAll(
       const std::vector<NodeId>& nodes, M method,
       const typename M::Request& request, CallOptions options = {}) {
-    std::vector<std::pair<NodeId, M>> targets;
-    targets.reserve(nodes.size());
-    for (NodeId node : nodes) targets.emplace_back(node, method);
-    co_return co_await CallEach(targets, request, options);
-  }
-
-  /// Like CallAll but with a per-target method (e.g. ror.scan on replicas
-  /// and dn.scan on primaries in the same sweep). All methods must share
-  /// one request/reply type.
-  template <typename M>
-  sim::Task<std::vector<StatusOr<typename M::Reply>>> CallEach(
-      const std::vector<std::pair<NodeId, M>>& targets,
-      const typename M::Request& request, CallOptions options = {}) {
     using Reply = typename M::Reply;
     std::vector<StatusOr<Reply>> results(
-        targets.size(), StatusOr<Reply>(Status::Unavailable("not attempted")));
-    if (targets.empty()) co_return results;
+        nodes.size(), StatusOr<Reply>(Status::Unavailable("not attempted")));
+    if (nodes.empty()) co_return results;
     const std::string payload = request.Encode();
     sim::WaitGroup wg(sim_);
-    wg.Add(static_cast<int>(targets.size()));
-    for (size_t i = 0; i < targets.size(); ++i) {
-      sim_->Spawn(internal::OneTypedCall<Reply>(this, targets[i].first,
-                                                targets[i].second.name,
+    wg.Add(static_cast<int>(nodes.size()));
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      sim_->Spawn(internal::OneTypedCall<Reply>(this, nodes[i], method.name,
                                                 payload, options, &results[i],
                                                 &wg));
     }

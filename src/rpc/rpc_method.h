@@ -12,8 +12,8 @@ namespace globaldb::rpc {
 /// reply message types. Declared as inline constexpr constants next to the
 /// message structs, e.g.:
 ///
-///   inline constexpr rpc::RpcMethod<ReadRequest, ReadReply> kDnRead{
-///       "dn.read"};
+///   inline constexpr rpc::RpcMethod<ReadRequest, ReadReply> kDnLockRead{
+///       "dn.lock_read"};
 ///
 /// RpcClient::Call and RpcServer::Handle take the descriptor, so a call site
 /// cannot pair the wrong codec with a method: the request is encoded and the

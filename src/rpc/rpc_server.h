@@ -37,8 +37,8 @@ sim::Task<std::string> InvokeHandler(Handler handler, NodeId from,
 /// sim::Task<StatusOr<M::Reply>>`; the idiomatic registration forwards to a
 /// member coroutine:
 ///
-///   server_.Handle(kDnRead, [this](NodeId from, ReadRequest request) {
-///     return HandleRead(from, std::move(request));
+///   server_.Handle(kDnLockRead, [this](NodeId from, ReadRequest request) {
+///     return HandleLockRead(from, std::move(request));
 ///   });
 ///
 /// The lambda must not itself be a coroutine — it returns the member-call

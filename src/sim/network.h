@@ -47,7 +47,7 @@ struct NetworkOptions {
   /// would inject failures no real network produces. Chaos duplication
   /// targets control messages, whose receivers must absorb application-level
   /// re-sends idempotently.
-  std::set<std::string> chaos_exempt_methods = {"dn.write", "dn.write_batch",
+  std::set<std::string> chaos_exempt_methods = {"dn.write_batch",
                                                 "repl.snapshot"};
 };
 

@@ -74,18 +74,6 @@ sim::Task<Timestamp> TimestampSource::GclockTimestamp() {
 
 sim::Task<StatusOr<GtmTimestampReply>> TimestampSource::CallGtm(
     TimestampMode client_mode, bool is_commit) {
-  if (!coalesce_) {
-    GtmTimestampRequest request;
-    request.client_mode = client_mode;
-    request.is_commit = is_commit;
-    if (client_mode == TimestampMode::kDual) {
-      request.gclock_upper = static_cast<Timestamp>(clock_->ReadUpper());
-      request.error_bound = clock_->ErrorBound();
-    }
-    metrics_.Add("ts.gtm_rpcs");
-    co_return co_await client_.Call(gtm_node_, kGtmTimestamp, request);
-  }
-
   auto waiter = std::make_shared<GtmWaiter>(sim_);
   if (client_mode == TimestampMode::kDual) {
     waiter->gclock_upper = static_cast<Timestamp>(clock_->ReadUpper());

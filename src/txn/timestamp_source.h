@@ -43,13 +43,6 @@ class TimestampSource {
   /// Local mode switch (normally driven via the kCnSetMode RPC).
   void SetMode(TimestampMode mode) { mode_ = mode; }
 
-  /// When on (the default), concurrent GTM/DUAL requests on this node share
-  /// a single in-flight kGtmTimestamp RPC: the server grants a contiguous
-  /// range of `count` timestamps and the source fans it out to the waiters
-  /// in arrival order (DESIGN.md §10). Off reverts to one RPC per request.
-  void set_coalescing(bool on) { coalesce_ = on; }
-  bool coalescing() const { return coalesce_; }
-
   /// Snapshot timestamp for a new transaction. Single-shard read-only work
   /// can bypass the GClock invocation wait via the node's last committed
   /// timestamp. Also returns the mode the transaction runs under.
@@ -96,8 +89,11 @@ class TimestampSource {
   sim::Task<void> WaitClockPast(Timestamp ts);
   /// GClock timestamp + wait (both invocation and commit use this).
   sim::Task<Timestamp> GclockTimestamp();
-  /// GTM-path RPC (GTM and DUAL modes). With coalescing on this enqueues a
-  /// waiter and lets the pump batch it with its contemporaries.
+  /// GTM-path RPC (GTM and DUAL modes): enqueues a waiter and lets the pump
+  /// batch it with its contemporaries. Concurrent requests on this node
+  /// share a single in-flight kGtmTimestamp RPC: the server grants a
+  /// contiguous range of `count` timestamps and the pump fans it out to the
+  /// waiters in arrival order (DESIGN.md §10).
   sim::Task<StatusOr<GtmTimestampReply>> CallGtm(TimestampMode client_mode,
                                                  bool is_commit);
   /// One queued GTM/DUAL request awaiting a coalesced grant. DUAL inputs
@@ -136,7 +132,6 @@ class TimestampSource {
   TimestampMode mode_ = TimestampMode::kGtm;
   Timestamp last_committed_ = 0;
   Timestamp max_issued_ = 0;
-  bool coalesce_ = true;
   // Waiter queues and pump liveness, indexed by (TimestampMode, is_commit).
   // A batch is homogeneous on both axes: GTM and DUAL are never mixed (the
   // server applies different grant rules — Eq. 2 vs Eq. 3), and begins never

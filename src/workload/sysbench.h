@@ -39,9 +39,8 @@ class SysbenchWorkload {
   TxnFn ReadWriteFn();
   /// Read-only range queries: ranges_per_txn scans of range_size rows each.
   /// The sbtest tables are hash-distributed by id, so every range spans all
-  /// shards — with scan batching the CN fans the whole set out in one round
-  /// trip and k-way-merges the per-shard cursors; the ablation baseline
-  /// (enable_scan_batching=false) runs one broadcast scan per range.
+  /// shards: the CN fans the whole set out as one ScanBatch, one round trip,
+  /// and k-way-merges the per-shard cursors.
   TxnFn RangeSelectFn();
 
   sim::Task<TxnResult> PointSelect(CoordinatorNode* cn, Rng* rng);

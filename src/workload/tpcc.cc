@@ -518,94 +518,53 @@ sim::Task<TxnResult> TpccWorkload::OrderStatus(CoordinatorNode* cn, Rng* rng) {
   }
   TxnHandle txn = *txn_or;
 
-  if (cn->options().enable_scan_batching) {
-    // ONE round trip for the whole profile: the customer row, the
-    // customer's latest order (a reverse limit-1 scan of orders_cust_idx
-    // with a server-side prefix join pulling that order's lines), and —
-    // when multi-shard — a remote warehouse's customer all travel in one
-    // ScanBatch. The serial shape below needs two dependent trips because
-    // the order-line scan waits on the district read.
-    std::vector<ScanSpec> specs(multi_shard ? 3 : 2);
-    auto [c_start, c_end] = PrefixRange({w, d, c});
-    specs[0].table = "customer";
-    specs[0].start = c_start;
-    specs[0].end = c_end;
-    specs[0].limit = 1;
-    specs[0].route = Value(w);
-    auto [i_start, i_end] = PrefixRange({w, d, c});
-    specs[1].table = "orders_cust_idx";
-    specs[1].start = i_start;
-    specs[1].end = i_end;
-    specs[1].limit = 1;
-    specs[1].reverse = true;
-    specs[1].route = Value(w);
-    specs[1].join_table = "order_line";
-    specs[1].join_key_cols = {0, 1, 3};  // (w, d, o_id) prefix
-    specs[1].join_prefix = true;
-    specs[1].join_limit = 100;
-    if (multi_shard) {
-      const int64_t other = PickOtherShardWarehouse(w, rng);
-      auto [r_start, r_end] = PrefixRange({other, d, c});
-      specs[2].table = "customer";
-      specs[2].start = r_start;
-      specs[2].end = r_end;
-      specs[2].limit = 1;
-      specs[2].route = Value(other);
-    }
-    auto batch = co_await cn->ScanBatch(&txn, std::move(specs));
-    if (!batch.ok()) {
-      result.status = batch.status();
-      (void)co_await cn->Abort(&txn);
-      co_return result;
-    }
-    if ((*batch)[0].rows.empty()) {
-      result.status = Status::NotFound("customer");
-      (void)co_await cn->Abort(&txn);
-      co_return result;
-    }
-    // (*batch)[1].joined holds the latest order's lines (possibly empty
-    // for a customer who never ordered).
-    result.status = Status::OK();
-    (void)co_await cn->Abort(&txn);
-    co_return result;
-  }
-
-  // Serial baseline (scan batching disabled): the customer row, the
-  // district row (for the latest order id), and — when multi-shard — a
-  // remote warehouse's customer are all independent: one MultiGet replaces
-  // two or three serial round trips. Only the order-line scan depends on a
-  // result (d_next_o_id) and stays serial.
-  std::vector<MultiGetKey> read_set = {{"customer", {w, d, c}, false},
-                                       {"district", {w, d}, false}};
+  // ONE round trip for the whole profile: the customer row, the
+  // customer's latest order (a reverse limit-1 scan of orders_cust_idx
+  // with a server-side prefix join pulling that order's lines), and —
+  // when multi-shard — a remote warehouse's customer all travel in one
+  // ScanBatch. The reverse index scan finds the latest order without a
+  // dependent read of the district's next order id.
+  std::vector<ScanSpec> specs(multi_shard ? 3 : 2);
+  auto [c_start, c_end] = PrefixRange({w, d, c});
+  specs[0].table = "customer";
+  specs[0].start = c_start;
+  specs[0].end = c_end;
+  specs[0].limit = 1;
+  specs[0].route = Value(w);
+  auto [i_start, i_end] = PrefixRange({w, d, c});
+  specs[1].table = "orders_cust_idx";
+  specs[1].start = i_start;
+  specs[1].end = i_end;
+  specs[1].limit = 1;
+  specs[1].reverse = true;
+  specs[1].route = Value(w);
+  specs[1].join_table = "order_line";
+  specs[1].join_key_cols = {0, 1, 3};  // (w, d, o_id) prefix
+  specs[1].join_prefix = true;
+  specs[1].join_limit = 100;
   if (multi_shard) {
-    // Touch a second shard: the same customer id in a remote warehouse.
     const int64_t other = PickOtherShardWarehouse(w, rng);
-    read_set.push_back({"customer", {other, d, c}, false});
+    auto [r_start, r_end] = PrefixRange({other, d, c});
+    specs[2].table = "customer";
+    specs[2].start = r_start;
+    specs[2].end = r_end;
+    specs[2].limit = 1;
+    specs[2].route = Value(other);
   }
-  auto rows = co_await cn->MultiGet(&txn, std::move(read_set));
-  if (!rows.ok()) {
-    result.status = rows.status();
+  auto batch = co_await cn->ScanBatch(&txn, std::move(specs));
+  if (!batch.ok()) {
+    result.status = batch.status();
     (void)co_await cn->Abort(&txn);
     co_return result;
   }
-  if (!(*rows)[1].has_value()) {
-    result.status = Status::NotFound("district");
+  if ((*batch)[0].rows.empty()) {
+    result.status = Status::NotFound("customer");
     (void)co_await cn->Abort(&txn);
     co_return result;
   }
-  const int64_t last_o = std::get<int64_t>((*(*rows)[1])[4]) - 1;
-  auto [start, end] = PrefixRange({w, d, last_o});
-  Value w_route = w;
-  auto lines =
-      co_await cn->ScanRange(&txn, "order_line", start, end, 100, &w_route);
-  if (!lines.ok()) {
-    result.status = lines.status();
-    (void)co_await cn->Abort(&txn);
-    co_return result;
-  }
+  // (*batch)[1].joined holds the latest order's lines (possibly empty
+  // for a customer who never ordered).
   result.status = Status::OK();
-  // Read-only: Abort is just the close that releases the snapshot's pin on
-  // the GC horizon (an unclosed handle blocks vacuum cluster-wide forever).
   (void)co_await cn->Abort(&txn);
   co_return result;
 }
@@ -623,145 +582,93 @@ sim::Task<TxnResult> TpccWorkload::Delivery(CoordinatorNode* cn, Rng* rng) {
   }
   TxnHandle txn = *txn_or;
 
-  if (cn->options().enable_scan_batching) {
-    // Batched shape: four fan-outs replace up to ~40 serial round trips.
-    //   1. ONE ScanBatch finds the oldest undelivered order of all 10
-    //      districts concurrently (limit-1 pushdown: each shard returns one
-    //      row per district, not the whole new_order backlog).
-    //   2. ONE MultiGet lock-reads every matched order header.
-    //   3. ONE ScanBatch fetches all matched orders' lines (limit 20 each).
-    //   4. ONE MultiGet lock-reads every matched customer.
-    // All writes stay in the buffered batch pipeline as before.
-    const Value w_route = Value(w);
-    std::vector<ScanSpec> finds(config_.districts_per_warehouse);
-    for (int64_t d = 1; d <= config_.districts_per_warehouse; ++d) {
-      ScanSpec& spec = finds[d - 1];
-      auto [start, end] = PrefixRange({w, d});
-      spec.table = "new_order";
-      spec.start = start;
-      spec.end = end;
-      spec.limit = 1;
-      spec.route = w_route;
-    }
-    auto found = co_await cn->ScanBatch(&txn, std::move(finds));
-    if (!found.ok()) GDB_TXN_FAIL(found.status());
+  // Four fan-outs, however many districts have pending orders:
+  //   1. ONE ScanBatch finds the oldest undelivered order of all 10
+  //      districts concurrently (limit-1 pushdown: each shard returns one
+  //      row per district, not the whole new_order backlog).
+  //   2. ONE MultiGet lock-reads every matched order header.
+  //   3. ONE ScanBatch fetches all matched orders' lines (limit 20 each).
+  //   4. ONE MultiGet lock-reads every matched customer.
+  // All writes stay in the buffered batch pipeline.
+  const Value w_route = Value(w);
+  std::vector<ScanSpec> finds(config_.districts_per_warehouse);
+  for (int64_t d = 1; d <= config_.districts_per_warehouse; ++d) {
+    ScanSpec& spec = finds[d - 1];
+    auto [start, end] = PrefixRange({w, d});
+    spec.table = "new_order";
+    spec.start = start;
+    spec.end = end;
+    spec.limit = 1;
+    spec.route = w_route;
+  }
+  auto found = co_await cn->ScanBatch(&txn, std::move(finds));
+  if (!found.ok()) GDB_TXN_FAIL(found.status());
 
-    struct Matched {
-      int64_t d, o_id;
-      int64_t c_id = 0;
-      Row order_row;
-      double total = 0;
-    };
-    std::vector<Matched> matched;
-    for (int64_t d = 1; d <= config_.districts_per_warehouse; ++d) {
-      const ScanResult& res = (*found)[d - 1];
-      if (res.rows.empty()) continue;
-      matched.push_back({d, std::get<int64_t>(res.rows[0][2])});
-    }
-    if (matched.empty()) {
-      result.status = co_await cn->Commit(&txn);
-      co_return result;
-    }
-
-    std::vector<MultiGetKey> order_keys;
-    order_keys.reserve(matched.size());
-    for (const Matched& m : matched) {
-      Row no_key = {w, m.d, m.o_id};
-      Status s = co_await cn->Delete(&txn, "new_order", no_key);
-      if (!s.ok()) GDB_TXN_FAIL(std::move(s));
-      order_keys.push_back({"orders", {w, m.d, m.o_id}, true});
-    }
-    auto orders = co_await cn->MultiGet(&txn, std::move(order_keys));
-    if (!orders.ok()) GDB_TXN_FAIL(orders.status());
-    std::vector<ScanSpec> line_specs(matched.size());
-    for (size_t i = 0; i < matched.size(); ++i) {
-      if (!(*orders)[i].has_value()) GDB_TXN_FAIL(Status::NotFound("order"));
-      matched[i].order_row = *(*orders)[i];
-      std::get<int64_t>(matched[i].order_row[5]) = carrier;
-      matched[i].c_id = std::get<int64_t>(matched[i].order_row[3]);
-      Status s = co_await cn->Update(&txn, "orders", matched[i].order_row);
-      if (!s.ok()) GDB_TXN_FAIL(std::move(s));
-      ScanSpec& spec = line_specs[i];
-      auto [start, end] = PrefixRange({w, matched[i].d, matched[i].o_id});
-      spec.table = "order_line";
-      spec.start = start;
-      spec.end = end;
-      spec.limit = 20;
-      spec.route = w_route;
-    }
-    auto lines = co_await cn->ScanBatch(&txn, std::move(line_specs));
-    if (!lines.ok()) GDB_TXN_FAIL(lines.status());
-    std::vector<MultiGetKey> customer_keys;
-    customer_keys.reserve(matched.size());
-    for (size_t i = 0; i < matched.size(); ++i) {
-      for (const Row& line : (*lines)[i].rows) {
-        matched[i].total += std::get<double>(line[7]);
-      }
-      customer_keys.push_back(
-          {"customer", {w, matched[i].d, matched[i].c_id}, true});
-    }
-    auto customers = co_await cn->MultiGet(&txn, std::move(customer_keys));
-    if (!customers.ok()) GDB_TXN_FAIL(customers.status());
-    for (size_t i = 0; i < matched.size(); ++i) {
-      if (!(*customers)[i].has_value()) {
-        GDB_TXN_FAIL(Status::NotFound("customer"));
-      }
-      Row customer_row = *(*customers)[i];
-      std::get<double>(customer_row[4]) += matched[i].total;
-      Status s = co_await cn->Update(&txn, "customer", customer_row);
-      if (!s.ok()) GDB_TXN_FAIL(std::move(s));
-    }
+  struct Matched {
+    int64_t d, o_id;
+    int64_t c_id = 0;
+    Row order_row = {};
+    double total = 0;
+  };
+  std::vector<Matched> matched;
+  for (int64_t d = 1; d <= config_.districts_per_warehouse; ++d) {
+    const ScanResult& res = (*found)[d - 1];
+    if (res.rows.empty()) continue;
+    matched.push_back({d, std::get<int64_t>(res.rows[0][2])});
+  }
+  if (matched.empty()) {
     result.status = co_await cn->Commit(&txn);
     co_return result;
   }
 
-  // Serial baseline (scan batching disabled): one district at a time, four
-  // dependent round trips each.
-  for (int64_t d = 1; d <= config_.districts_per_warehouse; ++d) {
-    // Oldest undelivered order in this district.
-    auto [start, end] = PrefixRange({w, d});
-    Value w_route = w;
-    auto pending =
-        co_await cn->ScanRange(&txn, "new_order", start, end, 1, &w_route);
-    if (!pending.ok()) GDB_TXN_FAIL(pending.status());
-    if (pending->empty()) continue;
-    const int64_t o_id = std::get<int64_t>((*pending)[0][2]);
-
-    Row no_key = {w, d, o_id};
+  std::vector<MultiGetKey> order_keys;
+  order_keys.reserve(matched.size());
+  for (const Matched& m : matched) {
+    Row no_key = {w, m.d, m.o_id};
     Status s = co_await cn->Delete(&txn, "new_order", no_key);
     if (!s.ok()) GDB_TXN_FAIL(std::move(s));
-
-    Row o_key = {w, d, o_id};
-    auto order = co_await cn->GetForUpdate(&txn, "orders", o_key);
-    if (!order.ok() || !order->has_value()) {
-      GDB_TXN_FAIL(!order.ok() ? order.status()
-                                          : Status::NotFound("order"));
-    }
-    Row order_row = **order;
-    std::get<int64_t>(order_row[5]) = carrier;
-    s = co_await cn->Update(&txn, "orders", order_row);
+    order_keys.push_back({"orders", {w, m.d, m.o_id}, true});
+  }
+  auto orders = co_await cn->MultiGet(&txn, std::move(order_keys));
+  if (!orders.ok()) GDB_TXN_FAIL(orders.status());
+  std::vector<ScanSpec> line_specs(matched.size());
+  for (size_t i = 0; i < matched.size(); ++i) {
+    if (!(*orders)[i].has_value()) GDB_TXN_FAIL(Status::NotFound("order"));
+    matched[i].order_row = *(*orders)[i];
+    std::get<int64_t>(matched[i].order_row[5]) = carrier;
+    matched[i].c_id = std::get<int64_t>(matched[i].order_row[3]);
+    Status s = co_await cn->Update(&txn, "orders", matched[i].order_row);
     if (!s.ok()) GDB_TXN_FAIL(std::move(s));
-
-    auto [ol_start, ol_end] = PrefixRange({w, d, o_id});
-    auto lines = co_await cn->ScanRange(&txn, "order_line", ol_start, ol_end,
-                                        20, &w_route);
-    if (!lines.ok()) GDB_TXN_FAIL(lines.status());
-    double total = 0;
-    for (const Row& line : *lines) total += std::get<double>(line[7]);
-
-    const int64_t c_id = std::get<int64_t>(order_row[3]);
-    Row c_key = {w, d, c_id};
-    auto customer = co_await cn->GetForUpdate(&txn, "customer", c_key);
-    if (!customer.ok() || !customer->has_value()) {
-      GDB_TXN_FAIL(!customer.ok() ? customer.status()
-                                             : Status::NotFound("customer"));
+    ScanSpec& spec = line_specs[i];
+    auto [start, end] = PrefixRange({w, matched[i].d, matched[i].o_id});
+    spec.table = "order_line";
+    spec.start = start;
+    spec.end = end;
+    spec.limit = 20;
+    spec.route = w_route;
+  }
+  auto lines = co_await cn->ScanBatch(&txn, std::move(line_specs));
+  if (!lines.ok()) GDB_TXN_FAIL(lines.status());
+  std::vector<MultiGetKey> customer_keys;
+  customer_keys.reserve(matched.size());
+  for (size_t i = 0; i < matched.size(); ++i) {
+    for (const Row& line : (*lines)[i].rows) {
+      matched[i].total += std::get<double>(line[7]);
     }
-    Row customer_row = **customer;
-    std::get<double>(customer_row[4]) += total;
-    s = co_await cn->Update(&txn, "customer", customer_row);
+    customer_keys.push_back(
+        {"customer", {w, matched[i].d, matched[i].c_id}, true});
+  }
+  auto customers = co_await cn->MultiGet(&txn, std::move(customer_keys));
+  if (!customers.ok()) GDB_TXN_FAIL(customers.status());
+  for (size_t i = 0; i < matched.size(); ++i) {
+    if (!(*customers)[i].has_value()) {
+      GDB_TXN_FAIL(Status::NotFound("customer"));
+    }
+    Row customer_row = *(*customers)[i];
+    std::get<double>(customer_row[4]) += matched[i].total;
+    Status s = co_await cn->Update(&txn, "customer", customer_row);
     if (!s.ok()) GDB_TXN_FAIL(std::move(s));
   }
-
   result.status = co_await cn->Commit(&txn);
   co_return result;
 }
@@ -784,133 +691,65 @@ sim::Task<TxnResult> TpccWorkload::StockLevel(CoordinatorNode* cn, Rng* rng) {
   }
   TxnHandle txn = *txn_or;
 
-  if (cn->options().enable_scan_batching) {
-    // ONE round trip collapses the serial shape's three dependent phases
-    // (district read -> order-line scan -> stock MultiGet): a reverse
-    // limit-400 scan over the district's order lines IS "the lines of the
-    // most recent orders" — no district read needed to find d_next_o_id —
-    // and the server-side point join into stock fetches each distinct
-    // item's stock row on the same shard in the same reply.
-    ScanSpec spec;
-    auto [start, end] = PrefixRange({w, d});
-    spec.table = "order_line";
-    spec.start = start;
-    spec.end = end;
-    spec.limit = 400;
-    spec.reverse = true;
-    spec.route = Value(w);
-    spec.join_table = "stock";
-    EncodeKeyPart(Value(w), &spec.join_key_prefix);
-    spec.join_key_cols = {4};  // ol_i_id
-    std::vector<ScanSpec> specs;
-    specs.push_back(std::move(spec));
-    auto batch = co_await cn->ScanBatch(&txn, std::move(specs));
-    if (!batch.ok()) {
-      result.status = batch.status();
-      (void)co_await cn->Abort(&txn);
-      co_return result;
-    }
-    int64_t low = 0;
-    for (const Row& stock : (*batch)[0].joined) {
-      if (std::get<int64_t>(stock[2]) < threshold) ++low;
-    }
-    if (multi_shard) {
-      // Touch a second shard: re-check up to 10 of the items against a
-      // remote supply warehouse's stock, as the serial shape does.
-      std::vector<int64_t> items;
-      for (const Row& line : (*batch)[0].rows) {
-        items.push_back(std::get<int64_t>(line[4]));
-      }
-      std::sort(items.begin(), items.end());
-      items.erase(std::unique(items.begin(), items.end()), items.end());
-      if (items.size() > 10) items.resize(10);
-      std::vector<MultiGetKey> stock_keys;
-      stock_keys.reserve(items.size());
-      for (int64_t i_id : items) {
-        stock_keys.push_back(
-            {"stock", {PickOtherShardWarehouse(w, rng), i_id}, false});
-      }
-      auto stocks = co_await cn->MultiGet(&txn, std::move(stock_keys));
-      if (!stocks.ok()) {
-        result.status = stocks.status();
-        (void)co_await cn->Abort(&txn);
-        co_return result;
-      }
-      for (const std::optional<Row>& stock : *stocks) {
-        if (stock.has_value() &&
-            std::get<int64_t>((*stock)[2]) < threshold) {
-          ++low;
-        }
-      }
-    }
-    (void)low;
-    result.status = Status::OK();
-    (void)co_await cn->Abort(&txn);
-    co_return result;
-  }
-
-  // Serial baseline (scan batching disabled): three dependent phases.
-  Row d_key = {w, d};
-  auto district = co_await cn->Get(&txn, "district", d_key);
-  if (!district.ok() || !district->has_value()) {
-    result.status = Status::NotFound("district");
-    (void)co_await cn->Abort(&txn);
-    co_return result;
-  }
-  const int64_t next_o = std::get<int64_t>((**district)[4]);
-
-  // Lines of the last (up to) 20 orders.
-  RowKey start, end;
-  {
-    auto range_start = PrefixRange({w, d, std::max<int64_t>(1, next_o - 20)});
-    auto range_end = PrefixRange({w, d, next_o});
-    start = range_start.first;
-    end = range_end.first;
-  }
-  Value w_route = w;
-  auto lines =
-      co_await cn->ScanRange(&txn, "order_line", start, end, 400, &w_route);
-  if (!lines.ok()) {
-    result.status = lines.status();
-    (void)co_await cn->Abort(&txn);
-    co_return result;
-  }
-  // Distinct items with low stock. When multi_shard, look up the stock in
-  // the line's supply warehouse (which may live on another shard).
-  std::vector<int64_t> items;
-  for (const Row& line : *lines) {
-    items.push_back(std::get<int64_t>(line[4]));
-  }
-  std::sort(items.begin(), items.end());
-  items.erase(std::unique(items.begin(), items.end()), items.end());
-  if (items.size() > 10) items.resize(10);
-  // One batched fan-out over every distinct item's stock row (spanning
-  // shards when multi_shard picks remote supply warehouses) instead of up
-  // to 10 serial point reads.
-  std::vector<MultiGetKey> stock_keys;
-  stock_keys.reserve(items.size());
-  for (int64_t i_id : items) {
-    int64_t stock_w = w;
-    if (multi_shard && rng->Bernoulli(0.5)) {
-      stock_w = PickOtherShardWarehouse(w, rng);
-    }
-    stock_keys.push_back({"stock", {stock_w, i_id}, false});
-  }
-  auto stocks = co_await cn->MultiGet(&txn, std::move(stock_keys));
-  if (!stocks.ok()) {
-    result.status = stocks.status();
+  // ONE round trip: a reverse limit-400 scan over the district's order
+  // lines IS "the lines of the most recent orders" — no district read
+  // needed to find d_next_o_id — and the server-side point join into stock
+  // fetches each distinct item's stock row on the same shard in the same
+  // reply.
+  ScanSpec spec;
+  auto [start, end] = PrefixRange({w, d});
+  spec.table = "order_line";
+  spec.start = start;
+  spec.end = end;
+  spec.limit = 400;
+  spec.reverse = true;
+  spec.route = Value(w);
+  spec.join_table = "stock";
+  EncodeKeyPart(Value(w), &spec.join_key_prefix);
+  spec.join_key_cols = {4};  // ol_i_id
+  std::vector<ScanSpec> specs;
+  specs.push_back(std::move(spec));
+  auto batch = co_await cn->ScanBatch(&txn, std::move(specs));
+  if (!batch.ok()) {
+    result.status = batch.status();
     (void)co_await cn->Abort(&txn);
     co_return result;
   }
   int64_t low = 0;
-  for (const std::optional<Row>& stock : *stocks) {
-    if (stock.has_value() && std::get<int64_t>((*stock)[2]) < threshold) {
-      ++low;
+  for (const Row& stock : (*batch)[0].joined) {
+    if (std::get<int64_t>(stock[2]) < threshold) ++low;
+  }
+  if (multi_shard) {
+    // Touch a second shard: re-check up to 10 of the items against a
+    // remote supply warehouse's stock.
+    std::vector<int64_t> items;
+    for (const Row& line : (*batch)[0].rows) {
+      items.push_back(std::get<int64_t>(line[4]));
+    }
+    std::sort(items.begin(), items.end());
+    items.erase(std::unique(items.begin(), items.end()), items.end());
+    if (items.size() > 10) items.resize(10);
+    std::vector<MultiGetKey> stock_keys;
+    stock_keys.reserve(items.size());
+    for (int64_t i_id : items) {
+      stock_keys.push_back(
+          {"stock", {PickOtherShardWarehouse(w, rng), i_id}, false});
+    }
+    auto stocks = co_await cn->MultiGet(&txn, std::move(stock_keys));
+    if (!stocks.ok()) {
+      result.status = stocks.status();
+      (void)co_await cn->Abort(&txn);
+      co_return result;
+    }
+    for (const std::optional<Row>& stock : *stocks) {
+      if (stock.has_value() &&
+          std::get<int64_t>((*stock)[2]) < threshold) {
+        ++low;
+      }
     }
   }
   (void)low;
   result.status = Status::OK();
-  // Read-only close: releases the snapshot's pin on the GC horizon.
   (void)co_await cn->Abort(&txn);
   co_return result;
 }

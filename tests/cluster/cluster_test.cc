@@ -233,8 +233,8 @@ TEST_F(ClusterTest, WriteConflictAbortsSecondWriter) {
     EXPECT_TRUE((co_await cn->Update(&*t1, "accounts", row1)).ok());
     EXPECT_TRUE((co_await cn->Commit(&*t1)).ok());
     // t2's snapshot predates t1's commit: first-committer-wins aborts it.
-    // With the pipelined write buffer (the default) the conflict surfaces
-    // at the commit flush barrier; with batching off, at the statement.
+    // With the pipelined write buffer the conflict surfaces at the commit
+    // flush barrier.
     Status s = co_await cn->Update(&*t2, "accounts", row2);
     if (s.ok()) s = co_await cn->Commit(&*t2);
     *out = s;
@@ -366,16 +366,20 @@ TEST_F(ClusterTest, ScanMergesAcrossShards) {
   for (int64_t id = 1; id <= 30; ++id) {
     ASSERT_TRUE(InsertAccount(cn, id, "o", id).ok());
   }
-  auto work = [](CoordinatorNode* cn) -> sim::Task<StatusOr<std::vector<Row>>> {
+  auto work =
+      [](CoordinatorNode* cn) -> sim::Task<StatusOr<std::vector<ScanResult>>> {
     auto txn = co_await cn->Begin();
     if (!txn.ok()) co_return txn.status();
-    co_return co_await cn->ScanRange(&*txn, "accounts", "", "", 1000);
+    std::vector<ScanSpec> all(1);
+    all[0].table = "accounts";
+    co_return co_await cn->ScanBatch(&*txn, std::move(all));
   };
-  auto rows = RunTask(work(&cn));
-  ASSERT_TRUE(rows.ok());
-  ASSERT_EQ(rows->size(), 30u);
-  for (size_t i = 0; i < rows->size(); ++i) {
-    EXPECT_EQ(std::get<int64_t>((*rows)[i][0]), static_cast<int64_t>(i + 1));
+  auto scanned = RunTask(work(&cn));
+  ASSERT_TRUE(scanned.ok());
+  const std::vector<Row>& rows = (*scanned)[0].rows;
+  ASSERT_EQ(rows.size(), 30u);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(std::get<int64_t>(rows[i][0]), static_cast<int64_t>(i + 1));
   }
 }
 

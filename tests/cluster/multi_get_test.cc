@@ -4,7 +4,9 @@
 // kDnReadBatch/kRorReadBatch RPCs. These tests pin down duplicate-key
 // dedup, partial misses, the single flush barrier over buffered writes,
 // mixed replica/primary routing, per-group failover when a replica dies
-// mid-batch, and byte-identical equivalence with serial Get/GetForUpdate.
+// mid-batch, byte-identical equivalence with one-key Get/GetForUpdate,
+// Get itself riding the batch RPC, and Abort releasing a lock whose
+// lock-read reply was lost.
 
 #include "src/cluster/cluster.h"
 
@@ -340,35 +342,72 @@ TEST_F(MultiGetTest, MatchesSerialReadsByteForByte) {
   EXPECT_EQ(TotalLocksHeld(), 0u);
 }
 
-// Disabling read batching degrades MultiGet to the serial path with
-// identical results — the ablation baseline stays correct.
-TEST_F(MultiGetTest, DisabledBatchingFallsBackToSerialWithSameRows) {
-  ClusterOptions options = ThreeCityOptions();
-  options.coordinator.enable_read_batching = false;
-  Build(options);
+// A point Get is a one-key MultiGet: it travels as exactly one
+// dn.read_batch RPC, and no per-key read method exists on the wire.
+TEST_F(MultiGetTest, GetIsOneKeyReadBatch) {
+  Build(ThreeCityOptions());
   auto& cn = cluster_->cn(0);
   ASSERT_TRUE(RunTask(cn.CreateTable(AccountsSchema())).ok());
   ASSERT_TRUE(RunTask(WriteIds(&cn, {1, 2, 3})).ok());
 
-  auto work = [this, &cn]() -> sim::Task<StatusOr<std::vector<std::optional<Row>>>> {
+  Metrics& rpc = cn.rpc_client().metrics();
+  auto calls = [&rpc](const std::string& method) {
+    return rpc.Hist("rpc." + method + ".latency").count();
+  };
+  auto work = [&]() -> sim::Task<Status> {
     auto txn = co_await cn.Begin();
     if (!txn.ok()) co_return txn.status();
-    std::vector<Row> keys = {{int64_t{1}}, {int64_t{404}}, {int64_t{3}}};
-    auto rows = co_await cn.MultiGet(&*txn, "accounts", keys);
-    Status done = co_await cn.Commit(&*txn);
-    if (!done.ok()) co_return done;
-    co_return rows;
+    const size_t batches_before = calls("dn.read_batch");
+    const int64_t dn_batches_before = DnTotal("dn.read_batches");
+    const Row key = {int64_t{2}};
+    auto row = co_await cn.Get(&*txn, "accounts", key);
+    if (!row.ok()) co_return row.status();
+    EXPECT_TRUE(row->has_value());
+    if (row->has_value()) {
+      EXPECT_EQ(std::get<int64_t>((**row)[2]), 20);
+    }
+    EXPECT_EQ(calls("dn.read_batch"), batches_before + 1);
+    EXPECT_EQ(DnTotal("dn.read_batches"), dn_batches_before + 1);
+    co_return co_await cn.Commit(&*txn);
   };
-  auto rows = RunTask(work());
-  ASSERT_TRUE(rows.ok());
-  ASSERT_EQ(rows->size(), 3u);
-  EXPECT_TRUE((*rows)[0].has_value());
-  EXPECT_FALSE((*rows)[1].has_value());
-  EXPECT_TRUE((*rows)[2].has_value());
-  // No batch RPCs anywhere: the serial path served every key.
-  EXPECT_EQ(DnTotal("dn.read_batches"), 0);
-  EXPECT_EQ(cn.metrics().Get("cn.multigets"), 0);
-  EXPECT_GE(DnTotal("dn.reads"), 2);
+  ASSERT_TRUE(RunTask(work()).ok());
+  EXPECT_EQ(calls("dn.read"), 0u);
+  EXPECT_EQ(calls("ror.read"), 0u);
+}
+
+// A lock-read whose reply is lost after the DN granted the lock: the shard
+// must already be in the transaction's write set, because only the abort
+// broadcast frees an active transaction's locks on the DN.
+TEST_F(MultiGetTest, AbortReleasesLockOfLostLockReadReply) {
+  // rpc_timeout (200 ms) is below the DN's lock wait (500 ms).
+  Build(ThreeCityOptions());
+  auto& cn = cluster_->cn(0);
+  ASSERT_TRUE(RunTask(cn.CreateTable(AccountsSchema())).ok());
+  ASSERT_TRUE(RunTask(WriteIds(&cn, {1})).ok());
+  const Row key = {int64_t{1}};
+
+  auto begun = RunTask(cn.Begin());
+  ASSERT_TRUE(begun.ok());
+  TxnHandle holder = *begun;
+  ASSERT_TRUE(RunTask(cn.GetForUpdate(&holder, "accounts", key)).ok());
+
+  begun = RunTask(cn.Begin());
+  ASSERT_TRUE(begun.ok());
+  TxnHandle waiter = *begun;
+  // The waiter queues behind the holder's lock on the DN; its RPC times
+  // out first.
+  auto lost = RunTask(cn.GetForUpdate(&waiter, "accounts", key));
+  ASSERT_FALSE(lost.ok());
+  EXPECT_TRUE(rpc::IsTransportError(lost.status()));
+  // The holder lets go: the DN grants the queued lock and replies to no
+  // one.
+  ASSERT_TRUE(RunTask(cn.Abort(&holder)).ok());
+  sim_.RunFor(100 * kMillisecond);
+  ASSERT_EQ(TotalLocksHeld(), 1u);
+
+  ASSERT_TRUE(RunTask(cn.Abort(&waiter)).ok());
+  sim_.RunFor(100 * kMillisecond);
+  EXPECT_EQ(TotalLocksHeld(), 0u);
 }
 
 }  // namespace

@@ -73,17 +73,22 @@ TEST(RorSnapshotRaceTest, ParkedReadSurvivesSnapshotInstall) {
   // The read parks on WaitResolved(5).
   bool read_done = false;
   auto reader = [&]() -> sim::Task<void> {
-    ReadRequest request;
-    request.table = 1;
-    request.key = "k";
+    ReadBatchRequest request;
     request.snapshot = 100;
-    auto reply = co_await client.Call(kReplica, kRorRead, request);
+    ReadBatchRequest::Entry entry;
+    entry.table = 1;
+    entry.key = "k";
+    request.entries.push_back(entry);
+    auto reply = co_await client.Call(kReplica, kRorReadBatch, request);
     EXPECT_TRUE(reply.ok());
     if (!reply.ok()) co_return;
     // Resumed by the install's resolved-signal broadcast: the answer must
     // come from the freshly installed image, through a re-fetched table.
-    EXPECT_TRUE(reply->found);
-    EXPECT_EQ(reply->value, "v-final");
+    EXPECT_EQ(reply->results.size(), 1u);
+    if (reply->results.size() != 1) co_return;
+    EXPECT_EQ(reply->results[0].code, StatusCode::kOk);
+    EXPECT_TRUE(reply->results[0].found);
+    EXPECT_EQ(reply->results[0].value, "v-final");
     read_done = true;
   };
   sim.Spawn(reader());

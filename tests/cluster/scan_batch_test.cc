@@ -5,9 +5,9 @@
 // globally ordered result. These tests pin down predicate and limit
 // pushdown (with server-side filtered-row accounting), reverse last-N
 // scans, join pushdown, chunk truncation + continuation, the cross-shard
-// ordered merge, whole-group failover when a replica dies mid-stream, the
-// disabled-batching serial fallback, and byte-identical equivalence with
-// the serial baseline across seeds.
+// ordered merge, and whole-group failover when a replica dies mid-stream
+// (scan_equivalence_test.cc checks results against direct table scans
+// across seeds).
 
 #include "src/cluster/cluster.h"
 
@@ -345,37 +345,6 @@ TEST_F(ScanBatchTest, ReplicaCrashMidStreamFailsOverWholeGroup) {
     EXPECT_EQ(std::get<int64_t>((*out)[0].rows[i][0]), ids[i]);
   }
   EXPECT_GE(cn.metrics().Get("cn.replica_failovers"), 1);
-}
-
-// Disabling scan batching degrades ScanBatch to the serial ScanRange path
-// with identical results — the ablation baseline stays correct.
-TEST_F(ScanBatchTest, DisabledBatchingFallsBackToSerialWithSameRows) {
-  ClusterOptions options = ThreeCityOptions();
-  options.coordinator.enable_scan_batching = false;
-  Build(options);
-  auto& cn = cluster_->cn(0);
-  ASSERT_TRUE(RunTask(cn.CreateTable(AccountsSchema())).ok());
-  std::vector<int64_t> ids;
-  for (int64_t id = 1; id <= 12; ++id) ids.push_back(id);
-  ASSERT_TRUE(RunTask(WriteIds(&cn, ids)).ok());
-
-  ScanSpec spec;
-  std::tie(spec.start, spec.end) = WholeTable();
-  spec.table = "accounts";
-  spec.filter_col = 2;
-  spec.filter_eq = 1;
-  spec.reverse = true;
-  spec.limit = 2;
-  auto out = RunTask(RunBatch(&cn, {spec}));
-  ASSERT_TRUE(out.ok());
-  ASSERT_EQ((*out)[0].rows.size(), 2u);
-  // balance == 1 <=> id % 3 == 1; last two such ids are 10 and 7.
-  EXPECT_EQ(std::get<int64_t>((*out)[0].rows[0][0]), 10);
-  EXPECT_EQ(std::get<int64_t>((*out)[0].rows[1][0]), 7);
-  // No batched-scan RPCs anywhere: the serial path served the spec.
-  EXPECT_EQ(DnTotal("dn.scan_batches"), 0);
-  EXPECT_EQ(cn.metrics().Get("cn.scan_batches"), 0);
-  EXPECT_GE(DnTotal("dn.scans"), 1);
 }
 
 }  // namespace

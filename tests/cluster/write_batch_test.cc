@@ -1,9 +1,9 @@
 // Pipelined write batching on the CN (DESIGN.md §10): DoWrite enqueues
-// into per-shard buffers and ships kDnWriteBatch RPCs instead of one
-// kDnWrite round trip per statement. These tests pin down read-your-writes
-// barriers, threshold-triggered pipelining, atomic commit of buffered
-// writes, entry-failure abort with full lock release, and the replicated-
-// table fan-out on both the batched and the eager path.
+// into per-shard buffers and ships kDnWriteBatch RPCs instead of one round
+// trip per statement. These tests pin down read-your-writes barriers,
+// threshold-triggered pipelining, atomic commit of buffered writes,
+// entry-failure abort with full lock release, and the replicated-table
+// fan-out.
 
 #include "src/cluster/cluster.h"
 
@@ -104,7 +104,7 @@ class WriteBatchTest : public ::testing::Test {
 };
 
 // A transaction must read its own buffered (not yet flushed) writes: Get
-// and ScanRange force a flush barrier first, and the flushed provisional
+// and ScanBatch force a flush barrier first, and the flushed provisional
 // versions are visible to the transaction's own snapshot.
 TEST_F(WriteBatchTest, ReadYourBufferedWrites) {
   Build(ThreeCityOptions());
@@ -140,18 +140,26 @@ TEST_F(WriteBatchTest, ReadYourBufferedWrites) {
       EXPECT_EQ(std::get<int64_t>((**got)[2]), 777);
     }
 
-    // Scan overlapping the buffer also forces the barrier.
-    auto rows = co_await cn.ScanRange(&*txn, "accounts", "", "", 1000);
-    if (!rows.ok()) co_return rows.status();
-    EXPECT_EQ(rows->size(), 6u);
+    // A scan overlapping the buffer also forces the barrier.
+    Row row2 = {int64_t{2}, std::string("owner"), int64_t{222}};
+    s = co_await cn.Update(&*txn, "accounts", row2);
+    if (!s.ok()) co_return s;
+    std::vector<ScanSpec> all(1);
+    all[0].table = "accounts";
+    auto scanned = co_await cn.ScanBatch(&*txn, std::move(all));
+    if (!scanned.ok()) co_return scanned.status();
+    EXPECT_EQ((*scanned)[0].rows.size(), 6u);
+    if ((*scanned)[0].rows.size() > 1) {
+      EXPECT_EQ(std::get<int64_t>((*scanned)[0].rows[1][2]), 222);
+    }
     co_return co_await cn.Commit(&*txn);
   };
   ASSERT_TRUE(RunTask(work()).ok());
 
   // Everything went through the batch path; the barriers were counted.
-  EXPECT_EQ(DnTotal("dn.writes"), 0);
-  EXPECT_EQ(DnTotal("dn.batched_writes"), 7);  // 6 inserts + 1 update
-  EXPECT_GE(cn.metrics().Get("cn.flush_barriers"), 2);
+  EXPECT_EQ(DnTotal("dn.batched_writes"), 8);  // 6 inserts + 2 updates
+  EXPECT_GE(cn.metrics().Get("cn.multiget_flush_barriers"), 2);
+  EXPECT_EQ(cn.metrics().Get("cn.scan_flush_barriers"), 1);
   EXPECT_EQ(TotalLocksHeld(), 0u);
 }
 
@@ -174,7 +182,6 @@ TEST_F(WriteBatchTest, CommitFlushesPendingBatchesAtomically) {
   };
   ASSERT_TRUE(RunTask(writer()).ok());
 
-  EXPECT_EQ(DnTotal("dn.writes"), 0);
   EXPECT_EQ(DnTotal("dn.batched_writes"), 10);
   // One batch RPC per touched shard, not one per row.
   const int64_t batches = cn.metrics().Get("cn.write_batches");
@@ -182,14 +189,17 @@ TEST_F(WriteBatchTest, CommitFlushesPendingBatchesAtomically) {
   EXPECT_LE(batches, 6);
   EXPECT_EQ(DnTotal("dn.write_batches"), batches);
 
-  auto reader = [this, &cn]() -> sim::Task<StatusOr<std::vector<Row>>> {
+  auto reader = [this,
+                 &cn]() -> sim::Task<StatusOr<std::vector<ScanResult>>> {
     auto txn = co_await cn.Begin();
     if (!txn.ok()) co_return txn.status();
-    co_return co_await cn.ScanRange(&*txn, "accounts", "", "", 1000);
+    std::vector<ScanSpec> all(1);
+    all[0].table = "accounts";
+    co_return co_await cn.ScanBatch(&*txn, std::move(all));
   };
-  auto rows = RunTask(reader());
-  ASSERT_TRUE(rows.ok());
-  EXPECT_EQ(rows->size(), 10u);
+  auto scanned = RunTask(reader());
+  ASSERT_TRUE(scanned.ok());
+  EXPECT_EQ((*scanned)[0].rows.size(), 10u);
 }
 
 // Filling a shard's buffer past write_batch_max_entries starts the flush
@@ -329,61 +339,45 @@ TEST_F(WriteBatchTest, FailedEntryAbortsAndReleasesAllLocks) {
   EXPECT_TRUE(insert_one(500).ok());
 }
 
-// Replicated tables fan out each write to every shard — batched through
-// per-shard buffers by default, via one parallel CallAll on the eager path
-// — and reads are served by the CN's local primary afterwards. Shared body
-// for the two variants below (one cluster per test: a simulator cannot
-// host a second cluster after the first is torn down).
-class ReplicatedFanOutTest : public WriteBatchTest {
- public:
-  void RunScenario(bool batching) {
-    ClusterOptions options = ThreeCityOptions();
-    options.coordinator.enable_write_batching = batching;
-    Build(options);
-    auto& cn = cluster_->cn(0);
-    ASSERT_TRUE(RunTask(cn.CreateTable(RatesSchema())).ok());
+// Replicated tables fan out each write to every shard through the
+// per-shard buffers, and reads are served by the CN's local primary
+// afterwards.
+class ReplicatedFanOutTest : public WriteBatchTest {};
 
-    auto writer = [this, &cn]() -> sim::Task<Status> {
-      auto txn = co_await cn.Begin();
+TEST_F(ReplicatedFanOutTest, Batched) {
+  Build(ThreeCityOptions());
+  auto& cn = cluster_->cn(0);
+  ASSERT_TRUE(RunTask(cn.CreateTable(RatesSchema())).ok());
+
+  auto writer = [this, &cn]() -> sim::Task<Status> {
+    auto txn = co_await cn.Begin();
+    if (!txn.ok()) co_return txn.status();
+    Row row = {int64_t{7}, int64_t{125}};
+    Status s = co_await cn.Insert(&*txn, "rates", row);
+    if (!s.ok()) co_return s;
+    co_return co_await cn.Commit(&*txn);
+  };
+  ASSERT_TRUE(RunTask(writer()).ok());
+  // One copy applied on every shard.
+  EXPECT_EQ(DnTotal("dn.batched_writes"), 6);
+
+  // Every CN (each in a different region) reads its local copy.
+  for (size_t c = 0; c < cluster_->num_cns(); ++c) {
+    auto& reader_cn = cluster_->cn(c);
+    auto reader = [this,
+                   &reader_cn]() -> sim::Task<StatusOr<std::optional<Row>>> {
+      auto txn = co_await reader_cn.Begin();
       if (!txn.ok()) co_return txn.status();
-      Row row = {int64_t{7}, int64_t{125}};
-      Status s = co_await cn.Insert(&*txn, "rates", row);
-      if (!s.ok()) co_return s;
-      co_return co_await cn.Commit(&*txn);
+      Row key = {int64_t{7}};
+      co_return co_await reader_cn.Get(&*txn, "rates", key);
     };
-    ASSERT_TRUE(RunTask(writer()).ok()) << "batching=" << batching;
-
-    // One copy applied on every shard, through the expected path.
-    if (batching) {
-      EXPECT_EQ(DnTotal("dn.batched_writes"), 6);
-      EXPECT_EQ(DnTotal("dn.writes"), 0);
-    } else {
-      EXPECT_EQ(DnTotal("dn.writes"), 6);
-      EXPECT_EQ(DnTotal("dn.batched_writes"), 0);
-    }
-
-    // Every CN (each in a different region) reads its local copy.
-    for (size_t c = 0; c < cluster_->num_cns(); ++c) {
-      auto& reader_cn = cluster_->cn(c);
-      auto reader = [this,
-                     &reader_cn]() -> sim::Task<StatusOr<std::optional<Row>>> {
-        auto txn = co_await reader_cn.Begin();
-        if (!txn.ok()) co_return txn.status();
-        Row key = {int64_t{7}};
-        co_return co_await reader_cn.Get(&*txn, "rates", key);
-      };
-      auto row = RunTask(reader());
-      ASSERT_TRUE(row.ok()) << "batching=" << batching << " cn=" << c;
-      ASSERT_TRUE(row->has_value()) << "batching=" << batching << " cn=" << c;
-      EXPECT_EQ(std::get<int64_t>((**row)[1]), 125);
-    }
-    EXPECT_EQ(TotalLocksHeld(), 0u);
+    auto row = RunTask(reader());
+    ASSERT_TRUE(row.ok()) << "cn=" << c;
+    ASSERT_TRUE(row->has_value()) << "cn=" << c;
+    EXPECT_EQ(std::get<int64_t>((**row)[1]), 125);
   }
-};
-
-TEST_F(ReplicatedFanOutTest, Batched) { RunScenario(true); }
-
-TEST_F(ReplicatedFanOutTest, Eager) { RunScenario(false); }
+  EXPECT_EQ(TotalLocksHeld(), 0u);
+}
 
 }  // namespace
 }  // namespace globaldb

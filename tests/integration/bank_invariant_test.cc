@@ -61,16 +61,19 @@ sim::Task<void> Audit(CoordinatorNode* cn, int64_t* out) {
     *out = -1;
     co_return;
   }
-  auto rows = co_await cn->ScanRange(&*txn, "accounts", "", "", 10000);
-  if (!rows.ok()) {
+  std::vector<ScanSpec> all(1);
+  all[0].table = "accounts";
+  auto scanned = co_await cn->ScanBatch(&*txn, std::move(all));
+  if (!scanned.ok()) {
     *out = -1;
     co_return;
   }
+  const std::vector<Row>& rows = (*scanned)[0].rows;
   int64_t total = 0;
-  for (const Row& row : *rows) total += std::get<int64_t>(row[1]);
+  for (const Row& row : rows) total += std::get<int64_t>(row[1]);
   // A consistent snapshot may be slightly stale but must never tear a
   // transfer in half.
-  EXPECT_EQ(rows->size(), static_cast<size_t>(kAccounts));
+  EXPECT_EQ(rows.size(), static_cast<size_t>(kAccounts));
   *out = total;
 }
 

@@ -1,12 +1,11 @@
 // The sliding-window pipelined shipper: catch-up throughput scales with the
 // window instead of being capped at one batch per RTT, the in-flight window
-// is bounded, the encoded-batch cache is shared across replica loops, and a
-// crash mid-catch-up rewinds to the cumulative ack and converges exactly.
+// is bounded, and a crash mid-catch-up rewinds to the cumulative ack and
+// converges exactly.
 
 #include <gtest/gtest.h>
 
 #include <string>
-#include <vector>
 
 #include "src/replication/log_shipper.h"
 #include "src/replication/replica_applier.h"
@@ -124,54 +123,6 @@ TEST(PipelineTest, InflightNeverExceedsWindow) {
   EXPECT_EQ(max_inflight, 2u);  // the window actually filled
   // The loop parked on a full window instead of over-sending.
   EXPECT_GT(shipper.metrics().Get("ship.window_full"), 0);
-  shipper.Stop();
-  sim.RunFor(10 * kMillisecond);
-}
-
-TEST(PipelineTest, EncodedBatchCacheSharedAcrossReplicaLoops) {
-  sim::Simulator sim(21);
-  sim::Network net(&sim, sim::Topology::Uniform(2, 20 * kMillisecond),
-                   WanOptions());
-  const std::vector<NodeId> replicas = {2, 3};
-  net.RegisterNode(kPrimary, 0);
-  net.RegisterNode(2, 1);
-  net.RegisterNode(3, 1);
-
-  LogStream stream;
-  const std::string value(150, 'z');
-  for (int t = 0; t < 6000; ++t) {
-    stream.Append(
-        RedoRecord::Insert(t + 1, 1, "key_" + std::to_string(t), value));
-    stream.Append(RedoRecord::Commit(t + 1, t + 1));
-  }
-  const Lsn tail = stream.next_lsn() - 1;
-
-  ShardStore store_a(0), store_b(0);
-  Catalog catalog_a, catalog_b;
-  sim::CpuScheduler cpu_a(&sim, 4), cpu_b(&sim, 4);
-  ReplicaApplier applier_a(&sim, &net, 2, /*shard=*/0, &store_a, &catalog_a,
-                           &cpu_a);
-  ReplicaApplier applier_b(&sim, &net, 3, /*shard=*/0, &store_b, &catalog_b,
-                           &cpu_b);
-
-  LogShipper shipper(&sim, &net, kPrimary, /*shard=*/0, &stream, replicas,
-                     ShipperOptions{});
-  shipper.Start();
-  shipper.NotifyAppend();
-  while ((shipper.AckedLsn(2) < tail || shipper.AckedLsn(3) < tail) &&
-         sim.now() < 60 * kSecond) {
-    sim.RunFor(1 * kMillisecond);
-  }
-  EXPECT_EQ(applier_a.applied_lsn(), tail);
-  EXPECT_EQ(applier_b.applied_lsn(), tail);
-
-  // Both loops walk the same ranges: each range is encoded (and LZ
-  // compressed) once, and the second loop's reads are cache hits.
-  const int64_t hits = shipper.metrics().Get("ship.cache_hits");
-  const int64_t misses = shipper.metrics().Get("ship.cache_misses");
-  EXPECT_EQ(hits, misses);
-  EXPECT_GT(hits, 0);
-  EXPECT_EQ(hits + misses, shipper.metrics().Get("ship.batches"));
   shipper.Stop();
   sim.RunFor(10 * kMillisecond);
 }

@@ -108,19 +108,6 @@ TEST_F(GtmCoalesceTest, GrantsUniqueAcrossNodesAndWaves) {
   EXPECT_LE(src(1).metrics().Get("ts.gtm_rpcs"), 6);
 }
 
-// With coalescing off the source reverts to one RPC per request.
-TEST_F(GtmCoalesceTest, DisabledCoalescingIssuesOneRpcPerRequest) {
-  src(0).set_coalescing(false);
-  auto client = [&](TimestampSource* s) -> sim::Task<void> {
-    auto grant = co_await s->BeginTs(false);
-    EXPECT_TRUE(grant.ok());
-  };
-  for (int i = 0; i < 8; ++i) sim_.Spawn(client(&src(0)));
-  sim_.Run();
-  EXPECT_EQ(src(0).metrics().Get("ts.gtm_rpcs"), 8);
-  EXPECT_EQ(gtm_->metrics().Get("gtm.timestamp_requests"), 8);
-}
-
 // DUAL-mode commits coalesced into one RPC: every grant must exceed the
 // GClock upper bound its waiter captured at enqueue (we check against the
 // pre-spawn upper, which lower-bounds all of them), the commit wait must

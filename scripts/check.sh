@@ -44,6 +44,13 @@ sys.exit(0 if result["repeat_identical"] is True and
 }
 echo "OK: geobench tpcc_geo_ro repeat and traced runs are bit-identical"
 
+# Simulated-metric pin: seed 1 of every geobench workload (2 s windows) must
+# reproduce scripts/geobench_sim_pin.json exactly: attempted, failed and the
+# simulated end-to-end metrics. A change that moves simulated behaviour
+# regenerates the pin with --write and reports it in CHANGES.md.
+echo "== geobench simulated-metric pin (all workloads, seed 1) =="
+python3 scripts/geobench_sim_pin.py
+
 # Durability soak: 10 simulated minutes of TPC-C with checkpoints every 5 s
 # and three primary crashes. Retained log bytes and MVCC garbage must
 # flat-line, vacuum must reclaim, and median crash-to-promotion recovery
@@ -88,9 +95,12 @@ ctest --test-dir "${SAN_DIR}" --output-on-failure \
   -R 'EpochCommitTest|EpochFaultTest|EpochFallbackTest|GtmCoalesceTest'
 
 # Batched scan path: pushdown/merge/chunking/failover correctness, the
-# three-seed equivalence oracle against direct table scans, and the ROR
+# three-seed equivalence oracle against direct table scans, the ROR
 # snapshot install races (a parked batched point read and a parked scan
-# chunk must not dangle across a store rebuild), under sanitizers.
-echo "== scan path smoke (batched scans + equivalence + ROR races) =="
+# chunk must not dangle across a store rebuild), the zero-copy read path's
+# view lifetimes (a primary read or scan whose CPU wait overlaps a rewrite
+# of its rows, and short reply envelopes moved through StatusOr and the
+# CN's chunk list) and the read replies' wire bytes, under sanitizers.
+echo "== scan path smoke (batched scans + equivalence + ROR races + views) =="
 ctest --test-dir "${SAN_DIR}" --output-on-failure \
-  -R 'ScanBatchTest|ScanEquivalenceTest|RorSnapshotRaceTest'
+  -R 'ScanBatchTest|ScanEquivalenceTest|RorSnapshotRaceTest|ReadPathLifetimeTest|ReadWireTest'

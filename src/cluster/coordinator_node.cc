@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 #include <tuple>
 
+#include "src/cluster/join_keys.h"
 #include "src/common/logging.h"
 #include "src/sim/future.h"
 
@@ -721,11 +721,11 @@ sim::Task<StatusOr<std::vector<std::optional<Row>>>> CoordinatorNode::MultiGet(
       co_return Status::Internal("read batch reply size mismatch");
     }
     for (size_t e = 0; e < reply.results.size(); ++e) {
-      ReadBatchReply::EntryResult& result = reply.results[e];
+      const ReadBatchReply::EntryResult& result = reply.results[e];
       if (result.code != StatusCode::kOk) co_return result.ToStatus();
       if (!result.found) continue;
       Row row;
-      GDB_CO_RETURN_IF_ERROR(DecodeRow(Slice(result.value), &row));
+      GDB_CO_RETURN_IF_ERROR(DecodeRow(result.value, &row));
       unique_rows[group.slots[e]] = std::move(row);
     }
   }
@@ -915,22 +915,24 @@ sim::Task<StatusOr<std::vector<ScanResult>>> CoordinatorNode::ScanBatch(
   // Per spec: ordered k-way merge of the shard cursors. Each cursor is
   // key-sorted the way the server emitted it (ascending; descending for
   // reverse ranges), so a streaming merge yields the global order without a
-  // full re-sort, capped at the spec's limit.
+  // full re-sort, capped at the spec's limit. The merge runs on views into
+  // the chunk replies; only rows the spec returns are decoded.
   std::vector<ScanResult> out(specs.size());
   int64_t total_merged = 0;
   for (size_t i = 0; i < specs.size(); ++i) {
-    std::vector<const std::vector<std::pair<RowKey, std::string>>*> parts;
-    std::vector<std::pair<RowKey, std::string>> joined;
+    std::vector<const std::vector<KeyValueView>*> parts;
+    std::vector<KeyValueView> joined;
     for (const ScanGroup& group : groups) {
       for (size_t r = 0; r < group.spec_of.size(); ++r) {
         if (group.spec_of[r] != i) continue;
         if (!group.rows[r].empty()) parts.push_back(&group.rows[r]);
-        for (const auto& row : group.joined[r]) joined.push_back(row);
+        joined.insert(joined.end(), group.joined[r].begin(),
+                      group.joined[r].end());
       }
     }
     const bool reverse = specs[i].reverse;
     std::vector<size_t> cursor(parts.size(), 0);
-    std::vector<const std::pair<RowKey, std::string>*> merged;
+    std::vector<const KeyValueView*> merged;
     while (merged.size() < specs[i].limit) {
       int best = -1;
       for (size_t p = 0; p < parts.size(); ++p) {
@@ -939,28 +941,30 @@ sim::Task<StatusOr<std::vector<ScanResult>>> CoordinatorNode::ScanBatch(
           best = static_cast<int>(p);
           continue;
         }
-        const RowKey& a = (*parts[p])[cursor[p]].first;
-        const RowKey& b = (*parts[best])[cursor[best]].first;
-        if (reverse ? (a > b) : (a < b)) best = static_cast<int>(p);
+        const Slice a = (*parts[p])[cursor[p]].key;
+        const Slice b = (*parts[best])[cursor[best]].key;
+        if (reverse ? (b < a) : (a < b)) best = static_cast<int>(p);
       }
       if (best < 0) break;
       merged.push_back(&(*parts[best])[cursor[best]++]);
     }
     total_merged += static_cast<int64_t>(merged.size());
     out[i].rows.reserve(merged.size());
-    for (const auto* row : merged) {
+    for (const KeyValueView* row : merged) {
       Row decoded;
-      GDB_CO_RETURN_IF_ERROR(DecodeRow(Slice(row->second), &decoded));
+      GDB_CO_RETURN_IF_ERROR(DecodeRow(row->value, &decoded));
       out[i].rows.push_back(std::move(decoded));
     }
     // Joined rows are deduped by key across shards AND chunks — the
-    // executor's dedup set is per-chunk, so a join key revisited after a
+    // executor's dedup is per-chunk, so a join key revisited after a
     // continuation comes back twice.
     std::sort(joined.begin(), joined.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
+              [](const KeyValueView& a, const KeyValueView& b) {
+                return a.key < b.key;
+              });
     joined.erase(std::unique(joined.begin(), joined.end(),
-                             [](const auto& a, const auto& b) {
-                               return a.first == b.first;
+                             [](const KeyValueView& a, const KeyValueView& b) {
+                               return a.key == b.key;
                              }),
                  joined.end());
     // A shard joins every row it returns, but the global limit can drop
@@ -971,35 +975,27 @@ sim::Task<StatusOr<std::vector<ScanResult>>> CoordinatorNode::ScanBatch(
     // encode the same column sequence, so they are mutually prefix-free
     // and the sorted predecessor is the only candidate prefix).
     if (!specs[i].join_table.empty()) {
-      std::set<RowKey> keep;
-      for (const Row& row : out[i].rows) {
-        RowKey key = specs[i].join_key_prefix;
-        bool key_ok = true;
-        for (uint32_t col : specs[i].join_key_cols) {
-          if (col >= row.size()) {
-            key_ok = false;
-            break;
-          }
-          EncodeKeyPart(row[col], &key);
+      JoinKeys keys(specs[i].join_key_prefix, specs[i].join_key_cols,
+                    out[i].rows.size());
+      for (const Row& row : out[i].rows) keys.Add(row);
+      const std::vector<Slice> keep = keys.Sorted();
+      auto survives = [&](const Slice& k) {
+        if (!specs[i].join_prefix) {
+          return std::binary_search(keep.begin(), keep.end(), k);
         }
-        if (key_ok) keep.insert(std::move(key));
-      }
-      auto survives = [&](const RowKey& k) {
-        if (!specs[i].join_prefix) return keep.count(k) > 0;
-        auto it = keep.upper_bound(k);
-        if (it == keep.begin()) return false;
-        --it;
-        return k.compare(0, it->size(), *it) == 0;
+        auto it = std::upper_bound(keep.begin(), keep.end(), k);
+        return it != keep.begin() && k.StartsWith(*(it - 1));
       };
-      joined.erase(
-          std::remove_if(joined.begin(), joined.end(),
-                         [&](const auto& p) { return !survives(p.first); }),
-          joined.end());
+      joined.erase(std::remove_if(joined.begin(), joined.end(),
+                                  [&](const KeyValueView& row) {
+                                    return !survives(row.key);
+                                  }),
+                   joined.end());
     }
     out[i].joined.reserve(joined.size());
-    for (const auto& [key, value] : joined) {
+    for (const KeyValueView& row : joined) {
       Row decoded;
-      GDB_CO_RETURN_IF_ERROR(DecodeRow(Slice(value), &decoded));
+      GDB_CO_RETURN_IF_ERROR(DecodeRow(row.value, &decoded));
       out[i].joined.push_back(std::move(decoded));
     }
   }
@@ -1014,10 +1010,10 @@ sim::Task<void> CoordinatorNode::CallScanGroup(ScanGroup* group,
     const bool on_replica = group->is_replica && attempt == 0;
     const NodeId target =
         on_replica ? group->target : shard_primaries_[group->shard];
+    group->replies.clear();
     group->rows.assign(num_ranges, {});
     group->joined.assign(num_ranges, {});
     group->error = Status::OK();
-    group->chunks = 0;
     ScanBatchRequest request = group->base;
     bool failover = false;
     while (true) {
@@ -1041,24 +1037,26 @@ sim::Task<void> CoordinatorNode::CallScanGroup(ScanGroup* group,
         group->error = reply.status();
         break;
       }
-      ++group->chunks;
       metrics_.Add("cn.scan_chunks");
       if (reply->results.size() != num_ranges) {
         group->error =
             Status::Internal("scan batch reply/request range mismatch");
         break;
       }
+      // The chunk's views point into its envelope, which moves with it
+      // (the envelope's heap block stays put), so the group keeps every
+      // chunk until the merge is done.
+      const ScanBatchReply& chunk =
+          group->replies.emplace_back(std::move(*reply));
       for (size_t r = request.resume_range; r < num_ranges; ++r) {
-        ScanBatchReply::RangeResult& result = reply->results[r];
-        for (auto& row : result.rows) {
-          group->rows[r].push_back(std::move(row));
-        }
-        for (auto& row : result.joined) {
-          group->joined[r].push_back(std::move(row));
-        }
+        const ScanBatchReply::RangeResult& result = chunk.results[r];
+        group->rows[r].insert(group->rows[r].end(), result.rows.begin(),
+                              result.rows.end());
+        group->joined[r].insert(group->joined[r].end(), result.joined.begin(),
+                                result.joined.end());
       }
-      if (!reply->truncated) break;
-      const uint32_t rr = reply->resume_range;
+      if (!chunk.truncated) break;
+      const uint32_t rr = chunk.resume_range;
       if (rr >= num_ranges || rr < request.resume_range) {
         group->error = Status::Internal("scan batch resume cursor invalid");
         break;
@@ -1068,8 +1066,8 @@ sim::Task<void> CoordinatorNode::CallScanGroup(ScanGroup* group,
       // at the resume key with its limit shrunk by the rows already in
       // hand. An empty resume key means the range never started.
       request.resume_range = rr;
-      if (!reply->resume_key.empty()) {
-        request.ranges[rr].start = reply->resume_key;
+      if (!chunk.resume_key.empty()) {
+        request.ranges[rr].start = chunk.resume_key.ToString();
         const uint32_t orig = group->base.ranges[rr].limit;
         const uint32_t got =
             static_cast<uint32_t>(std::min<size_t>(group->rows[rr].size(),

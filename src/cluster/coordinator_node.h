@@ -381,7 +381,8 @@ class CoordinatorNode {
   sim::Task<void> CallReadGroup(ReadGroup* group, sim::WaitGroup* wg);
   /// One shard's slice of a ScanBatch fan-out: the base request (kept
   /// pristine for failover restarts), the spec index each range feeds, and
-  /// per-range raw row accumulators filled across chunks by CallScanGroup.
+  /// per-range row accumulators filled across chunks by CallScanGroup. The
+  /// accumulated rows are views into the chunk replies kept in `replies`.
   struct ScanGroup {
     ShardId shard = kInvalidShardId;
     NodeId target = kInvalidNodeId;
@@ -389,10 +390,10 @@ class CoordinatorNode {
     bool ddl_visible = true;
     ScanBatchRequest base;
     std::vector<size_t> spec_of;
-    std::vector<std::vector<std::pair<RowKey, std::string>>> rows;
-    std::vector<std::vector<std::pair<RowKey, std::string>>> joined;
+    std::vector<ScanBatchReply> replies;
+    std::vector<std::vector<KeyValueView>> rows;
+    std::vector<std::vector<KeyValueView>> joined;
     Status error = Status::OK();
-    int chunks = 0;
   };
   /// Streams one group's chunks: each continuation rewrites the resumed
   /// range's start key and remaining limit and re-sends (the server keeps

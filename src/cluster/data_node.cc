@@ -393,57 +393,59 @@ sim::Task<StatusOr<ReadReply>> DataNode::HandleLockRead(NodeId from,
   }
   ReadResult result = table->Read(request.key, kTimestampMax - 1, request.txn);
   reply.found = result.found;
-  reply.value = std::move(result.value);
+  reply.value = result.value.ToString();
   co_return reply;
 }
 
-sim::Task<StatusOr<ReadBatchReply>> DataNode::HandleReadBatch(
+sim::Task<StatusOr<rpc::Encoded<ReadBatchReply>>> DataNode::HandleReadBatch(
     NodeId from, ReadBatchRequest request) {
   metrics_.Add("dn.read_batches");
   metrics_.Hist("dn.read_batch_entries")
       .Record(static_cast<int64_t>(request.entries.size()));
-  ReadBatchReply reply;
-  reply.results.resize(request.entries.size());
   // One snapshot resolution for the whole batch; each entry is then an
   // independent MVCC lookup (plus a row lock for for_update entries).
   // Entry failures are per-entry: a lock timeout on one key must not
-  // invalidate the rows already fetched for the others.
-  for (size_t i = 0; i < request.entries.size(); ++i) {
+  // invalidate the rows already fetched for the others. Each entry is
+  // written into the reply as soon as it is read, before the next entry's
+  // CPU charge suspends the handler, so no view outlives its read.
+  std::string wire = rpc::BeginOkEnvelope();
+  ReadBatchReply::PutCount(&wire, request.entries.size());
+  for (const ReadBatchRequest::Entry& entry : request.entries) {
     co_await cpu_.Consume(options_.read_cost);
     metrics_.Add("dn.batched_reads");
-    const ReadBatchRequest::Entry& entry = request.entries[i];
-    ReadBatchReply::EntryResult& result = reply.results[i];
     Timestamp snapshot = request.snapshot;
     if (entry.for_update) {
       Status lock_status =
           co_await locks_.Acquire(request.txn, entry.table, entry.key);
       if (!lock_status.ok()) {
-        result.code = lock_status.code();
-        result.message = std::string(lock_status.message());
+        ReadBatchReply::PutEntry(
+            &wire, {lock_status.code(), lock_status.message(), false, {}});
         continue;
       }
       // FOR UPDATE reads the latest committed version under the held lock.
       snapshot = kTimestampMax - 1;
     }
-    MvccTable* table = store_.GetTable(entry.table);
-    if (table == nullptr) {
-      continue;  // catalog-known table, storage-empty shard: a miss
+    ReadBatchReply::EntryResult result;
+    // A missing table is a catalog-known table on a storage-empty shard.
+    if (const MvccTable* table = store_.GetTable(entry.table)) {
+      ReadResult read = table->Read(entry.key, snapshot, request.txn);
+      result.found = read.found;
+      result.value = read.value;
     }
-    ReadResult read = table->Read(entry.key, snapshot, request.txn);
-    result.found = read.found;
-    result.value = std::move(read.value);
+    ReadBatchReply::PutEntry(&wire, result);
   }
-  co_return reply;
+  co_return rpc::Encoded<ReadBatchReply>{std::move(wire)};
 }
 
-sim::Task<StatusOr<ScanBatchReply>> DataNode::HandleScanBatch(
+sim::Task<StatusOr<rpc::Encoded<ScanBatchReply>>> DataNode::HandleScanBatch(
     NodeId from, ScanBatchRequest request) {
   metrics_.Add("dn.scan_batches");
   metrics_.Hist("dn.scan_batch_ranges")
       .Record(static_cast<int64_t>(request.ranges.size()));
   // On the primary the requesting transaction reads its own flushed
   // provisional writes; other transactions' provisional versions are simply
-  // invisible, so no pending-wait predicate is needed.
+  // invisible, so no pending-wait predicate is needed. The pass encodes the
+  // reply before the CPU charge below suspends the handler.
   ScanBatchExecResult exec = ExecuteScanBatch(
       store_, request, request.txn, options_.scan_chunk_bytes,
       options_.read_cost, options_.scan_row_cost, nullptr);
@@ -453,7 +455,7 @@ sim::Task<StatusOr<ScanBatchReply>> DataNode::HandleScanBatch(
   metrics_.Add("dn.scan_rows_filtered", exec.rows_filtered);
   metrics_.Add("dn.scan_limit_hits", exec.limit_hits);
   metrics_.Add("dn.scan_join_lookups", exec.join_lookups);
-  if (exec.reply.truncated) metrics_.Add("dn.scan_chunks_truncated");
+  if (exec.truncated) metrics_.Add("dn.scan_chunks_truncated");
   co_return std::move(exec.reply);
 }
 

@@ -171,10 +171,10 @@ class DataNode {
   void BindService();
   sim::Task<StatusOr<ReadReply>> HandleLockRead(NodeId from,
                                                 ReadRequest request);
-  sim::Task<StatusOr<ReadBatchReply>> HandleReadBatch(
+  sim::Task<StatusOr<rpc::Encoded<ReadBatchReply>>> HandleReadBatch(
       NodeId from, ReadBatchRequest request);
-  sim::Task<StatusOr<ScanBatchReply>> HandleScanBatch(NodeId from,
-                                                      ScanBatchRequest request);
+  sim::Task<StatusOr<rpc::Encoded<ScanBatchReply>>> HandleScanBatch(
+      NodeId from, ScanBatchRequest request);
   sim::Task<StatusOr<WriteBatchReply>> HandleWriteBatch(
       NodeId from, WriteBatchRequest request);
   /// Shared write path (write-batch entries and epoch prepare tails): row

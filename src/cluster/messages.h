@@ -9,6 +9,7 @@
 #include "src/common/statusor.h"
 #include "src/common/types.h"
 #include "src/rpc/rpc_method.h"
+#include "src/rpc/wire.h"
 
 namespace globaldb {
 
@@ -119,54 +120,70 @@ struct ReadBatchRequest {
 /// envelope stays OK whenever the batch was processed; per-entry failures
 /// (e.g. a lock timeout on a for_update entry) travel here so one bad key
 /// does not discard the other entries' results.
+///
+/// `message` and `value` are views. A server handler writes each entry into
+/// its reply envelope with PutEntry as soon as the entry is resolved, while
+/// the views still point into live table versions; a decoded reply owns the
+/// received envelope and its views point into that. The type is move-only,
+/// since a copy's views would point into the source's buffer.
 struct ReadBatchReply {
   struct EntryResult {
     StatusCode code = StatusCode::kOk;
-    std::string message;
+    Slice message;
     bool found = false;
-    std::string value;
+    Slice value;
     Status ToStatus() const {
-      return code == StatusCode::kOk ? Status::OK() : Status(code, message);
+      return code == StatusCode::kOk ? Status::OK()
+                                     : Status(code, message.ToString());
     }
   };
   std::vector<EntryResult> results;
 
-  std::string Encode() const {
-    std::string s;
-    PutVarint32(&s, static_cast<uint32_t>(results.size()));
-    for (const auto& res : results) {
-      PutVarint32(&s, static_cast<uint32_t>(res.code));
-      PutLengthPrefixed(&s, res.message);
-      s.push_back(res.found ? 1 : 0);
-      PutLengthPrefixed(&s, res.value);
-    }
-    return s;
+  ReadBatchReply() = default;
+  ReadBatchReply(ReadBatchReply&&) noexcept = default;
+  ReadBatchReply& operator=(ReadBatchReply&&) noexcept = default;
+  ReadBatchReply(const ReadBatchReply&) = delete;
+  ReadBatchReply& operator=(const ReadBatchReply&) = delete;
+
+  /// Wire layout: [varint n] then n entries, each written by PutEntry.
+  static void PutCount(std::string* dst, size_t n) {
+    PutVarint32(dst, static_cast<uint32_t>(n));
   }
-  static StatusOr<ReadBatchReply> Decode(Slice in) {
+  static void PutEntry(std::string* dst, const EntryResult& res) {
+    PutVarint32(dst, static_cast<uint32_t>(res.code));
+    PutLengthPrefixed(dst, res.message);
+    dst->push_back(res.found ? 1 : 0);
+    PutLengthPrefixed(dst, res.value);
+  }
+  static StatusOr<ReadBatchReply> Decode(std::string wire, size_t offset) {
     ReadBatchReply r;
+    r.wire_ = std::move(wire);
+    rpc::PinToHeap(&r.wire_);
+    Slice in(r.wire_);
+    in.RemovePrefix(offset);
     uint32_t n = 0;
     if (!GetVarint32(&in, &n)) return Status::Corruption("read batch reply");
     r.results.reserve(n);
     for (uint32_t i = 0; i < n; ++i) {
       EntryResult res;
       uint32_t code = 0;
-      Slice message, value;
-      if (!GetVarint32(&in, &code) || !GetLengthPrefixed(&in, &message) ||
+      if (!GetVarint32(&in, &code) || !GetLengthPrefixed(&in, &res.message) ||
           in.empty()) {
         return Status::Corruption("read batch reply entry");
       }
       res.code = static_cast<StatusCode>(code);
-      res.message = message.ToString();
       res.found = in[0] != 0;
       in.RemovePrefix(1);
-      if (!GetLengthPrefixed(&in, &value)) {
+      if (!GetLengthPrefixed(&in, &res.value)) {
         return Status::Corruption("read batch reply value");
       }
-      res.value = value.ToString();
-      r.results.push_back(std::move(res));
+      r.results.push_back(res);
     }
     return r;
   }
+
+ private:
+  std::string wire_;  // decoded replies: the bytes every view points into
 };
 
 /// A batch of ordered range scans for one shard, resolved under one
@@ -299,85 +316,84 @@ struct ScanBatchRequest {
 /// `truncated`, the scan stopped mid-way through `resume_range`:
 /// `resume_key` is the next primary key a forward scan would have examined
 /// (empty = the range was not started — keep the original start bound).
+///
+/// Keys and values are views. On the server they point into the shard's
+/// table versions (and the executor's join-key buffers), and the reply is
+/// encoded inside the same synchronous pass; a decoded reply owns the
+/// received envelope and its views point into that. The type is move-only,
+/// since a copy's views would point into the source's buffer.
 struct ScanBatchReply {
   struct RangeResult {
     bool limit_hit = false;  // pushed-down limit satisfied server-side
-    std::vector<std::pair<RowKey, std::string>> rows;
+    std::vector<KeyValueView> rows;
     /// Rows pulled in by the lookup join, deduped per chunk by key.
-    std::vector<std::pair<RowKey, std::string>> joined;
+    std::vector<KeyValueView> joined;
   };
   bool truncated = false;
   uint32_t resume_range = 0;
-  RowKey resume_key;
+  Slice resume_key;
   std::vector<RangeResult> results;
 
-  std::string Encode() const {
-    std::string s;
-    s.push_back(truncated ? 1 : 0);
-    PutVarint32(&s, resume_range);
-    PutLengthPrefixed(&s, resume_key);
-    PutVarint32(&s, static_cast<uint32_t>(results.size()));
+  ScanBatchReply() = default;
+  ScanBatchReply(ScanBatchReply&&) noexcept = default;
+  ScanBatchReply& operator=(ScanBatchReply&&) noexcept = default;
+  ScanBatchReply(const ScanBatchReply&) = delete;
+  ScanBatchReply& operator=(const ScanBatchReply&) = delete;
+
+  void EncodeTo(std::string* dst) const {
+    dst->push_back(truncated ? 1 : 0);
+    PutVarint32(dst, resume_range);
+    PutLengthPrefixed(dst, resume_key);
+    PutVarint32(dst, static_cast<uint32_t>(results.size()));
     for (const auto& res : results) {
-      s.push_back(res.limit_hit ? 1 : 0);
-      PutVarint32(&s, static_cast<uint32_t>(res.rows.size()));
-      for (const auto& [key, value] : res.rows) {
-        PutLengthPrefixed(&s, key);
-        PutLengthPrefixed(&s, value);
-      }
-      PutVarint32(&s, static_cast<uint32_t>(res.joined.size()));
-      for (const auto& [key, value] : res.joined) {
-        PutLengthPrefixed(&s, key);
-        PutLengthPrefixed(&s, value);
+      dst->push_back(res.limit_hit ? 1 : 0);
+      for (const auto* list : {&res.rows, &res.joined}) {
+        PutVarint32(dst, static_cast<uint32_t>(list->size()));
+        for (const KeyValueView& row : *list) {
+          PutLengthPrefixed(dst, row.key);
+          PutLengthPrefixed(dst, row.value);
+        }
       }
     }
-    return s;
   }
-  static StatusOr<ScanBatchReply> Decode(Slice in) {
+  static StatusOr<ScanBatchReply> Decode(std::string wire, size_t offset) {
     ScanBatchReply r;
+    r.wire_ = std::move(wire);
+    rpc::PinToHeap(&r.wire_);
+    Slice in(r.wire_);
+    in.RemovePrefix(offset);
     if (in.empty()) return Status::Corruption("scan batch reply");
     r.truncated = in[0] != 0;
     in.RemovePrefix(1);
-    Slice resume_key;
     uint32_t n = 0;
     if (!GetVarint32(&in, &r.resume_range) ||
-        !GetLengthPrefixed(&in, &resume_key) || !GetVarint32(&in, &n)) {
+        !GetLengthPrefixed(&in, &r.resume_key) || !GetVarint32(&in, &n)) {
       return Status::Corruption("scan batch reply header");
     }
-    r.resume_key = resume_key.ToString();
-    r.results.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      RangeResult res;
-      uint32_t rows = 0;
+    r.results.resize(n);
+    for (RangeResult& res : r.results) {
       if (in.empty()) return Status::Corruption("scan batch reply range");
       res.limit_hit = in[0] != 0;
       in.RemovePrefix(1);
-      if (!GetVarint32(&in, &rows)) {
-        return Status::Corruption("scan batch reply rows");
-      }
-      res.rows.reserve(rows);
-      for (uint32_t j = 0; j < rows; ++j) {
-        Slice key, value;
-        if (!GetLengthPrefixed(&in, &key) || !GetLengthPrefixed(&in, &value)) {
-          return Status::Corruption("scan batch reply row");
+      for (auto* list : {&res.rows, &res.joined}) {
+        uint32_t rows = 0;
+        if (!GetVarint32(&in, &rows)) {
+          return Status::Corruption("scan batch reply rows");
         }
-        res.rows.emplace_back(key.ToString(), value.ToString());
-      }
-      uint32_t joined = 0;
-      if (!GetVarint32(&in, &joined)) {
-        return Status::Corruption("scan batch reply joined");
-      }
-      res.joined.reserve(joined);
-      for (uint32_t j = 0; j < joined; ++j) {
-        Slice key, value;
-        if (!GetLengthPrefixed(&in, &key) || !GetLengthPrefixed(&in, &value)) {
-          return Status::Corruption("scan batch reply joined row");
+        list->resize(rows);
+        for (KeyValueView& row : *list) {
+          if (!GetLengthPrefixed(&in, &row.key) ||
+              !GetLengthPrefixed(&in, &row.value)) {
+            return Status::Corruption("scan batch reply row");
+          }
         }
-        res.joined.emplace_back(key.ToString(), value.ToString());
       }
-      r.results.push_back(std::move(res));
     }
     return r;
   }
+
+ private:
+  std::string wire_;  // decoded replies: the bytes every view points into
 };
 
 /// Row mutation kind of a buffered write (write batches and epoch prepare

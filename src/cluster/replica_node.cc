@@ -56,31 +56,33 @@ void ReplicaNode::BindService() {
   });
 }
 
-sim::Task<StatusOr<ReadBatchReply>> ReplicaNode::HandleReadBatch(
-    NodeId from, ReadBatchRequest request) {
+sim::Task<StatusOr<rpc::Encoded<ReadBatchReply>>>
+ReplicaNode::HandleReadBatch(NodeId from, ReadBatchRequest request) {
   metrics_.Add("ror.read_batches");
   metrics_.Hist("ror.read_batch_entries")
       .Record(static_cast<int64_t>(request.entries.size()));
-  ReadBatchReply reply;
-  reply.results.resize(request.entries.size());
   // One snapshot for the whole batch; pending-commit tuple locks are waited
-  // out per entry, so one blocked key only delays itself.
-  for (size_t i = 0; i < request.entries.size(); ++i) {
+  // out per entry, so one blocked key only delays itself. Each entry is
+  // written into the reply as soon as it is read, before the next
+  // suspension point, so no view outlives its read.
+  std::string wire = rpc::BeginOkEnvelope();
+  ReadBatchReply::PutCount(&wire, request.entries.size());
+  for (const ReadBatchRequest::Entry& entry : request.entries) {
     co_await cpu_.Consume(options_.read_cost);
     metrics_.Add("ror.batched_reads");
-    const ReadBatchRequest::Entry& entry = request.entries[i];
-    ReadBatchReply::EntryResult& result = reply.results[i];
+    ReadBatchReply::EntryResult result;
     if (entry.for_update) {
       // The CN routes lock-read groups to the primary; a for_update entry
       // here means a routing bug, not a user error.
       result.code = StatusCode::kInternal;
       result.message = "for_update read routed to a replica";
+      ReadBatchReply::PutEntry(&wire, result);
       continue;
     }
     while (true) {
       // Re-fetched per attempt: a snapshot install during WaitResolved frees
       // the previous MvccTable.
-      MvccTable* table = store_.GetTable(entry.table);
+      const MvccTable* table = store_.GetTable(entry.table);
       if (table == nullptr) {
         break;  // no rows replayed into this shard yet: a miss
       }
@@ -92,22 +94,24 @@ sim::Task<StatusOr<ReadBatchReply>> ReplicaNode::HandleReadBatch(
         continue;
       }
       result.found = read.found;
-      result.value = std::move(read.value);
+      result.value = read.value;
       break;
     }
+    ReadBatchReply::PutEntry(&wire, result);
   }
-  co_return reply;
+  co_return rpc::Encoded<ReadBatchReply>{std::move(wire)};
 }
 
-sim::Task<StatusOr<ScanBatchReply>> ReplicaNode::HandleScanBatch(
-    NodeId from, ScanBatchRequest request) {
+sim::Task<StatusOr<rpc::Encoded<ScanBatchReply>>>
+ReplicaNode::HandleScanBatch(NodeId from, ScanBatchRequest request) {
   metrics_.Add("ror.scan_batches");
   metrics_.Hist("ror.scan_batch_ranges")
       .Record(static_cast<int64_t>(request.ranges.size()));
   // Pending-commit tuple locks abort the whole pass: ExecuteScanBatch keeps
   // no server-side cursor, so after WaitResolved the chunk is rebuilt from
   // the request alone, with every MvccTable* re-fetched — a snapshot install
-  // while parked frees the previous store (the satellite-3 safety property).
+  // while parked frees the previous store. A completed pass has already
+  // encoded its reply, so the CPU charge below holds no view into the store.
   const std::function<bool(TxnId)> must_wait = [this,
                                                 &request](TxnId txn) {
     return applier_->MustWait(txn, request.snapshot);
@@ -127,7 +131,7 @@ sim::Task<StatusOr<ScanBatchReply>> ReplicaNode::HandleScanBatch(
     metrics_.Add("ror.scan_rows_filtered", exec.rows_filtered);
     metrics_.Add("ror.scan_limit_hits", exec.limit_hits);
     metrics_.Add("ror.scan_join_lookups", exec.join_lookups);
-    if (exec.reply.truncated) metrics_.Add("ror.scan_chunks_truncated");
+    if (exec.truncated) metrics_.Add("ror.scan_chunks_truncated");
     co_return std::move(exec.reply);
   }
 }

@@ -74,10 +74,10 @@ class ReplicaNode {
  private:
   void BindService();
   sim::Task<void> SendHello();
-  sim::Task<StatusOr<ReadBatchReply>> HandleReadBatch(
+  sim::Task<StatusOr<rpc::Encoded<ReadBatchReply>>> HandleReadBatch(
       NodeId from, ReadBatchRequest request);
-  sim::Task<StatusOr<ScanBatchReply>> HandleScanBatch(NodeId from,
-                                                      ScanBatchRequest request);
+  sim::Task<StatusOr<rpc::Encoded<ScanBatchReply>>> HandleScanBatch(
+      NodeId from, ScanBatchRequest request);
   sim::Task<StatusOr<RorStatusReply>> HandleStatus(NodeId from,
                                                    rpc::EmptyMessage request);
 

@@ -2,11 +2,12 @@
 #define GLOBALDB_SRC_CLUSTER_SCAN_BATCH_EXEC_H_
 
 #include <functional>
-#include <set>
 #include <utility>
 #include <vector>
 
+#include "src/cluster/join_keys.h"
 #include "src/cluster/messages.h"
+#include "src/rpc/wire.h"
 #include "src/storage/shard_store.h"
 #include "src/storage/value.h"
 
@@ -21,11 +22,16 @@ namespace globaldb {
 /// the request (the server keeps no cursor state between passes: a snapshot
 /// install while parked frees every MvccTable*, so everything is re-fetched
 /// on re-entry).
+///
+/// Rows are never copied out of storage: the pass gathers views into the
+/// tables and encodes the reply envelope from them before it returns, so
+/// no view survives into the caller's CPU wait (DESIGN.md §5).
 struct ScanBatchExecResult {
-  ScanBatchReply reply;
+  rpc::Encoded<ScanBatchReply> reply;
+  bool truncated = false;
   SimDuration cpu_cost = 0;
   /// Replica only: the pass stopped on an unresolved provisional txn that
-  /// blocks this snapshot. The reply is invalid; wait and re-execute.
+  /// blocks this snapshot. The reply is empty; wait and re-execute.
   TxnId blocker = kInvalidTxnId;
   int64_t ranges_served = 0;
   int64_t rows_returned = 0;
@@ -42,20 +48,32 @@ inline ScanBatchExecResult ExecuteScanBatch(
     size_t default_chunk_bytes, SimDuration read_cost,
     SimDuration scan_row_cost, const std::function<bool(TxnId)>* must_wait) {
   ScanBatchExecResult out;
-  out.reply.results.resize(request.ranges.size());
+  ScanBatchReply reply;
+  reply.results.resize(request.ranges.size());
+  // Joined keys of point joins are views into these; reserved up front so
+  // no buffer moves before the reply is encoded.
+  std::vector<JoinKeys> join_keys;
+  join_keys.reserve(request.ranges.size());
   const size_t budget =
       request.max_bytes != 0 ? request.max_bytes : default_chunk_bytes;
   size_t bytes = 0;
+  auto blocked = [&](TxnId txn) {
+    if (must_wait == nullptr || txn == kInvalidTxnId || !(*must_wait)(txn)) {
+      return false;
+    }
+    out.blocker = txn;
+    return true;
+  };
   for (size_t i = request.resume_range; i < request.ranges.size(); ++i) {
     if (bytes >= budget) {
       // The previous ranges filled the chunk; this one was never started
       // (empty resume_key tells the CN to keep its original bounds).
-      out.reply.truncated = true;
-      out.reply.resume_range = static_cast<uint32_t>(i);
+      reply.truncated = true;
+      reply.resume_range = static_cast<uint32_t>(i);
       break;
     }
     const ScanBatchRequest::Range& range = request.ranges[i];
-    ScanBatchReply::RangeResult& res = out.reply.results[i];
+    ScanBatchReply::RangeResult& res = reply.results[i];
     ++out.ranges_served;
     out.cpu_cost += read_cost;
     const MvccTable* table = store.GetTable(range.table);
@@ -78,18 +96,13 @@ inline ScanBatchExecResult ExecuteScanBatch(
         must_wait != nullptr ? &pending : nullptr);
     out.cpu_cost +=
         scan_row_cost * static_cast<SimDuration>(paged.rows_examined);
-    if (must_wait != nullptr) {
-      for (TxnId txn : pending) {
-        if ((*must_wait)(txn)) {
-          out.blocker = txn;
-          return out;
-        }
-      }
+    for (TxnId txn : pending) {
+      if (blocked(txn)) return out;
     }
     out.rows_filtered += static_cast<int64_t>(paged.rows_filtered);
     if (paged.limit_hit) ++out.limit_hits;
     res.limit_hit = paged.limit_hit;
-    for (const auto& row : paged.rows) {
+    for (const KeyValueView& row : paged.rows) {
       bytes += row.key.size() + row.value.size() + 8;
     }
     if (range.join_table != kInvalidTableId) {
@@ -98,69 +111,54 @@ inline ScanBatchExecResult ExecuteScanBatch(
       // joins are atomic with respect to the byte cap (joined bytes count,
       // but never split a row from its lookups).
       const MvccTable* join_table = store.GetTable(range.join_table);
-      std::set<RowKey> seen;
-      for (const auto& row_entry : paged.rows) {
-        Row row;
-        if (!DecodeRow(Slice(row_entry.value), &row).ok()) continue;
-        RowKey key = range.join_key_prefix;
-        bool key_ok = true;
-        for (uint32_t col : range.join_key_cols) {
-          if (col >= row.size()) {
-            key_ok = false;
-            break;
-          }
-          EncodeKeyPart(row[col], &key);
-        }
-        if (!key_ok || !seen.insert(key).second) continue;
+      JoinKeys& keys = join_keys.emplace_back(
+          range.join_key_prefix, range.join_key_cols, paged.rows.size());
+      Row row;
+      for (const KeyValueView& entry : paged.rows) {
+        if (DecodeRow(entry.value, &row).ok()) keys.Add(row);
+      }
+      for (uint32_t k : keys.FirstOccurrences()) {
+        const Slice key = keys.key(k);
         ++out.join_lookups;
         out.cpu_cost += read_cost;
         if (join_table == nullptr) continue;
         if (range.join_prefix) {
           std::vector<TxnId> join_pending;
-          auto joined = join_table->Scan(
-              key, PrefixSuccessor(key), request.snapshot, reader,
+          std::vector<KeyValueView> joined = join_table->Scan(
+              key, PrefixSuccessor(key.ToString()), request.snapshot, reader,
               range.join_limit,
               must_wait != nullptr ? &join_pending : nullptr);
           out.cpu_cost +=
               scan_row_cost * static_cast<SimDuration>(joined.size());
-          if (must_wait != nullptr) {
-            for (TxnId txn : join_pending) {
-              if ((*must_wait)(txn)) {
-                out.blocker = txn;
-                return out;
-              }
-            }
+          for (TxnId txn : join_pending) {
+            if (blocked(txn)) return out;
           }
-          for (auto& j : joined) {
+          for (const KeyValueView& j : joined) {
             bytes += j.key.size() + j.value.size() + 8;
-            res.joined.emplace_back(std::move(j.key), std::move(j.value));
+            res.joined.push_back(j);
           }
         } else {
           ReadResult rr = join_table->Read(key, request.snapshot, reader);
-          if (must_wait != nullptr && rr.provisional_txn != kInvalidTxnId &&
-              (*must_wait)(rr.provisional_txn)) {
-            out.blocker = rr.provisional_txn;
-            return out;
-          }
+          if (blocked(rr.provisional_txn)) return out;
           if (rr.found) {
             bytes += key.size() + rr.value.size() + 8;
-            res.joined.emplace_back(std::move(key), std::move(rr.value));
+            res.joined.push_back({key, rr.value});
           }
         }
       }
     }
     out.rows_returned += static_cast<int64_t>(paged.rows.size());
-    res.rows.reserve(paged.rows.size());
-    for (auto& row : paged.rows) {
-      res.rows.emplace_back(std::move(row.key), std::move(row.value));
-    }
+    res.rows = std::move(paged.rows);
     if (paged.truncated) {
-      out.reply.truncated = true;
-      out.reply.resume_range = static_cast<uint32_t>(i);
-      out.reply.resume_key = paged.resume_key;
+      reply.truncated = true;
+      reply.resume_range = static_cast<uint32_t>(i);
+      reply.resume_key = paged.resume_key;
       break;
     }
   }
+  out.truncated = reply.truncated;
+  out.reply = rpc::EncodeOk(
+      reply, bytes + reply.resume_key.size() + 16 + 12 * reply.results.size());
   return out;
 }
 

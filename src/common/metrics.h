@@ -3,8 +3,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace globaldb {
@@ -64,19 +66,34 @@ class Histogram {
 
 /// A named bag of counters and histograms. Each node and each workload
 /// driver owns one; bench harnesses aggregate them into report rows.
+///
+/// Names are looked up as string_views through a transparent comparator, so
+/// a call with a literal name allocates only the first time that name is
+/// seen (libstdc++ heap-allocates any std::string of 16 or more characters).
 class Metrics {
  public:
-  void Add(const std::string& name, int64_t delta = 1) {
-    counters_[name] += delta;
+  using CounterMap = std::map<std::string, int64_t, std::less<>>;
+  using HistogramMap = std::map<std::string, Histogram, std::less<>>;
+
+  void Add(std::string_view name, int64_t delta = 1) {
+    auto it = counters_.find(name);
+    if (it == counters_.end()) it = counters_.emplace(name, 0).first;
+    it->second += delta;
   }
-  int64_t Get(const std::string& name) const {
+  int64_t Get(std::string_view name) const {
     auto it = counters_.find(name);
     return it == counters_.end() ? 0 : it->second;
   }
-  Histogram& Hist(const std::string& name) { return histograms_[name]; }
+  Histogram& Hist(std::string_view name) {
+    auto it = histograms_.find(name);
+    if (it == histograms_.end()) {
+      it = histograms_.emplace(name, Histogram()).first;
+    }
+    return it->second;
+  }
 
-  const std::map<std::string, int64_t>& counters() const { return counters_; }
-  std::map<std::string, Histogram>& histograms() { return histograms_; }
+  const CounterMap& counters() const { return counters_; }
+  HistogramMap& histograms() { return histograms_; }
 
   void Clear() {
     counters_.clear();
@@ -84,8 +101,8 @@ class Metrics {
   }
 
  private:
-  std::map<std::string, int64_t> counters_;
-  std::map<std::string, Histogram> histograms_;
+  CounterMap counters_;
+  HistogramMap histograms_;
 };
 
 }  // namespace globaldb

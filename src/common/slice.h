@@ -62,6 +62,14 @@ inline bool operator<(const Slice& a, const Slice& b) {
   return a.Compare(b) < 0;
 }
 
+/// A borrowed key/value pair: both views point into bytes someone else owns
+/// (an MvccTable's version chains, or a received reply buffer), and are
+/// valid only as long as that owner leaves them in place.
+struct KeyValueView {
+  Slice key;
+  Slice value;
+};
+
 }  // namespace globaldb
 
 #endif  // GLOBALDB_SRC_COMMON_SLICE_H_

@@ -341,7 +341,7 @@ sim::Task<void> LogShipper::SendBatch(
   if (current && peer.inflight > 0) --peer.inflight;
 
   StatusOr<ReplAppendReply> reply =
-      wire.ok() ? rpc::DecodeEnvelope<ReplAppendReply>(*wire)
+      wire.ok() ? rpc::DecodeEnvelope<ReplAppendReply>(std::move(*wire))
                 : StatusOr<ReplAppendReply>(wire.status());
   if (!reply.ok()) {
     if (current) {

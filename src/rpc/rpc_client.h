@@ -93,7 +93,7 @@ class RpcClient {
       CallOptions options = {}) {
     auto wire = co_await RawCall(to, method.name, request.Encode(), options);
     if (!wire.ok()) co_return wire.status();
-    co_return DecodeEnvelope<typename M::Reply>(*wire);
+    co_return DecodeEnvelope<typename M::Reply>(std::move(*wire));
   }
 
   /// One request fanned out to many peers concurrently; results align with
@@ -173,7 +173,7 @@ sim::Task<void> OneTypedCall(RpcClient* client, NodeId to, const char* method,
   if (!wire.ok()) {
     *slot = wire.status();
   } else {
-    *slot = DecodeEnvelope<Reply>(*wire);
+    *slot = DecodeEnvelope<Reply>(std::move(*wire));
   }
   wg->Done();
 }

@@ -2,6 +2,7 @@
 #define GLOBALDB_SRC_RPC_RPC_SERVER_H_
 
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "src/common/statusor.h"
@@ -17,14 +18,22 @@ namespace internal {
 /// Request decode + handler dispatch + reply envelope encode, as a plain
 /// coroutine function whose frame owns copies of everything it touches
 /// (spawn-safety idiom: the registered lambda below is *not* a coroutine).
+/// A handler returning Encoded<Reply> has already built its envelope.
 template <typename Request, typename Reply, typename Handler>
 sim::Task<std::string> InvokeHandler(Handler handler, NodeId from,
                                      std::string payload) {
   auto request = Request::Decode(Slice(payload));
   if (!request.ok()) co_return EncodeErrorEnvelope(request.status());
-  StatusOr<Reply> result = co_await handler(from, std::move(*request));
+  auto result = co_await handler(from, std::move(*request));
   if (!result.ok()) co_return EncodeErrorEnvelope(result.status());
-  co_return EncodeOkEnvelope(result->Encode());
+  if constexpr (std::is_same_v<std::decay_t<decltype(*result)>,
+                               Encoded<Reply>>) {
+    co_return std::move(result->envelope);
+  } else {
+    static_assert(std::is_same_v<std::decay_t<decltype(*result)>, Reply>,
+                  "handler reply type does not match the method");
+    co_return EncodeOkEnvelope(result->Encode());
+  }
 }
 
 }  // namespace internal
@@ -34,8 +43,9 @@ sim::Task<std::string> InvokeHandler(Handler handler, NodeId from,
 /// duplicated bind-lambda registration blocks in each node class.
 ///
 /// A handler is any callable `(NodeId from, M::Request) ->
-/// sim::Task<StatusOr<M::Reply>>`; the idiomatic registration forwards to a
-/// member coroutine:
+/// sim::Task<StatusOr<M::Reply>>` (or `StatusOr<Encoded<M::Reply>>` when the
+/// reply borrows from storage, see wire.h); the idiomatic registration
+/// forwards to a member coroutine:
 ///
 ///   server_.Handle(kDnLockRead, [this](NodeId from, ReadRequest request) {
 ///     return HandleLockRead(from, std::move(request));

@@ -12,8 +12,8 @@
 
 namespace globaldb::sim {
 
-/// One-shot asynchronous value shared between a Promise (producer) and any
-/// number of Future awaiters (consumers). Waiters are resumed through the
+/// One-shot asynchronous value passed from a Promise (producer) to the one
+/// Future awaiter that consumes it. Waiters are resumed through the
 /// simulator event queue at the moment Set() is called, preserving the
 /// deterministic event order and avoiding unbounded resume recursion.
 template <typename T>
@@ -40,7 +40,10 @@ class Future {
   bool valid() const { return state_ != nullptr; }
   bool ready() const { return state_ && state_->value.has_value(); }
 
-  /// Awaitable; returns a copy of the value (values are small messages).
+  /// Awaitable; moves the value out to the awaiter. A Future has a single
+  /// consumer that awaits it once (an RPC reply envelope moves to its caller
+  /// without a copy); a second awaiter of the same state would see a
+  /// moved-from value.
   auto operator co_await() const noexcept {
     struct Awaiter {
       std::shared_ptr<internal_future::State<T>> state;
@@ -48,7 +51,7 @@ class Future {
       void await_suspend(std::coroutine_handle<> h) {
         state->waiters.push_back(h);
       }
-      T await_resume() { return *state->value; }
+      T await_resume() { return std::move(*state->value); }
     };
     GDB_CHECK(state_ != nullptr) << "awaiting an invalid Future";
     return Awaiter{state_};

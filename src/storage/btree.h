@@ -5,6 +5,7 @@
 #include <cassert>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -72,7 +73,7 @@ class BTree {
   }
 
   /// Returns the value for `key`, or nullptr.
-  V* Find(const std::string& key) {
+  V* Find(std::string_view key) {
     Node* node = root_.get();
     while (!node->is_leaf) {
       Internal* in = static_cast<Internal*>(node);
@@ -83,7 +84,7 @@ class BTree {
     if (it != leaf->entries.end() && it->first == key) return &it->second;
     return nullptr;
   }
-  const V* Find(const std::string& key) const {
+  const V* Find(std::string_view key) const {
     return const_cast<BTree*>(this)->Find(key);
   }
 
@@ -140,7 +141,7 @@ class BTree {
   };
 
   /// Iterator at the first entry with key >= `key`.
-  Iterator LowerBound(const std::string& key) {
+  Iterator LowerBound(std::string_view key) {
     Node* node = root_.get();
     while (!node->is_leaf) {
       Internal* in = static_cast<Internal*>(node);
@@ -193,19 +194,19 @@ class BTree {
   static std::unique_ptr<Node> MakeLeaf() { return std::make_unique<Leaf>(); }
 
   static typename std::vector<std::pair<std::string, V>>::iterator LowerBound(
-      Leaf* leaf, const std::string& key) {
+      Leaf* leaf, std::string_view key) {
     return std::lower_bound(
         leaf->entries.begin(), leaf->entries.end(), key,
-        [](const auto& entry, const std::string& k) { return entry.first < k; });
+        [](const auto& entry, std::string_view k) { return entry.first < k; });
   }
 
-  static size_t ChildIndex(Internal* in, const std::string& key) {
+  static size_t ChildIndex(Internal* in, std::string_view key) {
     // First key > `key` determines the child: children[i] holds keys in
     // [keys[i-1], keys[i]).
     auto it = std::upper_bound(in->keys.begin(), in->keys.end(), key);
     return static_cast<size_t>(it - in->keys.begin());
   }
-  static size_t ChildIndex(const Internal* in, const std::string& key) {
+  static size_t ChildIndex(const Internal* in, std::string_view key) {
     return ChildIndex(const_cast<Internal*>(in), key);
   }
 

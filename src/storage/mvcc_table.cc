@@ -207,17 +207,16 @@ void MvccTable::AbortTxn(TxnId txn) {
   touched_.erase(it);
 }
 
-bool MvccTable::VisibleValue(const VersionChain& chain, Timestamp snapshot,
-                             TxnId reader, std::string* value,
-                             TxnId* provisional) {
+const std::string* MvccTable::VisibleValue(const VersionChain& chain,
+                                           Timestamp snapshot, TxnId reader,
+                                           TxnId* provisional) {
   for (auto it = chain.versions.rbegin(); it != chain.versions.rend(); ++it) {
     const TupleVersion& v = *it;
     if (v.begin_ts == 0) {
       // Provisional version.
       if (v.created_by == reader) {
-        if (v.ended_by == reader) return false;  // deleted own insert
-        *value = v.value;
-        return true;
+        if (v.ended_by == reader) return nullptr;  // deleted own insert
+        return &v.value;
       }
       if (*provisional == kInvalidTxnId) *provisional = v.created_by;
       continue;  // invisible to other snapshots
@@ -225,7 +224,7 @@ bool MvccTable::VisibleValue(const VersionChain& chain, Timestamp snapshot,
     // Committed version: standard MVCC window check. A provisional end by
     // the reader itself hides the version from the reader.
     if (v.ended_by == reader && reader != kInvalidTxnId) {
-      if (v.begin_ts <= snapshot) return false;  // reader deleted it
+      if (v.begin_ts <= snapshot) return nullptr;  // reader deleted it
       continue;
     }
     if (v.ended_by != kInvalidTxnId && *provisional == kInvalidTxnId) {
@@ -233,36 +232,36 @@ bool MvccTable::VisibleValue(const VersionChain& chain, Timestamp snapshot,
       // visible, but note the writer for replica pending-waits.
       *provisional = v.ended_by;
     }
-    if (v.begin_ts <= snapshot && snapshot < v.end_ts) {
-      *value = v.value;
-      return true;
-    }
+    if (v.begin_ts <= snapshot && snapshot < v.end_ts) return &v.value;
   }
-  return false;
+  return nullptr;
 }
 
-ReadResult MvccTable::Read(const RowKey& key, Timestamp snapshot,
+ReadResult MvccTable::Read(Slice key, Timestamp snapshot,
                            TxnId reader) const {
   ReadResult result;
-  const VersionChain* chain = chains_.Find(key);
+  const VersionChain* chain = chains_.Find(key.ToView());
   if (chain == nullptr) return result;
-  result.found = VisibleValue(*chain, snapshot, reader, &result.value,
-                              &result.provisional_txn);
+  const std::string* value =
+      VisibleValue(*chain, snapshot, reader, &result.provisional_txn);
+  if (value != nullptr) {
+    result.found = true;
+    result.value = Slice(*value);
+  }
   return result;
 }
 
 std::vector<MvccTable::ScanEntry> MvccTable::Scan(
-    const RowKey& start, const RowKey& end, Timestamp snapshot, TxnId reader,
-    size_t limit, std::vector<TxnId>* provisional) const {
+    Slice start, Slice end, Timestamp snapshot, TxnId reader, size_t limit,
+    std::vector<TxnId>* provisional) const {
   std::vector<ScanEntry> out;
-  for (auto it = chains_.LowerBound(start); it.Valid(); it.Next()) {
-    if (!end.empty() && !(it.key() < end)) break;
+  for (auto it = chains_.LowerBound(start.ToView()); it.Valid(); it.Next()) {
+    if (!end.empty() && !(Slice(it.key()) < end)) break;
     if (out.size() >= limit) break;
     TxnId pending = kInvalidTxnId;
-    std::string value;
-    if (VisibleValue(it.value(), snapshot, reader, &value, &pending)) {
-      out.push_back({it.key(), std::move(value)});
-    }
+    const std::string* value =
+        VisibleValue(it.value(), snapshot, reader, &pending);
+    if (value != nullptr) out.push_back({Slice(it.key()), Slice(*value)});
     if (pending != kInvalidTxnId && provisional != nullptr) {
       provisional->push_back(pending);
     }
@@ -270,63 +269,78 @@ std::vector<MvccTable::ScanEntry> MvccTable::Scan(
   return out;
 }
 
+namespace {
+
+/// Pushed-down int64 equality filter on one column of an encoded row.
+bool MatchesFilter(Slice value, int32_t col, int64_t eq, Row* scratch) {
+  if (!DecodeRow(value, scratch).ok() ||
+      static_cast<size_t>(col) >= scratch->size()) {
+    return false;
+  }
+  const int64_t* v = std::get_if<int64_t>(&(*scratch)[col]);
+  return v != nullptr && *v == eq;
+}
+
+}  // namespace
+
 MvccTable::PagedScanResult MvccTable::ScanPaged(
-    const RowKey& start, const RowKey& end, const PagedScanOptions& opts,
+    Slice start, Slice end, const PagedScanOptions& opts,
     std::vector<TxnId>* provisional) const {
   PagedScanResult out;
   size_t bytes = 0;
-  for (auto it = chains_.LowerBound(start); it.Valid(); it.Next()) {
-    if (!end.empty() && !(it.key() < end)) break;
+  // Reverse scans keep the last `limit` matches in a ring over out.rows:
+  // `ring_head` is the oldest entry once the ring is full.
+  size_t ring_head = 0;
+  Row scratch;
+  for (auto it = chains_.LowerBound(start.ToView()); it.Valid(); it.Next()) {
+    if (!end.empty() && !(Slice(it.key()) < end)) break;
     if (!opts.reverse && out.rows.size() >= opts.limit) {
       out.limit_hit = true;
       break;
     }
     ++out.rows_examined;
     TxnId pending = kInvalidTxnId;
-    std::string value;
-    const bool visible =
-        VisibleValue(it.value(), opts.snapshot, opts.reader, &value, &pending);
+    const std::string* value =
+        VisibleValue(it.value(), opts.snapshot, opts.reader, &pending);
     if (pending != kInvalidTxnId && provisional != nullptr) {
       provisional->push_back(pending);
     }
-    if (!visible) continue;
-    if (opts.filter_col >= 0) {
-      Row row;
-      bool match = false;
-      if (DecodeRow(Slice(value), &row).ok() &&
-          static_cast<size_t>(opts.filter_col) < row.size()) {
-        const int64_t* v = std::get_if<int64_t>(&row[opts.filter_col]);
-        match = v != nullptr && *v == opts.filter_eq;
-      }
-      if (!match) {
-        ++out.rows_filtered;
-        continue;
-      }
+    if (value == nullptr) continue;
+    if (opts.filter_col >= 0 &&
+        !MatchesFilter(*value, opts.filter_col, opts.filter_eq, &scratch)) {
+      ++out.rows_filtered;
+      continue;
     }
+    const ScanEntry entry{Slice(it.key()), Slice(*value)};
     if (opts.reverse) {
-      // Forward-only leaves: keep a sliding window of the last `limit`
-      // matches, reversed on return.
-      out.rows.push_back({it.key(), std::move(value)});
-      if (out.rows.size() > opts.limit) {
-        out.rows.erase(out.rows.begin());
-        out.limit_hit = true;
+      // Forward-only leaves: slide a window of the last `limit` matches,
+      // overwriting the oldest once it is full.
+      if (out.rows.size() < opts.limit) {
+        out.rows.push_back(entry);
+      } else if (opts.limit > 0) {
+        out.rows[ring_head] = entry;
+        ring_head = ring_head + 1 == opts.limit ? 0 : ring_head + 1;
       }
       continue;
     }
-    const size_t row_bytes = it.key().size() + value.size() + 8;
+    const size_t row_bytes = entry.key.size() + entry.value.size() + 8;
     if (bytes + row_bytes > opts.max_bytes && !out.rows.empty()) {
       out.truncated = true;
-      out.resume_key = it.key();
+      out.resume_key = entry.key;
       break;
     }
     bytes += row_bytes;
-    out.rows.push_back({it.key(), std::move(value)});
+    out.rows.push_back(entry);
     if (out.rows.size() >= opts.limit) {
       out.limit_hit = true;
       break;
     }
   }
   if (opts.reverse) {
+    // Oldest-first is rows[ring_head..] then rows[..ring_head); emit newest
+    // first.
+    std::rotate(out.rows.begin(), out.rows.begin() + ring_head,
+                out.rows.end());
     std::reverse(out.rows.begin(), out.rows.end());
     if (out.rows.size() >= opts.limit) out.limit_hit = true;
   }

@@ -25,10 +25,12 @@ struct TupleVersion {
   std::string value;
 };
 
-/// Result of a snapshot read.
+/// Result of a snapshot read. `value` views the visible version inside the
+/// table and stays valid until the table next changes (any write, commit,
+/// abort, vacuum or image install): copy it before the next suspension point.
 struct ReadResult {
   bool found = false;
-  std::string value;
+  Slice value;
   /// Non-zero when the chain contains an unresolved provisional write by
   /// another transaction. Replica readers use this with the pending-commit
   /// set to implement the paper's tuple-lock wait; primary snapshot readers
@@ -82,19 +84,21 @@ class MvccTable {
   bool HasTxn(TxnId txn) const { return touched_.count(txn) > 0; }
 
   // --- Read path -----------------------------------------------------------
+  //
+  // Reads borrow: every key and value they return is a view into the
+  // table's B+-tree and version chains, valid until the table next changes.
+  // A caller that suspends (CPU charge, lock wait, pending-commit wait)
+  // copies or encodes what it needs first (DESIGN.md §5).
 
-  ReadResult Read(const RowKey& key, Timestamp snapshot,
+  ReadResult Read(Slice key, Timestamp snapshot,
                   TxnId reader = kInvalidTxnId) const;
 
-  struct ScanEntry {
-    RowKey key;
-    std::string value;
-  };
+  using ScanEntry = KeyValueView;
   /// Ordered scan of [start, end) — an empty `end` means "to +inf". Collects
   /// unresolved provisional txns seen along the way into *provisional (may
   /// be null).
-  std::vector<ScanEntry> Scan(const RowKey& start, const RowKey& end,
-                              Timestamp snapshot, TxnId reader, size_t limit,
+  std::vector<ScanEntry> Scan(Slice start, Slice end, Timestamp snapshot,
+                              TxnId reader, size_t limit,
                               std::vector<TxnId>* provisional) const;
 
   /// Pushed-down scan options for the batched scan path (DESIGN.md §14).
@@ -116,16 +120,16 @@ class MvccTable {
   struct PagedScanResult {
     std::vector<ScanEntry> rows;
     bool truncated = false;   // stopped on max_bytes; resume_key valid
-    RowKey resume_key;        // next key a resumed scan should start from
+    Slice resume_key;         // next key a resumed scan should start from
     bool limit_hit = false;   // the pushed-down limit was satisfied
     size_t rows_examined = 0; // version chains visited (CPU accounting)
     size_t rows_filtered = 0; // visible rows dropped by the filter
   };
   /// Scan with server-side filtering, limit pushdown, reverse emulation
-  /// (forward walk keeping the last `limit` matches — the B+-tree links
-  /// leaves forward only), and byte-capped pagination. Collects unresolved
+  /// (forward walk keeping the last `limit` matches in a ring — the
+  /// B+-tree links leaves forward only), and byte-capped pagination. Collects unresolved
   /// provisional txns for every examined chain, filtered or not.
-  PagedScanResult ScanPaged(const RowKey& start, const RowKey& end,
+  PagedScanResult ScanPaged(Slice start, Slice end,
                             const PagedScanOptions& opts,
                             std::vector<TxnId>* provisional) const;
 
@@ -170,10 +174,11 @@ class MvccTable {
     std::vector<TupleVersion> versions;
   };
 
-  /// Core visibility walk shared by Read and Scan.
-  static bool VisibleValue(const VersionChain& chain, Timestamp snapshot,
-                           TxnId reader, std::string* value,
-                           TxnId* provisional);
+  /// The one visibility walk behind Read, Scan and ScanPaged: the version
+  /// of `chain` visible at `snapshot` to `reader`, or null.
+  static const std::string* VisibleValue(const VersionChain& chain,
+                                         Timestamp snapshot, TxnId reader,
+                                         TxnId* provisional);
 
   VersionChain* FindChain(const RowKey& key) { return chains_.Find(key); }
   void Touch(TxnId txn, const RowKey& key) { touched_[txn].push_back(key); }

@@ -164,10 +164,10 @@ TEST(RorSnapshotRaceTest, ParkedScanBatchChunkSurvivesSnapshotInstall) {
     if (reply->results.size() != 1u) co_return;
     EXPECT_EQ(reply->results[0].rows.size(), 2u);
     if (reply->results[0].rows.size() != 2u) co_return;
-    EXPECT_EQ(reply->results[0].rows[0].first, "k");
-    EXPECT_EQ(reply->results[0].rows[0].second, "v-final");
-    EXPECT_EQ(reply->results[0].rows[1].first, "z");
-    EXPECT_EQ(reply->results[0].rows[1].second, "v-new");
+    EXPECT_EQ(reply->results[0].rows[0].key, "k");
+    EXPECT_EQ(reply->results[0].rows[0].value, "v-final");
+    EXPECT_EQ(reply->results[0].rows[1].key, "z");
+    EXPECT_EQ(reply->results[0].rows[1].value, "v-new");
     scan_done = true;
   };
   sim.Spawn(scanner());

@@ -144,11 +144,11 @@ std::vector<std::pair<RowKey, Row>> DirectScan(
   for (ShardId shard : shards) {
     const MvccTable* t = cluster.data_node(shard).store().GetTable(table);
     if (t == nullptr) continue;
-    for (auto& entry :
+    for (const auto& entry :
          t->Scan(start, end, snapshot, kInvalidTxnId, limit, nullptr)) {
       Row row;
       EXPECT_TRUE(DecodeRow(Slice(entry.value), &row).ok());
-      out.emplace_back(std::move(entry.key), std::move(row));
+      out.emplace_back(entry.key.ToString(), std::move(row));
     }
   }
   std::sort(out.begin(), out.end(),

@@ -123,7 +123,9 @@ TEST_P(MvccPropertyTest, MatchesReferenceModelUnderRandomHistories) {
     const Timestamp last = commit_points.empty() ? 1 : commit_points.back();
     auto rows = table.Scan("", "", last, kInvalidTxnId, 1000, nullptr);
     std::map<std::string, std::string> scanned;
-    for (auto& row : rows) scanned[row.key] = row.value;
+    for (const auto& row : rows) {
+      scanned[row.key.ToString()] = row.value.ToString();
+    }
     auto expected_state = model.states.empty()
                               ? std::map<std::string, std::string>{}
                               : model.states.rbegin()->second;

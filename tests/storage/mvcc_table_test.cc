@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <string>
+#include <vector>
+
+#include "src/storage/value.h"
+
 namespace globaldb {
 namespace {
 
@@ -170,6 +177,79 @@ TEST_F(MvccTableTest, ScanRespectsLimit) {
   table_.CommitTxn(1, 100);
   auto rows = table_.Scan("", "", 200, kInvalidTxnId, 7, nullptr);
   EXPECT_EQ(rows.size(), 7u);
+}
+
+// Reverse paged scans keep a sliding window of the last `limit` matches.
+// Over a range ten times longer than the limit, with deleted rows and a
+// pushed-down filter, the result must equal the tail of a forward scan,
+// newest first, and the walk must still examine every chain in the range.
+TEST_F(MvccTableTest, ReversePagedScanMatchesForwardReference) {
+  auto key_of = [](int i) {
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "k%05d", i);
+    return std::string(buf);
+  };
+  for (int i = 0; i < 2000; ++i) {
+    std::string value;
+    EncodeRow({Value(int64_t{i}), Value(int64_t{i % 3})}, &value);
+    ASSERT_TRUE(table_.Insert(key_of(i), value, 1).ok());
+  }
+  table_.CommitTxn(1, 100);
+  for (int i = 0; i < 2000; i += 7) {
+    ASSERT_TRUE(table_.Delete(key_of(i), 2, 150).ok());
+  }
+  table_.CommitTxn(2, 200);
+
+  const std::string start = key_of(200);
+  const std::string end = key_of(1800);  // 1600 chains
+  for (const int32_t filter_col : {-1, 1}) {
+    for (const size_t limit : {size_t{1}, size_t{13}, size_t{37}}) {
+      SCOPED_TRACE("filter_col=" + std::to_string(filter_col) +
+                   " limit=" + std::to_string(limit));
+      std::vector<std::string> expected;
+      for (const auto& e :
+           table_.Scan(start, end, 300, kInvalidTxnId, SIZE_MAX, nullptr)) {
+        Row row;
+        ASSERT_TRUE(DecodeRow(e.value, &row).ok());
+        if (filter_col >= 0 && std::get<int64_t>(row[filter_col]) != 0) {
+          continue;
+        }
+        expected.push_back(e.key.ToString());
+      }
+      ASSERT_GE(expected.size(), 10 * limit);
+      expected.erase(expected.begin(), expected.end() - limit);
+      std::reverse(expected.begin(), expected.end());
+
+      MvccTable::PagedScanOptions opts;
+      opts.snapshot = 300;
+      opts.limit = limit;
+      opts.reverse = true;
+      opts.filter_col = filter_col;
+      opts.filter_eq = 0;
+      MvccTable::PagedScanResult paged =
+          table_.ScanPaged(start, end, opts, nullptr);
+      std::vector<std::string> got;
+      for (const auto& e : paged.rows) got.push_back(e.key.ToString());
+      EXPECT_EQ(got, expected);
+      EXPECT_TRUE(paged.limit_hit);
+      EXPECT_FALSE(paged.truncated);
+      EXPECT_EQ(paged.rows_examined, 1600u);
+    }
+  }
+
+  // A reverse scan that never fills its window returns everything,
+  // newest first, without a limit hit.
+  MvccTable::PagedScanOptions opts;
+  opts.snapshot = 300;
+  opts.limit = 100;
+  opts.reverse = true;
+  MvccTable::PagedScanResult paged =
+      table_.ScanPaged(key_of(10), key_of(30), opts, nullptr);
+  ASSERT_EQ(paged.rows.size(), 17u);  // 20 keys, 14/21/28 deleted
+  EXPECT_EQ(paged.rows.front().key, key_of(29));
+  EXPECT_EQ(paged.rows.back().key, key_of(10));
+  EXPECT_FALSE(paged.limit_hit);
+  EXPECT_EQ(paged.rows_examined, 20u);
 }
 
 TEST_F(MvccTableTest, ReplicaApplyPathMirrorsPrimary) {

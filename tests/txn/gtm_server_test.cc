@@ -146,7 +146,7 @@ TEST_F(GtmServerTest, MalformedRequestRejectedSafely) {
     auto response = co_await client->RawCall(0, kGtmTimestamp.name, "\x01");
     EXPECT_TRUE(response.ok());
     if (response.ok()) {
-      auto decoded = rpc::DecodeEnvelope<GtmTimestampReply>(*response);
+      auto decoded = rpc::DecodeEnvelope<GtmTimestampReply>(std::move(*response));
       *out = decoded.status();
     }
     *done = true;

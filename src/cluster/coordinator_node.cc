@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <tuple>
 
 #include "src/cluster/join_keys.h"
 #include "src/common/logging.h"
@@ -603,7 +602,6 @@ sim::Task<StatusOr<std::vector<std::optional<Row>>>> CoordinatorNode::MultiGet(
   };
   std::vector<UniqueKey> unique;
   std::vector<size_t> slot_of(keys.size());  // keys[i] -> unique index
-  std::map<std::tuple<TableId, RowKey, bool>, size_t> dedup;
   bool needs_flush = false;
   for (size_t i = 0; i < keys.size(); ++i) {
     const MultiGetKey& mk = keys[i];
@@ -627,10 +625,14 @@ sim::Task<StatusOr<std::vector<std::optional<Row>>>> CoordinatorNode::MultiGet(
     // FOR UPDATE reads see the latest version under the row lock and need no
     // OCC validation; plain reads join the epoch read set.
     if (!mk.for_update) NoteEpochRead(txn, uk.table, uk.key);
-    auto [it, inserted] =
-        dedup.try_emplace({uk.table, uk.key, uk.for_update}, unique.size());
-    slot_of[i] = it->second;
-    if (!inserted) continue;
+    // A linear probe: batches hold tens of keys, so this beats a map.
+    auto dup = std::find_if(
+        unique.begin(), unique.end(), [&uk](const UniqueKey& u) {
+          return u.table == uk.table && u.for_update == uk.for_update &&
+                 u.key == uk.key;
+        });
+    slot_of[i] = static_cast<size_t>(dup - unique.begin());
+    if (dup != unique.end()) continue;
     if (mk.for_update) {
       // Lock-reads pin their home shard (the lock lives on the primary);
       // plain reads of replicated tables may rotate to any local copy.

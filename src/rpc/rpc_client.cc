@@ -2,6 +2,18 @@
 
 namespace globaldb::rpc {
 
+const RpcClient::MethodHistograms& RpcClient::HistogramsFor(
+    std::string_view method) {
+  auto it = method_histograms_.find(method);
+  if (it == method_histograms_.end()) {
+    const std::string prefix = "rpc." + std::string(method);
+    MethodHistograms hists{&metrics_.Hist(prefix + ".latency"),
+                           &metrics_.Hist(prefix + ".retries")};
+    it = method_histograms_.emplace(method, hists).first;
+  }
+  return it->second;
+}
+
 sim::Task<StatusOr<std::string>> RpcClient::RawCall(NodeId to,
                                                     const char* method,
                                                     std::string payload,
@@ -67,11 +79,11 @@ sim::Task<StatusOr<std::string>> RpcClient::RawCall(NodeId to,
   }
 
   const SimDuration elapsed = sim_->now() - start;
-  const std::string prefix = std::string("rpc.") + method;
   metrics_.Add("rpc.calls");
   if (!result.ok()) metrics_.Add("rpc.errors");
-  metrics_.Hist(prefix + ".latency").Record(elapsed);
-  metrics_.Hist(prefix + ".retries").Record(attempt - 1);
+  const MethodHistograms& hists = HistogramsFor(method);
+  hists.latency->Record(elapsed);
+  hists.retries->Record(attempt - 1);
 
   TraceEvent event;
   event.start = start;

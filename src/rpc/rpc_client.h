@@ -2,7 +2,10 @@
 #define GLOBALDB_SRC_RPC_RPC_CLIENT_H_
 
 #include <algorithm>
+#include <functional>
+#include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -144,12 +147,21 @@ class RpcClient {
   TraceLog& trace() { return trace_; }
 
  private:
+  /// A method's `rpc.<method>.latency` and `.retries` histograms, looked up
+  /// once per client and method (the Metrics map keeps them in place).
+  struct MethodHistograms {
+    Histogram* latency;
+    Histogram* retries;
+  };
+  const MethodHistograms& HistogramsFor(std::string_view method);
+
   sim::Network* network_;
   sim::Simulator* sim_;
   NodeId self_;
   RpcPolicy policy_;
   double retry_tokens_;
   Metrics metrics_;
+  std::map<std::string, MethodHistograms, std::less<>> method_histograms_;
   TraceLog trace_;
 };
 

@@ -88,6 +88,55 @@ class BTree {
     return const_cast<BTree*>(this)->Find(key);
   }
 
+  /// Fills this empty tree bottom-up from `entries`: leaves packed to
+  /// kLeafCapacity in order, then each internal level packed to kFanout
+  /// children up to the root. Returns false, leaving the tree empty, unless
+  /// the keys are strictly ascending.
+  bool Build(std::vector<std::pair<std::string, V>> entries) {
+    assert(empty());
+    for (size_t i = 1; i < entries.size(); ++i) {
+      if (!(entries[i - 1].first < entries[i].first)) return false;
+    }
+    if (entries.empty()) return true;
+    // Each level as (node, smallest key in its subtree).
+    std::vector<std::pair<std::unique_ptr<Node>, std::string>> level;
+    level.reserve((entries.size() + kLeafCapacity - 1) / kLeafCapacity);
+    Leaf* prev = nullptr;
+    for (size_t begin = 0; begin < entries.size(); begin += kLeafCapacity) {
+      const size_t end = std::min(entries.size(), begin + kLeafCapacity);
+      auto leaf = std::make_unique<Leaf>();
+      leaf->entries.assign(std::make_move_iterator(entries.begin() + begin),
+                           std::make_move_iterator(entries.begin() + end));
+      if (prev == nullptr) {
+        first_leaf_ = leaf.get();
+      } else {
+        prev->next = leaf.get();
+      }
+      prev = leaf.get();
+      std::string min_key = leaf->entries.front().first;
+      level.emplace_back(std::move(leaf), std::move(min_key));
+    }
+    while (level.size() > 1) {
+      std::vector<std::pair<std::unique_ptr<Node>, std::string>> parents;
+      parents.reserve((level.size() + kFanout - 1) / kFanout);
+      for (size_t begin = 0; begin < level.size(); begin += kFanout) {
+        const size_t end = std::min(level.size(), begin + kFanout);
+        auto in = std::make_unique<Internal>();
+        in->keys.reserve(end - begin - 1);
+        in->children.reserve(end - begin);
+        for (size_t i = begin; i < end; ++i) {
+          if (i > begin) in->keys.push_back(std::move(level[i].second));
+          in->children.push_back(std::move(level[i].first));
+        }
+        parents.emplace_back(std::move(in), std::move(level[begin].second));
+      }
+      level = std::move(parents);
+    }
+    root_ = std::move(level.front().first);
+    size_ = entries.size();
+    return true;
+  }
+
   /// Gets-or-default-constructs.
   V& operator[](const std::string& key) {
     V* v = Find(key);
@@ -165,9 +214,14 @@ class BTree {
     return h;
   }
 
-  /// Verifies structural invariants (key ordering within and across nodes);
-  /// for tests. Returns false on violation.
+  /// Verifies structural invariants (key ordering within and across nodes,
+  /// separators bounding their subtrees, every leaf at the same depth); for
+  /// tests. Returns false on violation.
   bool CheckInvariants() const {
+    int leaf_depth = 0;
+    if (!CheckSubtree(root_.get(), nullptr, nullptr, 1, &leaf_depth)) {
+      return false;
+    }
     std::string prev;
     bool first = true;
     const Leaf* leaf = first_leaf_;
@@ -190,6 +244,38 @@ class BTree {
     std::string separator;
     std::unique_ptr<Node> right;
   };
+
+  /// Every key under `node` lies in [lo, hi) (null = unbounded).
+  static bool CheckSubtree(const Node* node, const std::string* lo,
+                           const std::string* hi, int depth,
+                           int* leaf_depth) {
+    if (node->is_leaf) {
+      if (*leaf_depth == 0) *leaf_depth = depth;
+      if (*leaf_depth != depth) return false;
+      for (const auto& e : static_cast<const Leaf*>(node)->entries) {
+        if ((lo != nullptr && e.first < *lo) ||
+            (hi != nullptr && !(e.first < *hi))) {
+          return false;
+        }
+      }
+      return true;
+    }
+    const Internal* in = static_cast<const Internal*>(node);
+    if (in->children.size() != in->keys.size() + 1) return false;
+    for (size_t i = 0; i < in->children.size(); ++i) {
+      const std::string* child_lo = i == 0 ? lo : &in->keys[i - 1];
+      const std::string* child_hi = i == in->keys.size() ? hi : &in->keys[i];
+      if (child_lo != nullptr && child_hi != nullptr &&
+          !(*child_lo < *child_hi)) {
+        return false;
+      }
+      if (!CheckSubtree(in->children[i].get(), child_lo, child_hi, depth + 1,
+                        leaf_depth)) {
+        return false;
+      }
+    }
+    return true;
+  }
 
   static std::unique_ptr<Node> MakeLeaf() { return std::make_unique<Leaf>(); }
 

@@ -130,6 +130,26 @@ Status MvccTable::Delete(const RowKey& key, TxnId txn, Timestamp snapshot) {
   return Status::OK();
 }
 
+Status MvccTable::LoadCommitted(
+    std::vector<std::pair<RowKey, std::string>> rows, TxnId txn,
+    Timestamp ts) {
+  GDB_CHECK(chains_.empty()) << "bulk load into a non-empty table";
+  std::vector<std::pair<std::string, VersionChain>> entries;
+  entries.reserve(rows.size());
+  for (auto& [key, value] : rows) {
+    TupleVersion v;
+    v.begin_ts = ts;
+    v.created_by = txn;
+    v.value = std::move(value);
+    entries.emplace_back(std::move(key), VersionChain{});
+    entries.back().second.versions.push_back(std::move(v));
+  }
+  if (!chains_.Build(std::move(entries))) {
+    return Status::InvalidArgument("bulk load: keys not strictly ascending");
+  }
+  return Status::OK();
+}
+
 void MvccTable::ApplyInsert(const RowKey& key, std::string value, TxnId txn) {
   VersionChain& chain = chains_[key];
   TupleVersion v;
@@ -376,6 +396,9 @@ Status MvccTable::DecodeFrom(Slice* input) {
   if (!GetVarint64(input, &num_chains)) {
     return Status::Corruption("table image: chain count");
   }
+  std::vector<std::pair<std::string, VersionChain>> entries;
+  // Every chain takes at least two bytes, which bounds a corrupt count.
+  entries.reserve(std::min<uint64_t>(num_chains, input->size() / 2));
   for (uint64_t c = 0; c < num_chains; ++c) {
     Slice key;
     uint64_t num_versions = 0;
@@ -383,9 +406,10 @@ Status MvccTable::DecodeFrom(Slice* input) {
         !GetVarint64(input, &num_versions)) {
       return Status::Corruption("table image: chain header");
     }
-    const RowKey row_key = key.ToString();
-    VersionChain& chain = chains_[row_key];
-    chain.versions.reserve(num_versions);
+    entries.emplace_back(key.ToString(), VersionChain{});
+    const RowKey& row_key = entries.back().first;
+    VersionChain& chain = entries.back().second;
+    chain.versions.reserve(std::min<uint64_t>(num_versions, input->size()));
     for (uint64_t i = 0; i < num_versions; ++i) {
       TupleVersion v;
       Slice value;
@@ -404,6 +428,10 @@ Status MvccTable::DecodeFrom(Slice* input) {
       }
       chain.versions.push_back(std::move(v));
     }
+  }
+  if (!chains_.Build(std::move(entries))) {
+    touched_.clear();
+    return Status::Corruption("table image: keys out of order or duplicated");
   }
   return Status::OK();
 }

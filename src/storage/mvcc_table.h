@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/common/slice.h"
@@ -67,6 +68,16 @@ class MvccTable {
   Status Update(const RowKey& key, std::string value, TxnId txn,
                 Timestamp snapshot);
   Status Delete(const RowKey& key, TxnId txn, Timestamp snapshot);
+
+  // --- Bulk load --------------------------------------------------------------
+
+  /// Loads `rows` (key, encoded row) into this empty table as versions that
+  /// `txn` committed at `ts`, in one bottom-up B+-tree build: the state a
+  /// per-row ApplyInsert plus CommitTxn(txn, ts) would leave, without the
+  /// descents or the provisional bookkeeping. InvalidArgument, table left
+  /// empty, unless the keys are strictly ascending.
+  Status LoadCommitted(std::vector<std::pair<RowKey, std::string>> rows,
+                       TxnId txn, Timestamp ts);
 
   // --- Replica replay path (no checks; log order is authoritative) -------
 
@@ -152,6 +163,9 @@ class MvccTable {
   /// Rebuilds a freshly constructed table from an EncodeTo image, restoring
   /// chains and the provisional-transaction bookkeeping (touched_) so
   /// commit/abort replay works after install. Call only on an empty table.
+  /// The image's keys must be strictly ascending, as EncodeTo writes them:
+  /// the tree is built bottom-up, and an out-of-order or duplicate key is
+  /// Corruption (table left empty).
   Status DecodeFrom(Slice* input);
 
   /// Transactions with unresolved provisional state in this table. A

@@ -29,6 +29,9 @@ Status InstallShardStore(Slice image, ShardStore* store) {
         !GetLengthPrefixed(&image, &table_image)) {
       return Status::Corruption("store image: table header");
     }
+    if (store->GetTable(id) != nullptr) {
+      return Status::Corruption("store image: duplicate table");
+    }
     MvccTable* table = store->GetOrCreateTable(id);
     GDB_RETURN_IF_ERROR(table->DecodeFrom(&table_image));
     if (!table_image.empty()) {

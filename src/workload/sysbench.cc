@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "src/common/logging.h"
+#include "src/workload/bulk_load.h"
 
 namespace globaldb {
 
@@ -18,9 +18,6 @@ namespace globaldb {
 
 
 namespace {
-
-constexpr TxnId kLoadTxn = 1;
-constexpr Timestamp kLoadTs = 1;
 
 TableSchema SbtestSchema(const std::string& name) {
   TableSchema s;
@@ -80,32 +77,15 @@ Status SysbenchWorkload::Setup() {
   GDB_RETURN_IF_ERROR(ddl_status);
 
   // Bulk load.
+  BulkLoader loader(cluster_);
   for (int t = 0; t < config_.num_tables; ++t) {
-    const TableSchema* schema = cn.catalog().FindTable(TableName(t));
-    GDB_CHECK(schema != nullptr);
+    const TableSchema& schema = loader.Table(TableName(t));
     for (int64_t id = 1; id <= config_.rows_per_table; ++id) {
-      Row row = {id, rng_.UniformRange(1, config_.rows_per_table),
-                 rng_.AlphaString(30, 60), rng_.AlphaString(20, 40)};
-      const RowKey key = schema->PrimaryKeyOf(row);
-      std::string value;
-      EncodeRow(row, &value);
-      const ShardId shard = RouteRowToShard(
-          *schema, row, static_cast<uint32_t>(cluster_->num_shards()));
-      cluster_->data_node(shard).store().GetOrCreateTable(schema->id)
-          ->ApplyInsert(key, value, kLoadTxn);
-      for (ReplicaNode* replica : cluster_->replicas_of(shard)) {
-        replica->store().GetOrCreateTable(schema->id)
-            ->ApplyInsert(key, value, kLoadTxn);
-      }
+      loader.Add(schema, {id, rng_.UniformRange(1, config_.rows_per_table),
+                          rng_.AlphaString(30, 60), rng_.AlphaString(20, 40)});
     }
   }
-  for (ShardId shard = 0; shard < cluster_->num_shards(); ++shard) {
-    cluster_->data_node(shard).store().CommitTxn(kLoadTxn, kLoadTs);
-    for (ReplicaNode* replica : cluster_->replicas_of(shard)) {
-      replica->store().CommitTxn(kLoadTxn, kLoadTs);
-    }
-  }
-  return Status::OK();
+  return loader.Finish();
 }
 
 TxnFn SysbenchWorkload::PointSelectFn() {

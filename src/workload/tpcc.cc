@@ -4,7 +4,7 @@
 #include <map>
 #include <utility>
 
-#include "src/common/logging.h"
+#include "src/workload/bulk_load.h"
 
 namespace globaldb {
 
@@ -20,9 +20,6 @@ namespace globaldb {
 
 
 namespace {
-
-constexpr TxnId kLoadTxn = 1;
-constexpr Timestamp kLoadTs = 1;
 
 TableSchema WarehouseSchema() {
   TableSchema s;
@@ -170,13 +167,14 @@ std::pair<RowKey, RowKey> PrefixRange(std::initializer_list<Value> parts) {
 }  // namespace
 
 TpccWorkload::TpccWorkload(Cluster* cluster, TpccConfig config, uint64_t seed)
-    : cluster_(cluster), config_(config), rng_(seed) {}
+    : cluster_(cluster),
+      config_(config),
+      rng_(seed),
+      warehouse_schema_(WarehouseSchema()) {}
 
 ShardId TpccWorkload::ShardOfWarehouse(int64_t w) const {
-  const TableSchema schema = WarehouseSchema();
-  Row row = {w, std::string(), 0.0};
-  return RouteRowToShard(schema, row,
-                         static_cast<uint32_t>(cluster_->num_shards()));
+  return RouteToShard(warehouse_schema_, Value(w),
+                      static_cast<uint32_t>(cluster_->num_shards()));
 }
 
 bool TpccWorkload::WarehouseIsLocal(CoordinatorNode* cn, int64_t w) const {
@@ -241,78 +239,52 @@ Status TpccWorkload::Setup() {
 
   // 2. Bulk-load directly into primaries and replicas (load time is outside
   // every measurement window).
-  const Catalog& catalog = cn.catalog();
-  auto load_row = [&](const TableSchema& proto, const Row& row) {
-    const TableSchema* schema = catalog.FindTable(proto.name);
-    GDB_CHECK(schema != nullptr);
-    const RowKey key = schema->PrimaryKeyOf(row);
-    std::string value;
-    EncodeRow(row, &value);
-    std::vector<ShardId> shards;
-    if (schema->distribution == DistributionKind::kReplicated) {
-      for (ShardId s = 0; s < cluster_->num_shards(); ++s) {
-        shards.push_back(s);
-      }
-    } else {
-      shards.push_back(RouteRowToShard(
-          *schema, row, static_cast<uint32_t>(cluster_->num_shards())));
-    }
-    for (ShardId shard : shards) {
-      cluster_->data_node(shard).store().GetOrCreateTable(schema->id)
-          ->ApplyInsert(key, value, kLoadTxn);
-      for (ReplicaNode* replica : cluster_->replicas_of(shard)) {
-        replica->store().GetOrCreateTable(schema->id)
-            ->ApplyInsert(key, value, kLoadTxn);
-      }
-    }
-  };
+  BulkLoader loader(cluster_);
+  const TableSchema& item = loader.Table("item");
+  const TableSchema& warehouse = loader.Table("warehouse");
+  const TableSchema& stock = loader.Table("stock");
+  const TableSchema& district = loader.Table("district");
+  const TableSchema& customer = loader.Table("customer");
+  const TableSchema& orders = loader.Table("orders");
+  const TableSchema& orders_cust_idx = loader.Table("orders_cust_idx");
+  const TableSchema& new_order = loader.Table("new_order");
+  const TableSchema& order_line = loader.Table("order_line");
 
   for (int64_t i = 1; i <= config_.items; ++i) {
-    load_row(ItemSchema(),
-             {i, "item_" + std::to_string(i),
-              static_cast<double>(rng_.UniformRange(100, 10000)) / 100.0});
+    loader.Add(item,
+               {i, "item_" + std::to_string(i),
+                static_cast<double>(rng_.UniformRange(100, 10000)) / 100.0});
   }
   for (int64_t w = 1; w <= config_.num_warehouses; ++w) {
-    load_row(WarehouseSchema(), {w, "warehouse_" + std::to_string(w), 0.0});
+    loader.Add(warehouse, {w, "warehouse_" + std::to_string(w), 0.0});
     for (int64_t i = 1; i <= config_.items; ++i) {
-      load_row(StockSchema(),
-               {w, i, rng_.UniformRange(10, 100), 0.0, int64_t{0}});
+      loader.Add(stock, {w, i, rng_.UniformRange(10, 100), 0.0, int64_t{0}});
     }
     for (int64_t d = 1; d <= config_.districts_per_warehouse; ++d) {
       const int64_t next_o_id = config_.initial_orders_per_district + 1;
-      load_row(DistrictSchema(),
-               {w, d, "district", 0.0, next_o_id});
+      loader.Add(district, {w, d, "district", 0.0, next_o_id});
       for (int64_t c = 1; c <= config_.customers_per_district; ++c) {
-        load_row(CustomerSchema(),
-                 {w, d, c, rng_.AlphaString(8, 16), -10.0, 10.0,
-                  int64_t{1}});
+        loader.Add(customer, {w, d, c, rng_.AlphaString(8, 16), -10.0, 10.0,
+                              int64_t{1}});
       }
       for (int64_t o = 1; o <= config_.initial_orders_per_district; ++o) {
         const int64_t c_id =
             rng_.UniformRange(1, config_.customers_per_district);
         const int64_t ol_cnt = rng_.UniformRange(5, 15);
-        load_row(OrdersSchema(), {w, d, o, c_id, ol_cnt, int64_t{0}});
-        load_row(OrdersCustIdxSchema(), {w, d, c_id, o});
+        loader.Add(orders, {w, d, o, c_id, ol_cnt, int64_t{0}});
+        loader.Add(orders_cust_idx, {w, d, c_id, o});
         if (o > config_.initial_orders_per_district - 3) {
-          load_row(NewOrderSchema(), {w, d, o});
+          loader.Add(new_order, {w, d, o});
         }
         for (int64_t ol = 1; ol <= ol_cnt; ++ol) {
-          load_row(OrderLineSchema(),
-                   {w, d, o, ol, rng_.UniformRange(1, config_.items), w,
-                    int64_t{5}, 50.0});
+          loader.Add(order_line, {w, d, o, ol,
+                                  rng_.UniformRange(1, config_.items), w,
+                                  int64_t{5}, 50.0});
         }
       }
     }
   }
-
-  // 3. Stamp the load transaction everywhere.
-  for (ShardId shard = 0; shard < cluster_->num_shards(); ++shard) {
-    cluster_->data_node(shard).store().CommitTxn(kLoadTxn, kLoadTs);
-    for (ReplicaNode* replica : cluster_->replicas_of(shard)) {
-      replica->store().CommitTxn(kLoadTxn, kLoadTs);
-    }
-  }
-  return Status::OK();
+  return loader.Finish();
 }
 
 TxnFn TpccWorkload::MixFn() {

@@ -81,9 +81,9 @@ class TpccWorkload {
   Cluster* cluster_;
   TpccConfig config_;
   Rng rng_;
-  /// next order id per (warehouse, district), client-side cache for
-  /// generating order ids without a district hotspot read during load.
-  std::vector<int64_t> next_order_id_;
+  /// Routes warehouse ids to shards (built once: ShardOfWarehouse runs
+  /// several times per transaction).
+  TableSchema warehouse_schema_;
 };
 
 }  // namespace globaldb

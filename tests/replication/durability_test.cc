@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/codec.h"
 #include "src/common/metrics.h"
 #include "src/log/log_stream.h"
 #include "src/replication/durability_manager.h"
@@ -114,6 +115,23 @@ TEST(ShardSnapshotTest, StoreImageRoundTripsIncludingProvisionalState) {
   restored.CommitTxn(3, 40);
   EXPECT_EQ(restored.GetTable(1)->Read("b", 45).value, "pending");
   EXPECT_TRUE(restored.ProvisionalTxns().empty());
+}
+
+TEST(ShardSnapshotTest, StoreImageWithRepeatedTableIsCorruption) {
+  ShardStore store(0);
+  store.GetOrCreateTable(1)->ApplyInsert("a", "v1", 1);
+  store.GetOrCreateTable(1)->CommitTxn(1, 10);
+  std::string table_image;
+  store.GetTable(1)->EncodeTo(&table_image);
+  std::string image;
+  PutVarint64(&image, 2);
+  for (int i = 0; i < 2; ++i) {
+    PutVarint32(&image, 1);
+    PutLengthPrefixed(&image, table_image);
+  }
+  ShardStore restored(0);
+  EXPECT_EQ(InstallShardStore(Slice(image), &restored).code(),
+            StatusCode::kCorruption);
 }
 
 // --- Shipper + applier integration ------------------------------------------

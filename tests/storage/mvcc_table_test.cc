@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/common/codec.h"
 #include "src/storage/value.h"
 
 namespace globaldb {
@@ -287,6 +289,78 @@ TEST_F(MvccTableTest, VacuumReclaimsDeadVersions) {
   EXPECT_GE(reclaimed, 3u);
   // Latest version still readable.
   EXPECT_TRUE(table_.Read("k", 10000).found);
+}
+
+// --- Bulk load and image install ---------------------------------------------
+
+TEST_F(MvccTableTest, LoadCommittedMatchesInsertThenCommit) {
+  MvccTable replayed(1);
+  std::vector<std::pair<RowKey, std::string>> rows;
+  for (int i = 0; i < 300; ++i) {
+    char key[16];
+    snprintf(key, sizeof(key), "k%05d", i);
+    replayed.ApplyInsert(key, "v" + std::to_string(i), /*txn=*/1);
+    rows.emplace_back(key, "v" + std::to_string(i));
+  }
+  replayed.CommitTxn(1, /*ts=*/1);
+  ASSERT_TRUE(table_.LoadCommitted(std::move(rows), 1, 1).ok());
+
+  std::string loaded_image, replayed_image;
+  table_.EncodeTo(&loaded_image);
+  replayed.EncodeTo(&replayed_image);
+  EXPECT_EQ(loaded_image, replayed_image);
+  EXPECT_TRUE(table_.ProvisionalTxns().empty());
+  EXPECT_EQ(table_.Read("k00123", 1).value, "v123");
+  EXPECT_FALSE(table_.Read("k00123", 0).found);
+}
+
+TEST_F(MvccTableTest, LoadCommittedRejectsUnsortedRows) {
+  EXPECT_EQ(table_.LoadCommitted({{"b", "1"}, {"a", "2"}}, 1, 1).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(table_.KeyCount(), 0u);
+}
+
+/// A table image of one-version committed chains with `keys` in the given
+/// order, in EncodeTo's format.
+std::string ImageWithKeys(const std::vector<std::string>& keys) {
+  std::string image;
+  PutVarint64(&image, keys.size());
+  for (const std::string& key : keys) {
+    PutLengthPrefixed(&image, key);
+    PutVarint64(&image, 1);  // versions
+    PutVarint64(&image, 10);  // begin_ts
+    PutVarint64(&image, kTimestampMax);
+    PutVarint64(&image, 3);  // created_by
+    PutVarint64(&image, kInvalidTxnId);
+    PutLengthPrefixed(&image, "v-" + key);
+  }
+  return image;
+}
+
+TEST_F(MvccTableTest, DecodeFromRebuildsSortedImage) {
+  const std::string image = ImageWithKeys({"a", "b", "c"});
+  Slice input(image);
+  ASSERT_TRUE(table_.DecodeFrom(&input).ok());
+  EXPECT_TRUE(input.empty());
+  std::string reencoded;
+  table_.EncodeTo(&reencoded);
+  EXPECT_EQ(reencoded, image);
+  EXPECT_EQ(table_.Read("b", 10).value, "v-b");
+}
+
+TEST_F(MvccTableTest, DecodeFromRejectsUnsortedKeys) {
+  const std::string image = ImageWithKeys({"a", "c", "b"});
+  Slice input(image);
+  EXPECT_EQ(table_.DecodeFrom(&input).code(), StatusCode::kCorruption);
+  EXPECT_EQ(table_.KeyCount(), 0u);
+}
+
+TEST_F(MvccTableTest, DecodeFromRejectsDuplicateKeys) {
+  const std::string image = ImageWithKeys({"a", "b", "b"});
+  Slice input(image);
+  EXPECT_EQ(table_.DecodeFrom(&input).code(), StatusCode::kCorruption);
+  EXPECT_EQ(table_.KeyCount(), 0u);
+  EXPECT_TRUE(table_.ProvisionalTxns().empty());
 }
 
 }  // namespace

@@ -46,9 +46,11 @@ echo "OK: geobench tpcc_geo_ro repeat and traced runs are bit-identical"
 
 # Simulated-metric pin: seed 1 of every geobench workload (2 s windows) must
 # reproduce scripts/geobench_sim_pin.json exactly: attempted, failed and the
-# simulated end-to-end metrics. A change that moves simulated behaviour
-# regenerates the pin with --write and reports it in CHANGES.md.
-echo "== geobench simulated-metric pin (all workloads, seed 1) =="
+# simulated end-to-end metrics. The same runs' peak RSS must stay under
+# scripts/geobench_rss_ceiling.json. A change that moves simulated behaviour
+# (or the memory ceiling) regenerates them with --write and reports it in
+# CHANGES.md.
+echo "== geobench simulated-metric pin + RSS ceiling (all workloads, seed 1) =="
 python3 scripts/geobench_sim_pin.py
 
 # Durability soak: 10 simulated minutes of TPC-C with checkpoints every 5 s

@@ -115,10 +115,10 @@ void DataNode::InstallForPromotion(Lsn applied_lsn, Timestamp max_commit_ts,
     if (doubt != in_doubt.end()) {
       in_doubt_[txn] = doubt->second;
       for (const auto& [table_id, table] : store_.tables()) {
-        const std::vector<RowKey>* keys = table->TouchedKeys(txn);
+        const std::vector<std::string_view>* keys = table->TouchedKeys(txn);
         if (keys == nullptr) continue;
-        for (const RowKey& key : *keys) {
-          locks_.TryAcquire(txn, table_id, key);
+        for (std::string_view key : *keys) {
+          locks_.TryAcquire(txn, table_id, RowKey(key));
         }
       }
       metrics_.Add("dn.promotion_in_doubt");

@@ -176,7 +176,7 @@ sim::Task<StatusOr<ReplAppendReply>> ReplicaApplier::HandleAppend(
     ack.accepted = false;
     co_return ack;
   }
-  size_t applied = co_await ApplyRecords(records);
+  size_t applied = co_await ApplyRecords(std::move(records));
   applied += co_await DrainReorder();
   ReleaseApply();
   metrics_.Add("apply.records", static_cast<int64_t>(applied));
@@ -207,9 +207,9 @@ void ReplicaApplier::ReleaseApply() {
 }
 
 sim::Task<size_t> ReplicaApplier::ApplyRecords(
-    const std::vector<RedoRecord>& records) {
+    std::vector<RedoRecord> records) {
   size_t applied = 0;
-  for (const RedoRecord& record : records) {
+  for (RedoRecord& record : records) {
     if (record.lsn <= applied_lsn_) continue;  // duplicate from a resend
     // Replay cost (the node's multi-core CpuScheduler models the paper's
     // parallel replay).
@@ -228,7 +228,7 @@ sim::Task<size_t> ReplicaApplier::DrainReorder() {
     BufferedBatch batch = std::move(it->second);
     reorder_bytes_ -= batch.bytes;
     reorder_.erase(it);
-    applied += co_await ApplyRecords(batch.records);
+    applied += co_await ApplyRecords(std::move(batch.records));
     metrics_.Add("apply.reorder_drained");
   }
   co_return applied;
@@ -262,15 +262,15 @@ bool ReplicaApplier::TryBuffer(Lsn start_lsn, BufferedBatch batch) {
   return true;
 }
 
-void ReplicaApplier::ApplyRecord(const RedoRecord& record) {
+void ReplicaApplier::ApplyRecord(RedoRecord& record) {
   switch (record.type) {
     case RedoType::kInsert:
       store_->GetOrCreateTable(record.table_id)
-          ->ApplyInsert(record.key, record.value, record.txn_id);
+          ->ApplyInsert(record.key, std::move(record.value), record.txn_id);
       break;
     case RedoType::kUpdate:
       store_->GetOrCreateTable(record.table_id)
-          ->ApplyUpdate(record.key, record.value, record.txn_id);
+          ->ApplyUpdate(record.key, std::move(record.value), record.txn_id);
       break;
     case RedoType::kDelete:
       store_->GetOrCreateTable(record.table_id)

@@ -1,6 +1,7 @@
 #include "src/storage/mvcc_table.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "src/common/codec.h"
 #include "src/common/logging.h"
@@ -8,12 +9,58 @@
 
 namespace globaldb {
 
+void VersionChain::push_back(TupleVersion v) {
+  switch (state_) {
+    case State::kEmpty:
+      std::construct_at(&one_, std::move(v));
+      state_ = State::kInline;
+      return;
+    case State::kInline: {
+      std::vector<TupleVersion> many;
+      many.reserve(2);
+      many.push_back(std::move(one_));
+      many.push_back(std::move(v));
+      std::destroy_at(&one_);
+      std::construct_at(&many_, std::move(many));
+      state_ = State::kSpilled;
+      return;
+    }
+    case State::kSpilled:
+      many_.push_back(std::move(v));
+      return;
+  }
+}
+
+void VersionChain::Clear() {
+  if (state_ == State::kInline) std::destroy_at(&one_);
+  if (state_ == State::kSpilled) std::destroy_at(&many_);
+  state_ = State::kEmpty;
+}
+
+void VersionChain::TakeFrom(VersionChain* other) {
+  if (other->state_ == State::kInline) {
+    std::construct_at(&one_, std::move(other->one_));
+  } else if (other->state_ == State::kSpilled) {
+    std::construct_at(&many_, std::move(other->many_));
+  }
+  state_ = other->state_;
+  other->Clear();
+}
+
+void VersionChain::Unspill() {
+  std::vector<TupleVersion> many = std::move(many_);
+  Clear();
+  if (!many.empty()) {
+    std::construct_at(&one_, std::move(many.front()));
+    state_ = State::kInline;
+  }
+}
+
 namespace {
 
 /// True if the chain has a live version: committed (or provisional) with
 /// end_ts == kTimestampMax and no provisional end marker.
-const TupleVersion* NewestLive(
-    const std::vector<TupleVersion>& versions) {
+const TupleVersion* NewestLive(const VersionChain& versions) {
   for (auto it = versions.rbegin(); it != versions.rend(); ++it) {
     if (it->end_ts == kTimestampMax && it->ended_by == kInvalidTxnId) {
       return &*it;
@@ -28,8 +75,8 @@ const TupleVersion* NewestLive(
 }  // namespace
 
 Status MvccTable::Insert(const RowKey& key, std::string value, TxnId txn) {
-  VersionChain& chain = chains_[key];
-  const TupleVersion* live = NewestLive(chain.versions);
+  auto& [interned, chain] = chains_.FindOrInsert(key);
+  const TupleVersion* live = NewestLive(chain);
   if (live != nullptr) {
     if (live->begin_ts == 0 && live->created_by == txn &&
         live->ended_by == kInvalidTxnId) {
@@ -47,20 +94,20 @@ Status MvccTable::Insert(const RowKey& key, std::string value, TxnId txn) {
   TupleVersion v;
   v.created_by = txn;
   v.value = std::move(value);
-  chain.versions.push_back(std::move(v));
-  Touch(txn, key);
+  chain.push_back(std::move(v));
+  Touch(txn, interned);
   return Status::OK();
 }
 
 Status MvccTable::Update(const RowKey& key, std::string value, TxnId txn,
                          Timestamp snapshot) {
-  VersionChain* chain = FindChain(key);
-  if (chain == nullptr || chain->versions.empty()) {
+  auto* entry = chains_.FindEntry(key);
+  if (entry == nullptr || entry->second.empty()) {
     return Status::NotFound("update: no such key");
   }
+  VersionChain& chain = entry->second;
   TupleVersion* live = nullptr;
-  for (auto it = chain->versions.rbegin(); it != chain->versions.rend();
-       ++it) {
+  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
     if (it->end_ts == kTimestampMax) {
       live = &*it;
       break;
@@ -89,19 +136,19 @@ Status MvccTable::Update(const RowKey& key, std::string value, TxnId txn,
   TupleVersion v;
   v.created_by = txn;
   v.value = std::move(value);
-  chain->versions.push_back(std::move(v));
-  Touch(txn, key);
+  chain.push_back(std::move(v));
+  Touch(txn, entry->first);
   return Status::OK();
 }
 
 Status MvccTable::Delete(const RowKey& key, TxnId txn, Timestamp snapshot) {
-  VersionChain* chain = FindChain(key);
-  if (chain == nullptr || chain->versions.empty()) {
+  auto* entry = chains_.FindEntry(key);
+  if (entry == nullptr || entry->second.empty()) {
     return Status::NotFound("delete: no such key");
   }
+  VersionChain& chain = entry->second;
   TupleVersion* live = nullptr;
-  for (auto it = chain->versions.rbegin(); it != chain->versions.rend();
-       ++it) {
+  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
     if (it->end_ts == kTimestampMax) {
       live = &*it;
       break;
@@ -126,7 +173,7 @@ Status MvccTable::Delete(const RowKey& key, TxnId txn, Timestamp snapshot) {
     return Status::Aborted("write conflict: version newer than snapshot");
   }
   live->ended_by = txn;
-  Touch(txn, key);
+  Touch(txn, entry->first);
   return Status::OK();
 }
 
@@ -134,15 +181,16 @@ Status MvccTable::LoadCommitted(
     std::vector<std::pair<RowKey, std::string>> rows, TxnId txn,
     Timestamp ts) {
   GDB_CHECK(chains_.empty()) << "bulk load into a non-empty table";
-  std::vector<std::pair<std::string, VersionChain>> entries;
+  // Keys view `rows` until Build interns them.
+  std::vector<BTree<VersionChain>::Entry> entries;
   entries.reserve(rows.size());
   for (auto& [key, value] : rows) {
     TupleVersion v;
     v.begin_ts = ts;
     v.created_by = txn;
     v.value = std::move(value);
-    entries.emplace_back(std::move(key), VersionChain{});
-    entries.back().second.versions.push_back(std::move(v));
+    entries.emplace_back(key, VersionChain{});
+    entries.back().second.push_back(std::move(v));
   }
   if (!chains_.Build(std::move(entries))) {
     return Status::InvalidArgument("bulk load: keys not strictly ascending");
@@ -151,17 +199,17 @@ Status MvccTable::LoadCommitted(
 }
 
 void MvccTable::ApplyInsert(const RowKey& key, std::string value, TxnId txn) {
-  VersionChain& chain = chains_[key];
+  auto& [interned, chain] = chains_.FindOrInsert(key);
   TupleVersion v;
   v.created_by = txn;
   v.value = std::move(value);
-  chain.versions.push_back(std::move(v));
-  Touch(txn, key);
+  chain.push_back(std::move(v));
+  Touch(txn, interned);
 }
 
 void MvccTable::ApplyUpdate(const RowKey& key, std::string value, TxnId txn) {
-  VersionChain& chain = chains_[key];
-  for (auto it = chain.versions.rbegin(); it != chain.versions.rend(); ++it) {
+  auto& [interned, chain] = chains_.FindOrInsert(key);
+  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
     if (it->end_ts == kTimestampMax) {
       if (it->begin_ts == 0 && it->created_by == txn) {
         // Second update by the same txn overwrites its provisional version.
@@ -175,16 +223,16 @@ void MvccTable::ApplyUpdate(const RowKey& key, std::string value, TxnId txn) {
   TupleVersion v;
   v.created_by = txn;
   v.value = std::move(value);
-  chain.versions.push_back(std::move(v));
-  Touch(txn, key);
+  chain.push_back(std::move(v));
+  Touch(txn, interned);
 }
 
 void MvccTable::ApplyDelete(const RowKey& key, TxnId txn) {
-  VersionChain& chain = chains_[key];
-  for (auto it = chain.versions.rbegin(); it != chain.versions.rend(); ++it) {
+  auto& [interned, chain] = chains_.FindOrInsert(key);
+  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
     if (it->end_ts == kTimestampMax) {
       it->ended_by = txn;
-      Touch(txn, key);
+      Touch(txn, interned);
       return;
     }
   }
@@ -193,10 +241,10 @@ void MvccTable::ApplyDelete(const RowKey& key, TxnId txn) {
 void MvccTable::CommitTxn(TxnId txn, Timestamp ts) {
   auto it = touched_.find(txn);
   if (it == touched_.end()) return;
-  for (const RowKey& key : it->second) {
+  for (std::string_view key : it->second) {
     VersionChain* chain = FindChain(key);
     if (chain == nullptr) continue;
-    for (TupleVersion& v : chain->versions) {
+    for (TupleVersion& v : *chain) {
       if (v.created_by == txn && v.begin_ts == 0) v.begin_ts = ts;
       if (v.ended_by == txn) {
         v.end_ts = ts;
@@ -210,17 +258,13 @@ void MvccTable::CommitTxn(TxnId txn, Timestamp ts) {
 void MvccTable::AbortTxn(TxnId txn) {
   auto it = touched_.find(txn);
   if (it == touched_.end()) return;
-  for (const RowKey& key : it->second) {
+  for (std::string_view key : it->second) {
     VersionChain* chain = FindChain(key);
     if (chain == nullptr) continue;
-    auto& versions = chain->versions;
-    versions.erase(
-        std::remove_if(versions.begin(), versions.end(),
-                       [txn](const TupleVersion& v) {
-                         return v.created_by == txn && v.begin_ts == 0;
-                       }),
-        versions.end());
-    for (TupleVersion& v : versions) {
+    chain->EraseIf([txn](const TupleVersion& v) {
+      return v.created_by == txn && v.begin_ts == 0;
+    });
+    for (TupleVersion& v : *chain) {
       if (v.ended_by == txn) v.ended_by = kInvalidTxnId;
     }
   }
@@ -230,7 +274,7 @@ void MvccTable::AbortTxn(TxnId txn) {
 const std::string* MvccTable::VisibleValue(const VersionChain& chain,
                                            Timestamp snapshot, TxnId reader,
                                            TxnId* provisional) {
-  for (auto it = chain.versions.rbegin(); it != chain.versions.rend(); ++it) {
+  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
     const TupleVersion& v = *it;
     if (v.begin_ts == 0) {
       // Provisional version.
@@ -370,7 +414,7 @@ MvccTable::PagedScanResult MvccTable::ScanPaged(
 size_t MvccTable::VersionCount() const {
   size_t total = 0;
   for (auto it = chains_.Begin(); it.Valid(); it.Next()) {
-    total += it.value().versions.size();
+    total += it.value().size();
   }
   return total;
 }
@@ -379,9 +423,9 @@ void MvccTable::EncodeTo(std::string* dst) const {
   PutVarint64(dst, chains_.size());
   for (auto it = chains_.Begin(); it.Valid(); it.Next()) {
     PutLengthPrefixed(dst, it.key());
-    const auto& versions = it.value().versions;
-    PutVarint64(dst, versions.size());
-    for (const TupleVersion& v : versions) {
+    const VersionChain& chain = it.value();
+    PutVarint64(dst, chain.size());
+    for (const TupleVersion& v : chain) {
       PutVarint64(dst, v.begin_ts);
       PutVarint64(dst, v.end_ts);
       PutVarint64(dst, v.created_by);
@@ -391,14 +435,34 @@ void MvccTable::EncodeTo(std::string* dst) const {
   }
 }
 
+size_t MvccTable::EncodedSize() const {
+  size_t bytes = VarintLength(chains_.size());
+  for (auto it = chains_.Begin(); it.Valid(); it.Next()) {
+    const VersionChain& chain = it.value();
+    bytes += VarintLength(it.key().size()) + it.key().size() +
+             VarintLength(chain.size());
+    for (const TupleVersion& v : chain) {
+      bytes += VarintLength(v.begin_ts) + VarintLength(v.end_ts) +
+               VarintLength(v.created_by) + VarintLength(v.ended_by) +
+               VarintLength(v.value.size()) + v.value.size();
+    }
+  }
+  return bytes;
+}
+
 Status MvccTable::DecodeFrom(Slice* input) {
   uint64_t num_chains = 0;
   if (!GetVarint64(input, &num_chains)) {
     return Status::Corruption("table image: chain count");
   }
-  std::vector<std::pair<std::string, VersionChain>> entries;
+  // Keys view the image until Build interns them.
+  std::vector<BTree<VersionChain>::Entry> entries;
   // Every chain takes at least two bytes, which bounds a corrupt count.
   entries.reserve(std::min<uint64_t>(num_chains, input->size() / 2));
+  // Provisional writes as (txn, image key), in image order: they become
+  // touched_ entries once the build has interned the keys, so a corrupt
+  // image leaves no bookkeeping behind.
+  std::vector<std::pair<TxnId, std::string_view>> provisional;
   for (uint64_t c = 0; c < num_chains; ++c) {
     Slice key;
     uint64_t num_versions = 0;
@@ -406,10 +470,8 @@ Status MvccTable::DecodeFrom(Slice* input) {
         !GetVarint64(input, &num_versions)) {
       return Status::Corruption("table image: chain header");
     }
-    entries.emplace_back(key.ToString(), VersionChain{});
-    const RowKey& row_key = entries.back().first;
+    entries.emplace_back(key.ToView(), VersionChain{});
     VersionChain& chain = entries.back().second;
-    chain.versions.reserve(std::min<uint64_t>(num_versions, input->size()));
     for (uint64_t i = 0; i < num_versions; ++i) {
       TupleVersion v;
       Slice value;
@@ -419,19 +481,21 @@ Status MvccTable::DecodeFrom(Slice* input) {
           !GetLengthPrefixed(input, &value)) {
         return Status::Corruption("table image: version");
       }
-      v.value = value.ToString();
+      v.value = value.ToString();  // exact capacity, unlike assign()
       // Rebuild provisional bookkeeping so replayed COMMIT/ABORT records
       // (and promotion-time in-doubt aborts) resolve installed versions.
-      if (v.begin_ts == 0) Touch(v.created_by, row_key);
+      if (v.begin_ts == 0) provisional.emplace_back(v.created_by, key.ToView());
       if (v.ended_by != kInvalidTxnId && v.ended_by != v.created_by) {
-        Touch(v.ended_by, row_key);
+        provisional.emplace_back(v.ended_by, key.ToView());
       }
-      chain.versions.push_back(std::move(v));
+      chain.push_back(std::move(v));
     }
   }
   if (!chains_.Build(std::move(entries))) {
-    touched_.clear();
     return Status::Corruption("table image: keys out of order or duplicated");
+  }
+  for (const auto& [txn, key] : provisional) {
+    Touch(txn, chains_.FindEntry(key)->first);
   }
   return Status::OK();
 }
@@ -446,16 +510,10 @@ std::vector<TxnId> MvccTable::ProvisionalTxns() const {
 size_t MvccTable::Vacuum(Timestamp horizon) {
   size_t reclaimed = 0;
   for (auto it = chains_.Begin(); it.Valid(); it.Next()) {
-    auto& versions = it.value().versions;
-    const size_t before = versions.size();
-    versions.erase(std::remove_if(versions.begin(), versions.end(),
-                                  [horizon](const TupleVersion& v) {
-                                    return v.begin_ts != 0 &&
-                                           v.end_ts != kTimestampMax &&
-                                           v.end_ts <= horizon;
-                                  }),
-                   versions.end());
-    reclaimed += before - versions.size();
+    reclaimed += it.value().EraseIf([horizon](const TupleVersion& v) {
+      return v.begin_ts != 0 && v.end_ts != kTimestampMax &&
+             v.end_ts <= horizon;
+    });
   }
   return reclaimed;
 }

@@ -1,8 +1,11 @@
 #ifndef GLOBALDB_SRC_STORAGE_MVCC_TABLE_H_
 #define GLOBALDB_SRC_STORAGE_MVCC_TABLE_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -24,6 +27,87 @@ struct TupleVersion {
   TxnId created_by = kInvalidTxnId;
   TxnId ended_by = kInvalidTxnId;     // provisional delete/update marker
   std::string value;
+};
+
+/// A key's versions, oldest first, newest at the back. Most rows hold one
+/// version, so the chain keeps a single version inline (in the B+-tree leaf
+/// slot itself) and spills every version to one heap vector only while it
+/// holds two or more; erasing back down to one moves the survivor inline.
+/// An inline version moves whenever its leaf shifts entries, so views of
+/// its value follow the table's read rule (valid until the next write).
+class VersionChain {
+ public:
+  VersionChain() {}
+  ~VersionChain() { Clear(); }
+  VersionChain(VersionChain&& other) noexcept { TakeFrom(&other); }
+  VersionChain& operator=(VersionChain&& other) noexcept {
+    if (this != &other) {
+      Clear();
+      TakeFrom(&other);
+    }
+    return *this;
+  }
+  VersionChain(const VersionChain&) = delete;
+  VersionChain& operator=(const VersionChain&) = delete;
+
+  size_t size() const {
+    return state_ == State::kSpilled ? many_.size()
+                                     : static_cast<size_t>(state_);
+  }
+  bool empty() const { return state_ == State::kEmpty; }
+  /// True while the versions live in a heap vector.
+  bool spilled() const { return state_ == State::kSpilled; }
+
+  TupleVersion* begin() { return spilled() ? many_.data() : &one_; }
+  TupleVersion* end() { return begin() + size(); }
+  const TupleVersion* begin() const {
+    return spilled() ? many_.data() : &one_;
+  }
+  const TupleVersion* end() const { return begin() + size(); }
+  /// Newest first.
+  std::reverse_iterator<TupleVersion*> rbegin() {
+    return std::reverse_iterator<TupleVersion*>(end());
+  }
+  std::reverse_iterator<TupleVersion*> rend() {
+    return std::reverse_iterator<TupleVersion*>(begin());
+  }
+  std::reverse_iterator<const TupleVersion*> rbegin() const {
+    return std::reverse_iterator<const TupleVersion*>(end());
+  }
+  std::reverse_iterator<const TupleVersion*> rend() const {
+    return std::reverse_iterator<const TupleVersion*>(begin());
+  }
+
+  /// Appends the newest version; invalidates pointers into the chain.
+  void push_back(TupleVersion v);
+
+  /// Removes every version matching `pred`, keeping order; a lone survivor
+  /// moves back inline. Returns how many were removed.
+  template <typename Pred>
+  size_t EraseIf(Pred pred) {
+    const size_t before = size();
+    if (state_ == State::kInline) {
+      if (pred(static_cast<const TupleVersion&>(one_))) Clear();
+    } else if (state_ == State::kSpilled) {
+      many_.erase(std::remove_if(many_.begin(), many_.end(), pred),
+                  many_.end());
+      if (many_.size() <= 1) Unspill();
+    }
+    return before - size();
+  }
+
+ private:
+  enum class State : uint8_t { kEmpty = 0, kInline = 1, kSpilled = 2 };
+
+  void Clear();
+  void TakeFrom(VersionChain* other);
+  void Unspill();
+
+  union {
+    TupleVersion one_;                 // kInline
+    std::vector<TupleVersion> many_;   // kSpilled
+  };
+  State state_ = State::kEmpty;
 };
 
 /// Result of a snapshot read. `value` views the visible version inside the
@@ -160,12 +244,17 @@ class MvccTable {
   /// versions of in-flight transactions) to *dst.
   void EncodeTo(std::string* dst) const;
 
+  /// Exact number of bytes EncodeTo appends, so a caller can length-prefix
+  /// the image and write it in place.
+  size_t EncodedSize() const;
+
   /// Rebuilds a freshly constructed table from an EncodeTo image, restoring
   /// chains and the provisional-transaction bookkeeping (touched_) so
   /// commit/abort replay works after install. Call only on an empty table.
-  /// The image's keys must be strictly ascending, as EncodeTo writes them:
-  /// the tree is built bottom-up, and an out-of-order or duplicate key is
-  /// Corruption (table left empty).
+  /// Keys are interned straight from the image. The image's keys must be
+  /// strictly ascending, as EncodeTo writes them: the tree is built
+  /// bottom-up, and an out-of-order or duplicate key is Corruption. On any
+  /// Corruption the table is left empty, with no provisional state.
   Status DecodeFrom(Slice* input);
 
   /// Transactions with unresolved provisional state in this table. A
@@ -173,33 +262,30 @@ class MvccTable {
   /// set; a promoted primary uses it to abort in-doubt transactions.
   std::vector<TxnId> ProvisionalTxns() const;
 
-  /// Keys `txn` has provisionally written in this table (nullptr when none).
+  /// Keys `txn` has provisionally written in this table (nullptr when none),
+  /// as views of the table's interned keys (valid while the table lives).
   /// A promoted primary pins these with row locks while the transaction's
   /// outcome is in doubt, so new writers queue instead of racing the
   /// resolution (DESIGN.md §13).
-  const std::vector<RowKey>* TouchedKeys(TxnId txn) const {
+  const std::vector<std::string_view>* TouchedKeys(TxnId txn) const {
     auto it = touched_.find(txn);
     return it == touched_.end() ? nullptr : &it->second;
   }
 
  private:
-  struct VersionChain {
-    // Oldest first; newest at the back.
-    std::vector<TupleVersion> versions;
-  };
-
   /// The one visibility walk behind Read, Scan and ScanPaged: the version
   /// of `chain` visible at `snapshot` to `reader`, or null.
   static const std::string* VisibleValue(const VersionChain& chain,
                                          Timestamp snapshot, TxnId reader,
                                          TxnId* provisional);
 
-  VersionChain* FindChain(const RowKey& key) { return chains_.Find(key); }
-  void Touch(TxnId txn, const RowKey& key) { touched_[txn].push_back(key); }
+  VersionChain* FindChain(std::string_view key) { return chains_.Find(key); }
+  /// Records a provisional write; `key` must view the tree's interned copy.
+  void Touch(TxnId txn, std::string_view key) { touched_[txn].push_back(key); }
 
   TableId id_;
   mutable BTree<VersionChain> chains_;
-  std::unordered_map<TxnId, std::vector<RowKey>> touched_;
+  std::unordered_map<TxnId, std::vector<std::string_view>> touched_;
 };
 
 }  // namespace globaldb

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/common/types.h"
@@ -85,8 +86,11 @@ class ShardStore {
     return out;
   }
 
-  /// Drops every table; snapshot install rebuilds from the image.
-  void Clear() { tables_.clear(); }
+  /// Swaps in a complete set of tables (a decoded snapshot image),
+  /// dropping the old ones.
+  void ReplaceTables(std::map<TableId, std::unique_ptr<MvccTable>> tables) {
+    tables_ = std::move(tables);
+  }
 
   const std::map<TableId, std::unique_ptr<MvccTable>>& tables() const {
     return tables_;

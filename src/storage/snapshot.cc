@@ -1,23 +1,41 @@
 #include "src/storage/snapshot.h"
 
+#include <map>
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "src/common/codec.h"
 
 namespace globaldb {
 
 std::string EncodeShardStore(const ShardStore& store) {
+  // Size every table first so the image is allocated once and each table
+  // is encoded straight into it behind its length prefix.
+  const auto& tables = store.tables();
+  std::vector<size_t> sizes;
+  sizes.reserve(tables.size());
+  size_t total = VarintLength(tables.size());
+  for (const auto& [id, table] : tables) {
+    sizes.push_back(table->EncodedSize());
+    total += VarintLength(id) + VarintLength(sizes.back()) + sizes.back();
+  }
   std::string image;
-  PutVarint64(&image, store.tables().size());
-  for (const auto& [id, table] : store.tables()) {
+  image.reserve(total);
+  PutVarint64(&image, tables.size());
+  auto size = sizes.begin();
+  for (const auto& [id, table] : tables) {
     PutVarint32(&image, id);
-    std::string table_image;
-    table->EncodeTo(&table_image);
-    PutLengthPrefixed(&image, table_image);
+    PutVarint64(&image, *size++);
+    table->EncodeTo(&image);
   }
   return image;
 }
 
 Status InstallShardStore(Slice image, ShardStore* store) {
-  store->Clear();
+  // Decode into fresh tables and swap them in only once the whole image
+  // has decoded: a corrupt image leaves the store as it was.
+  std::map<TableId, std::unique_ptr<MvccTable>> tables;
   uint64_t num_tables = 0;
   if (!GetVarint64(&image, &num_tables)) {
     return Status::Corruption("store image: table count");
@@ -29,15 +47,14 @@ Status InstallShardStore(Slice image, ShardStore* store) {
         !GetLengthPrefixed(&image, &table_image)) {
       return Status::Corruption("store image: table header");
     }
-    if (store->GetTable(id) != nullptr) {
-      return Status::Corruption("store image: duplicate table");
-    }
-    MvccTable* table = store->GetOrCreateTable(id);
-    GDB_RETURN_IF_ERROR(table->DecodeFrom(&table_image));
+    auto [it, inserted] = tables.emplace(id, std::make_unique<MvccTable>(id));
+    if (!inserted) return Status::Corruption("store image: duplicate table");
+    GDB_RETURN_IF_ERROR(it->second->DecodeFrom(&table_image));
     if (!table_image.empty()) {
       return Status::Corruption("store image: trailing table bytes");
     }
   }
+  store->ReplaceTables(std::move(tables));
   return Status::OK();
 }
 

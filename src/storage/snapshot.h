@@ -33,6 +33,7 @@ struct ShardSnapshot {
 std::string EncodeShardStore(const ShardStore& store);
 
 /// Replaces `store`'s contents with the image (existing tables dropped).
+/// On Corruption the store is left unchanged.
 Status InstallShardStore(Slice image, ShardStore* store);
 
 /// Serializes the catalog as (create payload, ddl timestamp) pairs.

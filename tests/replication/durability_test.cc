@@ -117,6 +117,57 @@ TEST(ShardSnapshotTest, StoreImageRoundTripsIncludingProvisionalState) {
   EXPECT_TRUE(restored.ProvisionalTxns().empty());
 }
 
+TEST(ShardSnapshotTest, StoreImageLengthPrefixesEachTableImage) {
+  ShardStore store(0);
+  for (TableId id : {1u, 2u, 300u}) {
+    MvccTable* table = store.GetOrCreateTable(id);
+    for (int i = 0; i < 200 * static_cast<int>(id % 7); ++i) {
+      table->ApplyInsert("key" + std::to_string(i), std::string(i % 40, 'v'),
+                         1);
+    }
+    table->CommitTxn(1, 10);
+    table->ApplyUpdate("key1", "newer", 2);
+  }
+  std::string expected;
+  PutVarint64(&expected, store.tables().size());
+  for (const auto& [id, table] : store.tables()) {
+    PutVarint32(&expected, id);
+    std::string table_image;
+    table->EncodeTo(&table_image);
+    EXPECT_EQ(table->EncodedSize(), table_image.size());
+    PutLengthPrefixed(&expected, table_image);
+  }
+  EXPECT_TRUE(EncodeShardStore(store) == expected);
+}
+
+TEST(ShardSnapshotTest, CorruptImageLeavesStoreUnchanged) {
+  ShardStore source(0);
+  source.GetOrCreateTable(1)->ApplyInsert("a", "new-a", 5);
+  source.GetOrCreateTable(1)->CommitTxn(5, 10);
+  source.GetOrCreateTable(1)->ApplyInsert("p", "pending", 7);
+  source.GetOrCreateTable(2)->ApplyInsert("x", "new-x", 6);
+  source.GetOrCreateTable(2)->CommitTxn(6, 10);
+  const std::string image = EncodeShardStore(source);
+
+  ShardStore store(0);
+  store.GetOrCreateTable(1)->ApplyInsert("a", "old-a", 1);
+  store.GetOrCreateTable(1)->CommitTxn(1, 10);
+  store.GetOrCreateTable(3)->ApplyInsert("q", "old-pending", 9);
+  const std::string before = EncodeShardStore(store);
+  for (size_t cut = 0; cut < image.size(); ++cut) {
+    ASSERT_EQ(InstallShardStore(Slice(image.data(), cut), &store).code(),
+              StatusCode::kCorruption)
+        << cut;
+    ASSERT_TRUE(EncodeShardStore(store) == before) << cut;
+    ASSERT_EQ(store.ProvisionalTxns(), std::vector<TxnId>{9}) << cut;
+  }
+  EXPECT_EQ(store.GetTable(1)->Read("a", 10).value, "old-a");
+  ASSERT_TRUE(InstallShardStore(Slice(image), &store).ok());
+  EXPECT_EQ(store.ProvisionalTxns(), std::vector<TxnId>{7});
+  EXPECT_EQ(store.GetTable(3), nullptr);
+  EXPECT_EQ(store.GetTable(1)->Read("a", 10).value, "new-a");
+}
+
 TEST(ShardSnapshotTest, StoreImageWithRepeatedTableIsCorruption) {
   ShardStore store(0);
   store.GetOrCreateTable(1)->ApplyInsert("a", "v1", 1);

@@ -10,6 +10,22 @@
 #include "src/common/rng.h"
 
 namespace globaldb {
+
+/// Reaches into a tree to break what CheckInvariants must catch.
+struct BTreeTestPeer {
+  static void OverReserveFirstLeaf(BTree<int>* tree) {
+    tree->first_leaf_->entries.reserve(BTree<int>::kLeafCapacity + 1);
+  }
+  /// Entries per leaf, in key order.
+  static std::vector<size_t> LeafSizes(const BTree<int>& tree) {
+    std::vector<size_t> sizes;
+    for (auto* leaf = tree.first_leaf_; leaf != nullptr; leaf = leaf->next) {
+      sizes.push_back(leaf->entries.size());
+    }
+    return sizes;
+  }
+};
+
 namespace {
 
 std::string Key(int i) {
@@ -114,7 +130,7 @@ TEST(BTreeTest, EraseRemovesAndIterationSkips) {
   EXPECT_TRUE(tree.CheckInvariants());
   int count = 0;
   for (auto it = tree.Begin(); it.Valid(); it.Next()) {
-    EXPECT_EQ(std::stoi(it.key().substr(1)) % 2, 1);
+    EXPECT_EQ(std::stoi(std::string(it.key().substr(1))) % 2, 1);
     ++count;
   }
   EXPECT_EQ(count, 250);
@@ -197,6 +213,14 @@ std::vector<std::pair<std::string, int>> EvenEntries(int n) {
   return entries;
 }
 
+/// `entries` as Build's input: views of the caller's keys.
+std::vector<BTree<int>::Entry> Views(
+    const std::vector<std::pair<std::string, int>>& entries) {
+  std::vector<BTree<int>::Entry> views;
+  for (const auto& [key, value] : entries) views.emplace_back(key, value);
+  return views;
+}
+
 TEST(BTreeTest, BuildFillsLeavesAndLevels) {
   // One leaf holds 64 entries; one more needs a second level, and one more
   // than 64 full leaves needs a third.
@@ -205,7 +229,8 @@ TEST(BTreeTest, BuildFillsLeavesAndLevels) {
   for (const auto& [n, height] : sizes_and_heights) {
     SCOPED_TRACE(n);
     BTree<int> tree;
-    ASSERT_TRUE(tree.Build(EvenEntries(n)));
+    const auto entries = EvenEntries(n);
+    ASSERT_TRUE(tree.Build(Views(entries)));
     EXPECT_EQ(tree.size(), static_cast<size_t>(n));
     EXPECT_TRUE(tree.CheckInvariants());
     EXPECT_EQ(tree.Height(), height);
@@ -241,8 +266,9 @@ TEST(BTreeTest, BuiltTreeMatchesStdMapUnderRandomOps) {
     SCOPED_TRACE(n);
     BTree<int> tree;
     std::map<std::string, int> reference;
-    for (const auto& [key, value] : EvenEntries(n)) reference[key] = value;
-    ASSERT_TRUE(tree.Build(EvenEntries(n)));
+    const auto entries = EvenEntries(n);
+    for (const auto& [key, value] : entries) reference[key] = value;
+    ASSERT_TRUE(tree.Build(Views(entries)));
     Rng rng(static_cast<uint64_t>(n) + 7);
     const int key_space = 2 * n + 200;
     for (int op = 0; op < 10000; ++op) {
@@ -295,6 +321,128 @@ TEST(BTreeTest, BuildRejectsUnsortedAndDuplicateKeys) {
   // The rejected tree is still an ordinary empty tree.
   ASSERT_TRUE(tree.Build({{"a", 1}, {"b", 2}}));
   EXPECT_EQ(*tree.Find("b"), 2);
+}
+
+// --- Leaf slots and key interning -------------------------------------------
+
+TEST(BTreeTest, LeavesNeverOutgrowTheirSlots) {
+  // Sequential appends, reverse inserts and inserts into a built tree's
+  // full (or odd-sized last) leaves all split before a leaf would grow past
+  // kLeafCapacity slots; CheckInvariants verifies every leaf's capacity.
+  BTree<int> appended;
+  for (int i = 0; i < 5000; ++i) appended.Put(Key(i), i);
+  EXPECT_TRUE(appended.CheckInvariants());
+  BTree<int> reversed;
+  for (int i = 4999; i >= 0; --i) reversed.Put(Key(i), i);
+  EXPECT_TRUE(reversed.CheckInvariants());
+  BTree<int> built;
+  const int n = 64 * 10 + 37;
+  const auto entries = EvenEntries(n);
+  ASSERT_TRUE(built.Build(Views(entries)));
+  // Odd keys between and past the built ones.
+  for (int i = 0; i < n + 25; ++i) built.Put(Key(2 * i + 1), i);
+  EXPECT_TRUE(built.CheckInvariants());
+  EXPECT_EQ(built.size(), static_cast<size_t>(2 * n + 25));
+}
+
+TEST(BTreeTest, FullLeafSplitsInHalfBeforeTheInsert) {
+  BTree<int> tree;
+  for (int i = 0; i < 128; i += 2) tree.Put(Key(i), i);
+  EXPECT_EQ(BTreeTestPeer::LeafSizes(tree), std::vector<size_t>{64});
+  tree.Put(Key(200), 200);  // past the end: lands in the right half
+  EXPECT_EQ(BTreeTestPeer::LeafSizes(tree), (std::vector<size_t>{32, 33}));
+  for (int i = 1; i < 64; i += 2) tree.Put(Key(i), i);  // fills the left
+  EXPECT_EQ(BTreeTestPeer::LeafSizes(tree), (std::vector<size_t>{64, 33}));
+  tree.Put(Key(63), 63);  // already present: no split
+  // The left leaf's 65th key, between Key(10) and Key(11): the leaf halves
+  // and the key lands in the left half.
+  tree.Put(Key(10) + "x", 10);
+  EXPECT_EQ(BTreeTestPeer::LeafSizes(tree),
+            (std::vector<size_t>{33, 32, 33}));
+  EXPECT_TRUE(tree.CheckInvariants());
+  auto it = tree.LowerBound(Key(10));
+  it.Next();
+  EXPECT_EQ(it.key(), Key(10) + "x");
+  it.Next();
+  EXPECT_EQ(it.key(), Key(11));
+}
+
+TEST(BTreeTest, CheckInvariantsRejectsAnOversizedLeaf) {
+  BTree<int> tree;
+  for (int i = 0; i < 10; ++i) tree.Put(Key(i), i);
+  ASSERT_TRUE(tree.CheckInvariants());
+  BTreeTestPeer::OverReserveFirstLeaf(&tree);
+  EXPECT_FALSE(tree.CheckInvariants());
+}
+
+TEST(BTreeTest, KeysAreInternedOnceAndOutliveErase) {
+  BTree<int> tree;
+  std::string key = Key(7);
+  tree.Put(key, 1);
+  const std::string_view interned = tree.Begin().key();
+  EXPECT_NE(interned.data(), key.data());  // the tree owns its copy
+  key.assign("clobbered");
+  EXPECT_EQ(interned, Key(7));
+  tree.Put(Key(7), 2);  // assign: no second copy
+  EXPECT_EQ(tree.Begin().key().data(), interned.data());
+  const size_t arena = tree.key_arena().bytes_allocated();
+  for (int i = 0; i < 1000; ++i) tree.Put(Key(1000 + i), i);
+  EXPECT_TRUE(tree.Erase(Key(7)));
+  EXPECT_EQ(interned, Key(7));  // erased keys keep their bytes
+  EXPECT_GT(tree.key_arena().bytes_allocated(), arena);
+}
+
+TEST(KeyArenaTest, ViewsStayStableAcrossGrowth) {
+  KeyArena arena;
+  std::vector<std::string> keys;
+  std::vector<std::string_view> views;
+  for (int i = 0; i < 20000; ++i) {
+    keys.push_back(Key(i) + std::string(i % 7, 'p'));
+    views.push_back(arena.Intern(keys.back()));
+  }
+  const std::string_view first = views.front();
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(views[i], keys[i]) << i;
+    ASSERT_NE(views[i].data(), keys[i].data());
+  }
+  EXPECT_EQ(views.front().data(), first.data());
+  // Chunks double up to kMaxChunk: the arena holds the keys plus at most
+  // one partly filled chunk of slack.
+  size_t key_bytes = 0;
+  for (const std::string& key : keys) key_bytes += key.size();
+  EXPECT_GE(arena.bytes_allocated(), key_bytes);
+  EXPECT_LE(arena.bytes_allocated(), key_bytes + 2 * KeyArena::kMaxChunk);
+  EXPECT_TRUE(arena.Intern("").empty());
+}
+
+TEST(KeyArenaTest, OversizedKeysGetTheirOwnBlock) {
+  KeyArena arena;
+  const std::string_view a = arena.Intern("alpha");
+  const std::string huge(3 * KeyArena::kMaxChunk, 'h');
+  const std::string_view big = arena.Intern(huge);
+  const std::string_view b = arena.Intern("beta");
+  EXPECT_EQ(big, huge);
+  EXPECT_EQ(a, "alpha");
+  EXPECT_EQ(b, "beta");
+  // The oversized key left the small-key chunk open.
+  EXPECT_EQ(b.data(), a.data() + a.size());
+  EXPECT_EQ(arena.bytes_allocated(), KeyArena::kMinChunk + huge.size());
+  // A key just over half the next chunk also goes to its own block.
+  const std::string mid(KeyArena::kMinChunk + 1, 'm');
+  EXPECT_EQ(arena.Intern(mid), mid);
+  EXPECT_EQ(arena.bytes_allocated(),
+            KeyArena::kMinChunk + huge.size() + mid.size());
+}
+
+TEST(KeyArenaTest, ReserveSizesOneChunkForABulkBuild) {
+  KeyArena arena;
+  arena.Reserve(1000);
+  std::vector<std::string_view> views;
+  for (int i = 0; i < 100; ++i) views.push_back(arena.Intern(Key(i)));
+  EXPECT_EQ(arena.bytes_allocated(), 1000u);
+  for (int i = 1; i < 100; ++i) {
+    EXPECT_EQ(views[i].data(), views[i - 1].data() + views[i - 1].size());
+  }
 }
 
 }  // namespace

@@ -355,6 +355,47 @@ TEST_F(MvccTableTest, DecodeFromRejectsUnsortedKeys) {
   EXPECT_EQ(table_.KeyCount(), 0u);
 }
 
+TEST_F(MvccTableTest, DecodeFromCorruptionLeavesNoProvisionalState) {
+  MvccTable source(1);
+  source.ApplyInsert("a", "pending", /*txn=*/7);
+  source.ApplyInsert("b", "committed", 8);
+  source.CommitTxn(8, 10);
+  source.ApplyDelete("b", 9);
+  std::string image;
+  source.EncodeTo(&image);
+  for (size_t cut = 0; cut < image.size(); ++cut) {
+    MvccTable table(1);
+    Slice input(image.data(), cut);
+    EXPECT_EQ(table.DecodeFrom(&input).code(), StatusCode::kCorruption) << cut;
+    EXPECT_EQ(table.KeyCount(), 0u) << cut;
+    EXPECT_TRUE(table.ProvisionalTxns().empty()) << cut;
+    EXPECT_FALSE(table.HasTxn(7)) << cut;
+  }
+  Slice input(image);
+  ASSERT_TRUE(table_.DecodeFrom(&input).ok());
+  EXPECT_TRUE(table_.HasTxn(7));
+  EXPECT_TRUE(table_.HasTxn(9));
+}
+
+TEST_F(MvccTableTest, TouchedKeysStayValidAcrossSplitsAndArenaGrowth) {
+  ASSERT_TRUE(table_.Insert("m-key", "v", /*txn=*/5).ok());
+  std::string key = "n-key";
+  table_.ApplyInsert(key, "w", 5);
+  key.assign("clobbered");
+  // Thousands more keys split the leaves and grow the key arena.
+  for (int i = 0; i < 5000; ++i) {
+    char other[16];
+    snprintf(other, sizeof(other), "k%05d", i);
+    table_.ApplyInsert(other, "x", 6);
+  }
+  const std::vector<std::string_view>* keys = table_.TouchedKeys(5);
+  ASSERT_NE(keys, nullptr);
+  EXPECT_EQ(*keys, (std::vector<std::string_view>{"m-key", "n-key"}));
+  table_.CommitTxn(5, 10);
+  EXPECT_EQ(table_.Read("n-key", 10).value, "w");
+  EXPECT_EQ(table_.TouchedKeys(5), nullptr);
+}
+
 TEST_F(MvccTableTest, DecodeFromRejectsDuplicateKeys) {
   const std::string image = ImageWithKeys({"a", "b", "b"});
   Slice input(image);

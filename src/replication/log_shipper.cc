@@ -175,19 +175,19 @@ void LogShipper::AddReplica(NodeId replica) {
   if (started_ && !stopped_) sim_->Spawn(ShipLoop(replica));
 }
 
-std::shared_ptr<const std::string> LogShipper::EncodedRequest(
+std::string LogShipper::EncodedRequest(
     Lsn start, const LogStream::BatchExtent& extent) {
   // Re-read exactly the extent's record count: the stream may have grown
   // since Extent(), and the payload must cover exactly the extent the
   // cursor advances past.
   auto batch_or =
       stream_->Read(start, extent.records, std::numeric_limits<size_t>::max());
-  if (!batch_or.ok() || batch_or->empty()) return nullptr;
+  if (!batch_or.ok() || batch_or->empty()) return std::string();
   ReplAppendRequest request;
   request.shard = shard_;
   request.start_lsn = start;
   request.batch = LogStream::EncodeBatch(*batch_or, options_.compression);
-  return std::make_shared<const std::string>(request.Encode());
+  return request.Encode();
 }
 
 sim::Task<void> LogShipper::ShipLoop(NodeId replica) {
@@ -252,9 +252,8 @@ sim::Task<void> LogShipper::ShipLoop(NodeId replica) {
       continue;
     }
 
-    std::shared_ptr<const std::string> payload =
-        EncodedRequest(peer.cursor, *extent_or);
-    if (payload == nullptr) {
+    std::string payload = EncodedRequest(peer.cursor, *extent_or);
+    if (payload.empty()) {
       // Read failed after a successful Extent: truncation raced us between
       // the two calls. Same remedy as the Extent failure above.
       metrics_.Add("ship.cursor_truncated");
@@ -263,7 +262,7 @@ sim::Task<void> LogShipper::ShipLoop(NodeId replica) {
     }
     metrics_.Add("ship.batches");
     metrics_.Add("ship.records", static_cast<int64_t>(extent_or->records));
-    metrics_.Add("ship.bytes", static_cast<int64_t>(payload->size()));
+    metrics_.Add("ship.bytes", static_cast<int64_t>(payload.size()));
     metrics_.Add("ship.inflight");  // gauge: -1 on completion
     ++peer.inflight;
     peer.cursor = extent_or->end_lsn + 1;
@@ -324,11 +323,10 @@ sim::Task<void> LogShipper::SendSnapshot(NodeId replica) {
   metrics_.Add("ship.snapshot_installs");
 }
 
-sim::Task<void> LogShipper::SendBatch(
-    NodeId replica, uint64_t epoch,
-    std::shared_ptr<const std::string> payload) {
+sim::Task<void> LogShipper::SendBatch(NodeId replica, uint64_t epoch,
+                                      std::string payload) {
   auto wire =
-      co_await client_.RawCall(replica, kReplAppend.name, std::string(*payload));
+      co_await client_.RawCall(replica, kReplAppend.name, std::move(payload));
   metrics_.Add("ship.inflight", -1);
   if (stopped_) co_return;
   auto it = peers_.find(replica);
@@ -359,9 +357,11 @@ sim::Task<void> LogShipper::SendBatch(
   OnAck(replica, reply->applied_lsn);
   // Per-replica visibility lag at ack time, in records (how far the
   // replica's applied tail trails the primary's).
-  metrics_.Hist("ship.lag." + std::to_string(replica))
-      .Record(static_cast<int64_t>(stream_->next_lsn() - 1 -
-                                   AckedLsn(replica)));
+  if (peer.lag == nullptr) {
+    peer.lag = &metrics_.Hist("ship.lag." + std::to_string(replica));
+  }
+  peer.lag->Record(
+      static_cast<int64_t>(stream_->next_lsn() - 1 - AckedLsn(replica)));
   if (current) {
     if (!peer.healthy) {
       peer.healthy = true;

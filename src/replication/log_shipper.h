@@ -2,7 +2,6 @@
 #define GLOBALDB_SRC_REPLICATION_LOG_SHIPPER_H_
 
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -177,6 +176,8 @@ class LogShipper {
     /// Send the snapshot with the reset flag (post-promotion: the peer's
     /// history diverged, so "already ahead" must not skip the install).
     bool snapshot_reset = false;
+    /// The `ship.lag.<replica>` histogram, looked up at the first ack.
+    Histogram* lag = nullptr;
   };
 
   sim::Task<void> ShipLoop(NodeId replica);
@@ -187,12 +188,11 @@ class LogShipper {
   /// One in-flight window slot: ships a pre-encoded batch and feeds the
   /// reply back into the peer's window / health / ack state.
   sim::Task<void> SendBatch(NodeId replica, uint64_t epoch,
-                            std::shared_ptr<const std::string> payload);
+                            std::string payload);
   /// Returns the fully-encoded kReplAppend payload for the extent starting
-  /// at `start`. Null if the range was truncated away between Extent and
-  /// Read.
-  std::shared_ptr<const std::string> EncodedRequest(
-      Lsn start, const LogStream::BatchExtent& extent);
+  /// at `start`. Empty if the range was truncated away between Extent and
+  /// Read (an encoded request never is).
+  std::string EncodedRequest(Lsn start, const LogStream::BatchExtent& extent);
   /// Invalidates the in-flight window and moves the send cursor to `to`
   /// (clamped to the stream's first retained LSN).
   void Rewind(PeerState* peer, Lsn to);

@@ -209,7 +209,7 @@ void ReplicaApplier::ReleaseApply() {
 sim::Task<size_t> ReplicaApplier::ApplyRecords(
     std::vector<RedoRecord> records) {
   size_t applied = 0;
-  for (RedoRecord& record : records) {
+  for (const RedoRecord& record : records) {
     if (record.lsn <= applied_lsn_) continue;  // duplicate from a resend
     // Replay cost (the node's multi-core CpuScheduler models the paper's
     // parallel replay).
@@ -262,15 +262,15 @@ bool ReplicaApplier::TryBuffer(Lsn start_lsn, BufferedBatch batch) {
   return true;
 }
 
-void ReplicaApplier::ApplyRecord(RedoRecord& record) {
+void ReplicaApplier::ApplyRecord(const RedoRecord& record) {
   switch (record.type) {
     case RedoType::kInsert:
       store_->GetOrCreateTable(record.table_id)
-          ->ApplyInsert(record.key, std::move(record.value), record.txn_id);
+          ->ApplyInsert(record.key, record.value, record.txn_id);
       break;
     case RedoType::kUpdate:
       store_->GetOrCreateTable(record.table_id)
-          ->ApplyUpdate(record.key, std::move(record.value), record.txn_id);
+          ->ApplyUpdate(record.key, record.value, record.txn_id);
       break;
     case RedoType::kDelete:
       store_->GetOrCreateTable(record.table_id)

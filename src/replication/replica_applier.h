@@ -137,8 +137,8 @@ class ReplicaApplier {
   sim::Task<void> AcquireApply();
   void ReleaseApply();
   /// Replays `records` in order (skipping duplicates at or below the
-  /// applied LSN), moving row values into the store; returns how many were
-  /// applied. Must hold the apply gate.
+  /// applied LSN), copying row values into the store; returns how many
+  /// were applied. Must hold the apply gate.
   sim::Task<size_t> ApplyRecords(std::vector<RedoRecord> records);
   /// Drains buffered batches that became contiguous with the applied tail.
   /// Must hold the apply gate.
@@ -147,8 +147,7 @@ class ReplicaApplier {
   /// over the byte cap (or refusing the newcomer if it *is* the farthest).
   /// Returns false when the batch was refused.
   bool TryBuffer(Lsn start_lsn, BufferedBatch batch);
-  /// Replays one record; row values are moved out of it.
-  void ApplyRecord(RedoRecord& record);
+  void ApplyRecord(const RedoRecord& record);
   void ResolveTxn(TxnId txn);
 
   sim::Simulator* sim_;

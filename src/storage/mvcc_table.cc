@@ -74,7 +74,7 @@ const TupleVersion* NewestLive(const VersionChain& versions) {
 
 }  // namespace
 
-Status MvccTable::Insert(const RowKey& key, std::string value, TxnId txn) {
+Status MvccTable::Insert(const RowKey& key, Slice value, TxnId txn) {
   auto& [interned, chain] = chains_.FindOrInsert(key);
   const TupleVersion* live = NewestLive(chain);
   if (live != nullptr) {
@@ -93,13 +93,13 @@ Status MvccTable::Insert(const RowKey& key, std::string value, TxnId txn) {
   }
   TupleVersion v;
   v.created_by = txn;
-  v.value = std::move(value);
+  v.value = value.ToView();
   chain.push_back(std::move(v));
   Touch(txn, interned);
   return Status::OK();
 }
 
-Status MvccTable::Update(const RowKey& key, std::string value, TxnId txn,
+Status MvccTable::Update(const RowKey& key, Slice value, TxnId txn,
                          Timestamp snapshot) {
   auto* entry = chains_.FindEntry(key);
   if (entry == nullptr || entry->second.empty()) {
@@ -118,7 +118,7 @@ Status MvccTable::Update(const RowKey& key, std::string value, TxnId txn,
   if (live->begin_ts == 0) {
     // Provisional version.
     if (live->created_by == txn) {
-      live->value = std::move(value);  // overwrite own write
+      live->value = value.ToView();  // overwrite own write
       return Status::OK();
     }
     return Status::Aborted("write conflict with txn " +
@@ -135,7 +135,7 @@ Status MvccTable::Update(const RowKey& key, std::string value, TxnId txn,
   live->ended_by = txn;
   TupleVersion v;
   v.created_by = txn;
-  v.value = std::move(value);
+  v.value = value.ToView();
   chain.push_back(std::move(v));
   Touch(txn, entry->first);
   return Status::OK();
@@ -184,11 +184,11 @@ Status MvccTable::LoadCommitted(
   // Keys view `rows` until Build interns them.
   std::vector<BTree<VersionChain>::Entry> entries;
   entries.reserve(rows.size());
-  for (auto& [key, value] : rows) {
+  for (const auto& [key, value] : rows) {
     TupleVersion v;
     v.begin_ts = ts;
     v.created_by = txn;
-    v.value = std::move(value);
+    v.value = value;
     entries.emplace_back(key, VersionChain{});
     entries.back().second.push_back(std::move(v));
   }
@@ -198,22 +198,22 @@ Status MvccTable::LoadCommitted(
   return Status::OK();
 }
 
-void MvccTable::ApplyInsert(const RowKey& key, std::string value, TxnId txn) {
+void MvccTable::ApplyInsert(const RowKey& key, Slice value, TxnId txn) {
   auto& [interned, chain] = chains_.FindOrInsert(key);
   TupleVersion v;
   v.created_by = txn;
-  v.value = std::move(value);
+  v.value = value.ToView();
   chain.push_back(std::move(v));
   Touch(txn, interned);
 }
 
-void MvccTable::ApplyUpdate(const RowKey& key, std::string value, TxnId txn) {
+void MvccTable::ApplyUpdate(const RowKey& key, Slice value, TxnId txn) {
   auto& [interned, chain] = chains_.FindOrInsert(key);
   for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
     if (it->end_ts == kTimestampMax) {
       if (it->begin_ts == 0 && it->created_by == txn) {
         // Second update by the same txn overwrites its provisional version.
-        it->value = std::move(value);
+        it->value = value.ToView();
         return;
       }
       it->ended_by = txn;
@@ -222,7 +222,7 @@ void MvccTable::ApplyUpdate(const RowKey& key, std::string value, TxnId txn) {
   }
   TupleVersion v;
   v.created_by = txn;
-  v.value = std::move(value);
+  v.value = value.ToView();
   chain.push_back(std::move(v));
   Touch(txn, interned);
 }
@@ -271,9 +271,9 @@ void MvccTable::AbortTxn(TxnId txn) {
   touched_.erase(it);
 }
 
-const std::string* MvccTable::VisibleValue(const VersionChain& chain,
-                                           Timestamp snapshot, TxnId reader,
-                                           TxnId* provisional) {
+const VersionValue* MvccTable::VisibleValue(const VersionChain& chain,
+                                            Timestamp snapshot, TxnId reader,
+                                            TxnId* provisional) {
   for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
     const TupleVersion& v = *it;
     if (v.begin_ts == 0) {
@@ -306,11 +306,11 @@ ReadResult MvccTable::Read(Slice key, Timestamp snapshot,
   ReadResult result;
   const VersionChain* chain = chains_.Find(key.ToView());
   if (chain == nullptr) return result;
-  const std::string* value =
+  const VersionValue* value =
       VisibleValue(*chain, snapshot, reader, &result.provisional_txn);
   if (value != nullptr) {
     result.found = true;
-    result.value = Slice(*value);
+    result.value = value->view();
   }
   return result;
 }
@@ -323,9 +323,9 @@ std::vector<MvccTable::ScanEntry> MvccTable::Scan(
     if (!end.empty() && !(Slice(it.key()) < end)) break;
     if (out.size() >= limit) break;
     TxnId pending = kInvalidTxnId;
-    const std::string* value =
+    const VersionValue* value =
         VisibleValue(it.value(), snapshot, reader, &pending);
-    if (value != nullptr) out.push_back({Slice(it.key()), Slice(*value)});
+    if (value != nullptr) out.push_back({Slice(it.key()), value->view()});
     if (pending != kInvalidTxnId && provisional != nullptr) {
       provisional->push_back(pending);
     }
@@ -364,18 +364,19 @@ MvccTable::PagedScanResult MvccTable::ScanPaged(
     }
     ++out.rows_examined;
     TxnId pending = kInvalidTxnId;
-    const std::string* value =
+    const VersionValue* value =
         VisibleValue(it.value(), opts.snapshot, opts.reader, &pending);
     if (pending != kInvalidTxnId && provisional != nullptr) {
       provisional->push_back(pending);
     }
     if (value == nullptr) continue;
     if (opts.filter_col >= 0 &&
-        !MatchesFilter(*value, opts.filter_col, opts.filter_eq, &scratch)) {
+        !MatchesFilter(value->view(), opts.filter_col, opts.filter_eq,
+                       &scratch)) {
       ++out.rows_filtered;
       continue;
     }
-    const ScanEntry entry{Slice(it.key()), Slice(*value)};
+    const ScanEntry entry{Slice(it.key()), value->view()};
     if (opts.reverse) {
       // Forward-only leaves: slide a window of the last `limit` matches,
       // overwriting the oldest once it is full.
@@ -430,7 +431,7 @@ void MvccTable::EncodeTo(std::string* dst) const {
       PutVarint64(dst, v.end_ts);
       PutVarint64(dst, v.created_by);
       PutVarint64(dst, v.ended_by);
-      PutLengthPrefixed(dst, v.value);
+      PutLengthPrefixed(dst, v.value.view());
     }
   }
 }
@@ -481,7 +482,7 @@ Status MvccTable::DecodeFrom(Slice* input) {
           !GetLengthPrefixed(input, &value)) {
         return Status::Corruption("table image: version");
       }
-      v.value = value.ToString();  // exact capacity, unlike assign()
+      v.value = value.ToView();
       // Rebuild provisional bookkeeping so replayed COMMIT/ABORT records
       // (and promotion-time in-doubt aborts) resolve installed versions.
       if (v.begin_ts == 0) provisional.emplace_back(v.created_by, key.ToView());

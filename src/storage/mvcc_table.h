@@ -14,6 +14,7 @@
 #include "src/common/status.h"
 #include "src/common/types.h"
 #include "src/storage/btree.h"
+#include "src/storage/version_value.h"
 
 namespace globaldb {
 
@@ -26,8 +27,12 @@ struct TupleVersion {
   Timestamp end_ts = kTimestampMax;   // kTimestampMax => live
   TxnId created_by = kInvalidTxnId;
   TxnId ended_by = kInvalidTxnId;     // provisional delete/update marker
-  std::string value;
+  VersionValue value;
 };
+
+// Four stamps and a 32-byte value: a single-version chain fills 64 bytes of
+// its leaf slot (DESIGN.md §12 "Row layout").
+static_assert(sizeof(TupleVersion) == 64);
 
 /// A key's versions, oldest first, newest at the back. Most rows hold one
 /// version, so the chain keeps a single version inline (in the B+-tree leaf
@@ -143,13 +148,13 @@ class MvccTable {
   // --- Primary write path (returns conflicts) ----------------------------
 
   /// Fails with AlreadyExists if a live version is visible at latest.
-  Status Insert(const RowKey& key, std::string value, TxnId txn);
+  Status Insert(const RowKey& key, Slice value, TxnId txn);
 
   /// Fails with Aborted on a write-write conflict: the newest committed
   /// version is newer than `snapshot` (first-committer-wins under SI), or
   /// another transaction holds a provisional write. Fails with NotFound if
   /// no live version exists.
-  Status Update(const RowKey& key, std::string value, TxnId txn,
+  Status Update(const RowKey& key, Slice value, TxnId txn,
                 Timestamp snapshot);
   Status Delete(const RowKey& key, TxnId txn, Timestamp snapshot);
 
@@ -165,8 +170,8 @@ class MvccTable {
 
   // --- Replica replay path (no checks; log order is authoritative) -------
 
-  void ApplyInsert(const RowKey& key, std::string value, TxnId txn);
-  void ApplyUpdate(const RowKey& key, std::string value, TxnId txn);
+  void ApplyInsert(const RowKey& key, Slice value, TxnId txn);
+  void ApplyUpdate(const RowKey& key, Slice value, TxnId txn);
   void ApplyDelete(const RowKey& key, TxnId txn);
 
   // --- Commit / abort -----------------------------------------------------
@@ -275,9 +280,9 @@ class MvccTable {
  private:
   /// The one visibility walk behind Read, Scan and ScanPaged: the version
   /// of `chain` visible at `snapshot` to `reader`, or null.
-  static const std::string* VisibleValue(const VersionChain& chain,
-                                         Timestamp snapshot, TxnId reader,
-                                         TxnId* provisional);
+  static const VersionValue* VisibleValue(const VersionChain& chain,
+                                          Timestamp snapshot, TxnId reader,
+                                          TxnId* provisional);
 
   VersionChain* FindChain(std::string_view key) { return chains_.Find(key); }
   /// Records a provisional write; `key` must view the tree's interned copy.

@@ -65,7 +65,7 @@ void LockManager::ReleaseAll(TxnId txn) {
     // Grant to the first waiter that has not timed out.
     while (!state.waiters.empty()) {
       Waiter waiter = std::move(state.waiters.front());
-      state.waiters.pop_front();
+      state.waiters.erase(state.waiters.begin());
       if (waiter.granted.TrySet(true)) {
         state.holder = waiter.txn;
         held_[waiter.txn].push_back(lock_key);

@@ -1,7 +1,6 @@
 #ifndef GLOBALDB_SRC_TXN_LOCK_MANAGER_H_
 #define GLOBALDB_SRC_TXN_LOCK_MANAGER_H_
 
-#include <deque>
 #include <map>
 #include <string>
 #include <unordered_map>
@@ -71,7 +70,10 @@ class LockManager {
 
   struct LockState {
     TxnId holder = kInvalidTxnId;
-    std::deque<Waiter> waiters;
+    /// FIFO, oldest first. A vector, not a deque: waits are rare, and an
+    /// empty libstdc++ deque still allocates a map and a 512 B node for
+    /// every newly locked key.
+    std::vector<Waiter> waiters;
   };
 
   static std::string LockKey(TableId table, const RowKey& key) {

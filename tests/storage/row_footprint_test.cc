@@ -1,9 +1,8 @@
 // Allocation census of loading rows into an MvccTable. Keys are interned
 // into the tree's arena and a single-version chain sits inline in its leaf
-// slot, so loading N rows allocates nothing per row: only leaves, internal
-// nodes and arena chunks, plus one block per value too long for the
-// small-string buffer (15 bytes) when the values are copied out of an
-// image. Replaces the global operator new to count, which is why this test
+// slot with a value of up to 31 bytes in place, so loading N rows allocates
+// nothing per row: only leaves, internal nodes and arena chunks, plus one
+// block per value too long to sit inline. Replaces the global operator new to count, which is why this test
 // has its own binary.
 
 #include <gtest/gtest.h>
@@ -55,20 +54,19 @@ std::vector<std::pair<RowKey, std::string>> Rows(size_t value_size) {
 }
 
 TEST(RowFootprintTest, LoadCommittedAllocatesNothingPerRow) {
-  for (size_t value_size : {8u, 25u}) {
+  for (size_t value_size : {8u, 25u, 31u}) {
     SCOPED_TRACE(value_size);
     auto rows = Rows(value_size);
     MvccTable table(1);
     const size_t before = g_allocations;
     ASSERT_TRUE(table.LoadCommitted(std::move(rows), 1, 1).ok());
-    // Values move out of the rows, long or short.
     EXPECT_LE(g_allocations - before, kStructureBudget);
     EXPECT_EQ(table.KeyCount(), static_cast<size_t>(kRows));
   }
 }
 
 TEST(RowFootprintTest, DecodeFromAllocatesOnlyForLongValues) {
-  for (size_t value_size : {15u, 16u}) {
+  for (size_t value_size : {31u, 32u}) {
     SCOPED_TRACE(value_size);
     MvccTable source(1);
     ASSERT_TRUE(source.LoadCommitted(Rows(value_size), 1, 1).ok());
@@ -79,7 +77,8 @@ TEST(RowFootprintTest, DecodeFromAllocatesOnlyForLongValues) {
     const size_t before = g_allocations;
     ASSERT_TRUE(table.DecodeFrom(&input).ok());
     const size_t allocations = g_allocations - before;
-    const size_t per_value = value_size > 15 ? kRows : 0;
+    const size_t per_value =
+        value_size > VersionValue::kInlineCapacity ? kRows : 0;
     EXPECT_GE(allocations, per_value);
     EXPECT_LE(allocations, per_value + kStructureBudget);
     EXPECT_EQ(table.KeyCount(), static_cast<size_t>(kRows));

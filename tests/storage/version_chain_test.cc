@@ -23,7 +23,7 @@ TupleVersion Version(Timestamp begin, Timestamp end, std::string value) {
 
 std::vector<std::string> Values(const VersionChain& chain) {
   std::vector<std::string> out;
-  for (const TupleVersion& v : chain) out.push_back(v.value);
+  for (const TupleVersion& v : chain) out.emplace_back(v.value.view());
   return out;
 }
 
@@ -34,8 +34,8 @@ auto EndedBy(Timestamp horizon) {
   };
 }
 
-// Values longer than the 15-byte small-string buffer, so a moved string
-// keeps its heap bytes, and shorter ones, which move with the version.
+// Values longer than a version's 31 inline bytes, so a moved value keeps its
+// heap block, and shorter ones, which move with the version.
 const std::string kLong(40, 'x');
 
 TEST(VersionChainTest, SingleVersionStaysInline) {
@@ -57,8 +57,8 @@ TEST(VersionChainTest, SecondVersionSpillsAndKeepsOrder) {
   EXPECT_EQ(chain.size(), 3u);
   EXPECT_EQ(Values(chain), (std::vector<std::string>{kLong, "b", "c"}));
   // Newest first through the reverse range.
-  EXPECT_EQ(chain.rbegin()->value, "c");
-  EXPECT_EQ((chain.rend() - 1)->value, kLong);
+  EXPECT_EQ(chain.rbegin()->value.view(), "c");
+  EXPECT_EQ((chain.rend() - 1)->value.view(), kLong);
 }
 
 TEST(VersionChainTest, VacuumToLoneSurvivorMovesItBackInline) {
@@ -149,7 +149,7 @@ TEST(VersionChainTest, LeafShiftsMoveInlineChains) {
   for (int i = 0; i < 100; ++i) {
     const VersionChain& chain = chains[99 - i];
     ASSERT_EQ(chain.size(), i % 3 == 0 ? 2u : 1u);
-    EXPECT_EQ(chain.begin()->value, std::to_string(i));
+    EXPECT_EQ(chain.begin()->value.view(), std::to_string(i));
   }
 }
 

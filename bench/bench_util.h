@@ -158,14 +158,10 @@ inline std::string FormatRpcStats(Cluster& cluster) {
 /// a counter line for the 2PC outcome-recovery path (DESIGN.md §13):
 /// coordinator phase-2 re-drives, promoted-primary outcome queries,
 /// decision-memo duplicate hits, and promotion aborts split into
-/// resolved-by-query vs presumed. Under epoch/group commit (DESIGN.md §15)
-/// an extra line reports the seal batch sizes and latencies plus the OCC
-/// abort count and the grouped phase-2 rounds amortized per committed
-/// member.
+/// resolved-by-query vs presumed.
 inline std::string FormatCommitPhaseStats(Cluster& cluster) {
   const char* cn_hists[] = {"cn.precommit_us", "cn.commit_ts_us",
-                            "cn.commit_phase2_us", "cn.write_batch_size",
-                            "epoch.seal_batch_size", "epoch.seal_latency_us"};
+                            "cn.commit_phase2_us", "cn.write_batch_size"};
   std::map<std::string, Histogram> merged;
   for (size_t i = 0; i < cluster.num_cns(); ++i) {
     for (const char* name : cn_hists) {
@@ -219,30 +215,6 @@ inline std::string FormatCommitPhaseStats(Cluster& cluster) {
            static_cast<long long>(aborts_resolved),
            static_cast<long long>(aborts_presumed));
   out += line;
-  int64_t epoch_seals = 0;
-  int64_t epoch_occ_aborts = 0;
-  int64_t epoch_commit_rounds = 0;
-  int64_t epoch_committed = 0;
-  int64_t epoch_ts_rpcs = 0;
-  for (size_t i = 0; i < cluster.num_cns(); ++i) {
-    Metrics& cn = cluster.cn(i).metrics();
-    epoch_seals += cn.Get("epoch.seals");
-    epoch_occ_aborts += cn.Get("epoch.occ_aborts");
-    epoch_commit_rounds += cn.Get("epoch.commit_rounds");
-    epoch_committed += cn.Get("epoch.committed_members");
-    epoch_ts_rpcs += cn.Get("epoch.commit_ts_rpcs");
-  }
-  if (epoch_seals > 0) {
-    snprintf(line, sizeof(line),
-             "    epoch.seals=%lld epoch.occ_aborts=%lld "
-             "epoch.commit_rounds_per_txn=%.3f epoch.commit_ts_rpcs=%lld\n",
-             static_cast<long long>(epoch_seals),
-             static_cast<long long>(epoch_occ_aborts),
-             static_cast<double>(epoch_commit_rounds) /
-                 static_cast<double>(std::max<int64_t>(1, epoch_committed)),
-             static_cast<long long>(epoch_ts_rpcs));
-    out += line;
-  }
   return out;
 }
 

@@ -57,20 +57,6 @@ sim::Task<void> Client(Cluster* cluster, TpccWorkload* tpcc, int cn_index,
   }
 }
 
-const char* ModeName(TimestampMode mode) {
-  switch (mode) {
-    case TimestampMode::kGtm:
-      return "GTM";
-    case TimestampMode::kDual:
-      return "DUAL";
-    case TimestampMode::kGclock:
-      return "GCLOCK";
-    case TimestampMode::kEpoch:
-      return "EPOCH";
-  }
-  return "?";
-}
-
 }  // namespace
 
 int main() {
@@ -143,8 +129,8 @@ int main() {
            static_cast<long long>(b.aborts),
            total > 0 ? 100.0 * b.aborts / total : 0.0,
            b.latency.Percentile(50) / 1e6, b.latency.Percentile(99) / 1e6,
-           static_cast<double>(b.error_bound) / 1e3, ModeName(b.mode),
-           marker);
+           static_cast<double>(b.error_bound) / 1e3,
+           TimestampModeName(b.mode), marker);
   }
 
   Metrics& health = cluster.health().metrics();

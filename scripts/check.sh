@@ -18,10 +18,8 @@ cmake --build "${BUILD_DIR}" -j "$(nproc)"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)"
 
 # Hot-transaction-path smoke: GTM coalescing must stay under 0.5 GTM RPCs
-# per transaction with 16 concurrent clients, and epoch/group commit must
-# keep its >= 1.5x NewOrder p50 cut over GTM at 50 ms RTT with <= 0.1
-# commit-timestamp RPCs per committed transaction. (The pipelined log
-# shipper's >= 4x catch-up over stop-and-wait is a tier-1 test,
+# per transaction with 16 concurrent clients. (The pipelined log shipper's
+# >= 4x catch-up over stop-and-wait is a tier-1 test,
 # PipelineTest.WindowedCatchupBeatsStopAndWaitByFourX.)
 echo "== txn path bench smoke =="
 scripts/bench_txnpath.sh "${BUILD_DIR}"
@@ -74,10 +72,12 @@ ctest --test-dir "${SAN_DIR}" --output-on-failure -j "$(nproc)"
 
 # Chaos smoke: the seeded random fault schedule (TPC-C under crashes,
 # partitions, and clock outages) and the primary-failover acceptance run
-# (three seeds each), under sanitizers.
-echo "== chaos smoke (random faults + primary failover) =="
+# (three seeds each), plus the coalesced-GTM contract every GTM and DUAL
+# timestamp goes through (shared grants, per-waiter DUAL commit waits,
+# abandoned grants never reissued), under sanitizers.
+echo "== chaos smoke (random faults + primary failover + GTM coalescing) =="
 ctest --test-dir "${SAN_DIR}" --output-on-failure \
-  -R 'RandomFaultTest|ClockFallbackTest|PartitionHealTest|PrimaryFailoverTest'
+  -R 'RandomFaultTest|ClockFallbackTest|PartitionHealTest|PrimaryFailoverTest|GtmCoalesceTest'
 
 # 2PC outcome recovery: primaries killed at targeted protocol points
 # (after prepare-append, on commit arrival, mid phase-2) across three seeds
@@ -87,15 +87,6 @@ ctest --test-dir "${SAN_DIR}" --output-on-failure \
 echo "== staged-crash atomicity (2PC outcome recovery) =="
 ctest --test-dir "${SAN_DIR}" --output-on-failure \
   -R 'StagedCrashAtomicityTest|InDoubtResolutionTest|MessageChaosTest'
-
-# Epoch/group commit: grant/phase-2 sharing, per-member OCC aborts,
-# cross-epoch validation, duplicate grouped phase-2 delivery, the
-# three-seed staged-crash run (no acked epoch member lost, no residual
-# in-doubt), the EPOCH -> GTM health demotion, and the range-grant
-# abandonment contract, under sanitizers.
-echo "== epoch/group commit smoke (OCC + staged crashes + fallback) =="
-ctest --test-dir "${SAN_DIR}" --output-on-failure \
-  -R 'EpochCommitTest|EpochFaultTest|EpochFallbackTest|GtmCoalesceTest'
 
 # Batched scan path: pushdown/merge/chunking/failover correctness, the
 # three-seed equivalence oracle against direct table scans, the ROR

@@ -41,25 +41,11 @@ CoordinatorNode::CoordinatorNode(sim::Simulator* sim, sim::Network* network,
                                                 clock_options);
   ts_source_ = std::make_unique<TimestampSource>(sim, network, self, gtm_node,
                                                  clock_.get());
-  EpochManager::Callbacks epoch_callbacks;
-  epoch_callbacks.next_epoch_id = [this] { return NextTxnId(); };
-  epoch_callbacks.shard_primary = [this](ShardId shard) {
-    return shard_primaries_[shard];
-  };
-  EpochManager::Options epoch_options;
-  epoch_options.interval = options_.epoch_interval;
-  epoch_options.commit_retry_limit = options_.commit_retry_limit;
-  epoch_options.commit_retry_backoff = options_.commit_retry_backoff;
-  epoch_options.recent_commit_capacity = options_.epoch_recent_commit_capacity;
-  epoch_mgr_ = std::make_unique<EpochManager>(
-      sim, ts_source_.get(), &client_, &decided_, &metrics_,
-      std::move(epoch_callbacks), epoch_options);
   BindService();
 }
 
 void CoordinatorNode::SetShardMap(std::vector<NodeId> primaries) {
   shard_primaries_ = std::move(primaries);
-  if (ddl_targets_.empty()) ddl_targets_ = shard_primaries_;
   // Precompute the shards mastered in our region once; replicated-table
   // reads rotate across this set on every statement.
   local_replicated_shards_.clear();
@@ -82,17 +68,9 @@ void CoordinatorNode::SetPeerCns(std::vector<NodeId> peers) {
   peer_cns_ = std::move(peers);
 }
 
-void CoordinatorNode::SetPrimaryDdlTargets(std::vector<NodeId> primaries) {
-  ddl_targets_ = std::move(primaries);
-}
-
 void CoordinatorNode::UpdateShardPrimary(ShardId shard, NodeId node) {
   if (shard >= static_cast<ShardId>(shard_primaries_.size())) return;
-  const NodeId old_primary = shard_primaries_[shard];
   shard_primaries_[shard] = node;
-  for (NodeId& target : ddl_targets_) {
-    if (target == old_primary) target = node;
-  }
   // Recompute the local-region rotation set with the new primary location.
   local_replicated_shards_.clear();
   for (ShardId s = 0; s < static_cast<ShardId>(shard_primaries_.size());
@@ -258,27 +236,10 @@ sim::Task<Status> CoordinatorNode::CreateTable(TableSchema schema) {
   DdlRequest request;
   request.ts = *ts;
   request.payload = Catalog::MakeCreatePayload(*created);
-  GDB_CO_RETURN_IF_ERROR(co_await Broadcast(ddl_targets_, kDnDdl, request));
+  GDB_CO_RETURN_IF_ERROR(co_await Broadcast(shard_primaries_, kDnDdl, request));
   // Peer CNs apply the schema directly (they do not replay redo).
   GDB_CO_RETURN_IF_ERROR(co_await Broadcast(peer_cns_, kCnDdlApply, request));
   metrics_.Add("cn.ddls");
-  co_return Status::OK();
-}
-
-sim::Task<Status> CoordinatorNode::DropTable(std::string name) {
-  co_await cpu_.Consume(options_.statement_cost);
-  const TableSchema* schema = catalog_.FindTable(name);
-  if (schema == nullptr) co_return Status::NotFound("table " + name);
-  auto ts = co_await ts_source_->CommitTs(ts_source_->mode());
-  if (!ts.ok()) co_return ts.status();
-  ts_source_->RecordCommitted(*ts);
-
-  DdlRequest request;
-  request.ts = *ts;
-  request.payload = Catalog::MakeDropPayload(name);
-  GDB_CO_RETURN_IF_ERROR(catalog_.ApplyDdl(request.payload, request.ts));
-  GDB_CO_RETURN_IF_ERROR(co_await Broadcast(ddl_targets_, kDnDdl, request));
-  GDB_CO_RETURN_IF_ERROR(co_await Broadcast(peer_cns_, kCnDdlApply, request));
   co_return Status::OK();
 }
 
@@ -368,9 +329,6 @@ sim::Task<Status> CoordinatorNode::DoWrite(TxnHandle* txn,
   // let the caller abort.
   GDB_CO_RETURN_IF_ERROR(txn->writes->error);
 
-  if (txn->mode == TimestampMode::kEpoch) {
-    txn->epoch_writes.emplace_back(schema.id, key);
-  }
   WriteBatchRequest::Entry entry;
   entry.op = op;
   entry.table = schema.id;
@@ -622,9 +580,6 @@ sim::Task<StatusOr<std::vector<std::optional<Row>>>> CoordinatorNode::MultiGet(
     uk.table = schema->id;
     uk.key = schema->PrimaryKeyOf(sparse);
     uk.for_update = mk.for_update;
-    // FOR UPDATE reads see the latest version under the row lock and need no
-    // OCC validation; plain reads join the epoch read set.
-    if (!mk.for_update) NoteEpochRead(txn, uk.table, uk.key);
     // A linear probe: batches hold tens of keys, so this beats a map.
     auto dup = std::find_if(
         unique.begin(), unique.end(), [&uk](const UniqueKey& u) {
@@ -1085,17 +1040,6 @@ sim::Task<void> CoordinatorNode::CallScanGroup(ScanGroup* group,
 sim::Task<Status> CoordinatorNode::EndTxn(TxnHandle* txn, bool commit) {
   co_await cpu_.Consume(options_.statement_cost);
 
-  // Epoch/group commit (DESIGN.md §15): a writing transaction begun under
-  // EPOCH joins the open epoch instead of running an individual 2PC. The
-  // ts_source_ mode is re-checked so transactions straddling an EPOCH -> GTM
-  // demotion fall through to the individual path (their EPOCH-mode CommitTs
-  // routes to the shared GTM counter, so the order stays total).
-  if (commit && txn->mode == TimestampMode::kEpoch &&
-      ts_source_->mode() == TimestampMode::kEpoch &&
-      !txn->write_shards.empty()) {
-    co_return co_await CommitViaEpoch(txn);
-  }
-
   // Resolve the buffered-write pipeline first. A commit sends the final
   // flush just ahead of precommit; an abort discards entries that were
   // never sent but must still drain in-flight flushes — the abort broadcast
@@ -1196,60 +1140,6 @@ sim::Task<Status> CoordinatorNode::EndTxn(TxnHandle* txn, bool commit) {
   ts_source_->RecordCommitted(*ts);
   metrics_.Add("cn.commits");
   metrics_.Add(two_phase ? "cn.2pc_commits" : "cn.1pc_commits");
-  co_return Status::OK();
-}
-
-sim::Task<Status> CoordinatorNode::CommitViaEpoch(TxnHandle* txn) {
-  // Await only the flushes already on the wire; the queued tail is handed to
-  // the epoch manager and rides inside the grouped kDnEpochPrepare instead
-  // of a final kDnWriteBatch round. That keeps the member's commit tail at
-  // (seal wait + one grouped WAN round trip) — the amortization the epoch
-  // protocol exists for.
-  if (txn->writes != nullptr) {
-    co_await txn->writes->inflight.Wait();
-    if (!txn->writes->error.ok()) {
-      // A buffered write failed: the failing shard already rolled itself
-      // back; tell the rest (mirror of the individual-2PC flush-fail path).
-      metrics_.Add("cn.batch_flush_aborts");
-      decided_.Record(txn->id, false, 0);
-      TxnControlRequest control;
-      control.txn = txn->id;
-      control.two_phase = txn->write_shards.size() > 1;
-      control.participants.assign(txn->write_shards.begin(),
-                                  txn->write_shards.end());
-      std::vector<NodeId> nodes;
-      for (ShardId s : txn->write_shards) nodes.push_back(shard_primaries_[s]);
-      (void)co_await Broadcast(nodes, kDnAbort, control);
-      co_return txn->writes->error;
-    }
-  }
-
-  EpochManager::CommitArgs args;
-  args.txn = txn->id;
-  args.snapshot = txn->snapshot;
-  args.participants.assign(txn->write_shards.begin(), txn->write_shards.end());
-  if (txn->writes != nullptr) {
-    for (auto& [shard, sq] : txn->writes->shards) {
-      if (sq.queued.empty()) continue;
-      args.pending_writes[shard] = std::move(sq.queued);
-      sq.queued.clear();
-    }
-  }
-  args.reads = std::move(txn->epoch_reads);
-  args.writes = std::move(txn->epoch_writes);
-
-  const SimTime start = sim_->now();
-  auto ts = co_await epoch_mgr_->Commit(std::move(args));
-  metrics_.Hist("cn.epoch_commit_us")
-      .Record((sim_->now() - start) / kMicrosecond);
-  if (!ts.ok()) {
-    metrics_.Add("cn.epoch_member_aborts");
-    co_return ts.status();
-  }
-  // The epoch manager already recorded the decision and the committed
-  // timestamp watermark; only the CN-level counters remain.
-  metrics_.Add("cn.commits");
-  metrics_.Add("cn.epoch_commits");
   co_return Status::OK();
 }
 

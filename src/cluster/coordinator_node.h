@@ -23,7 +23,6 @@
 #include "src/sim/network.h"
 #include "src/storage/catalog.h"
 #include "src/storage/schema.h"
-#include "src/txn/epoch_manager.h"
 #include "src/txn/timestamp_source.h"
 #include "src/txn/txn_decisions.h"
 
@@ -66,14 +65,6 @@ struct CoordinatorOptions {
   /// Capacity of the CN's decision cache (first resolution source for a
   /// promoted primary's in-doubt transactions).
   size_t decision_cache_capacity = 2 * DecisionMemo::kDefaultCapacity;
-  /// Epoch/group-commit seal cadence (DESIGN.md §15): how long an epoch
-  /// collects committing transactions before it seals, validates OCC-style,
-  /// fetches its single commit timestamp, and drives its grouped rounds.
-  /// Only consulted while the CN runs under TimestampMode::kEpoch.
-  SimDuration epoch_interval = 5 * kMillisecond;
-  /// OCC history size of the epoch manager (committed keys remembered for
-  /// validating later members).
-  size_t epoch_recent_commit_capacity = 8192;
 };
 
 /// Options for a single read-only request.
@@ -166,13 +157,6 @@ struct TxnHandle {
   std::set<ShardId> write_shards;
   /// Lazily created on the first buffered write.
   std::shared_ptr<TxnWriteBuffer> writes;
-  /// OCC read/write key sets, recorded only under TimestampMode::kEpoch:
-  /// plain point reads (FOR UPDATE reads are excluded — they read the
-  /// latest version under the row lock) and every written key. Validated
-  /// at epoch seal (DESIGN.md §15). Range scans are not recorded (documented
-  /// best-effort limitation of the epoch serializability filter).
-  std::vector<std::pair<TableId, RowKey>> epoch_reads;
-  std::vector<std::pair<TableId, RowKey>> epoch_writes;
 };
 
 /// A coordinator (computing) node: parses/plans client operations, routes
@@ -198,12 +182,12 @@ class CoordinatorNode {
   void SetShardMap(std::vector<NodeId> primaries);
   void AddReplica(ShardId shard, NodeId node, RegionId region);
   void SetPeerCns(std::vector<NodeId> peers);
-  void SetPrimaryDdlTargets(std::vector<NodeId> primaries);
 
   /// Failover re-route: `node` (a just-promoted replica) is shard's new
-  /// primary. Updates the shard map, DDL targets, and the local-region
-  /// shard rotation, and removes the node from the replica selector and the
-  /// RCP poll set — a primary is not a replica-read target.
+  /// primary. Updates the shard map (which is also the DDL broadcast list)
+  /// and the local-region shard rotation, and removes the node from the
+  /// replica selector and the RCP poll set — a primary is not a replica-read
+  /// target.
   void UpdateShardPrimary(ShardId shard, NodeId node);
 
   /// Starts heartbeats and (if `rcp_collector`) the RCP collector loop.
@@ -216,7 +200,6 @@ class CoordinatorNode {
   /// obtains a DDL timestamp, logs the DDL on every primary (replicated to
   /// replicas through redo), and broadcasts to peer CNs.
   sim::Task<Status> CreateTable(TableSchema schema);
-  sim::Task<Status> DropTable(std::string name);
 
   // --- Transactions --------------------------------------------------------
 
@@ -278,8 +261,6 @@ class CoordinatorNode {
 
   Catalog& catalog() { return catalog_; }
   TimestampSource& timestamp_source() { return *ts_source_; }
-  /// Epoch/group-commit coordinator (active under TimestampMode::kEpoch).
-  EpochManager& epoch_manager() { return *epoch_mgr_; }
   sim::HardwareClock& clock() { return *clock_; }
   NodeSelector& selector() { return selector_; }
   RcpService& rcp_service() { return *rcp_; }
@@ -311,16 +292,6 @@ class CoordinatorNode {
   }
 
   sim::Task<Status> EndTxn(TxnHandle* txn, bool commit);
-  /// Epoch-mode commit (DESIGN.md §15): awaits only the in-flight flushes,
-  /// hands the queued write tail + OCC sets to the epoch manager, and parks
-  /// until the member's epoch resolves.
-  sim::Task<Status> CommitViaEpoch(TxnHandle* txn);
-  /// Records a key into the transaction's OCC read set (epoch mode only).
-  void NoteEpochRead(TxnHandle* txn, TableId table, const RowKey& key) {
-    if (txn->mode == TimestampMode::kEpoch && !txn->read_only) {
-      txn->epoch_reads.emplace_back(table, key);
-    }
-  }
   /// Drives a recorded decision to every write shard, re-routing through
   /// `shard_primaries_` per attempt (it tracks promotions) and retrying
   /// transport failures with backoff. Non-transport errors and retry
@@ -438,7 +409,6 @@ class CoordinatorNode {
   sim::CpuScheduler cpu_;
   std::unique_ptr<sim::HardwareClock> clock_;
   std::unique_ptr<TimestampSource> ts_source_;
-  std::unique_ptr<EpochManager> epoch_mgr_;
   Catalog catalog_;
   NodeSelector selector_;
   std::unique_ptr<RcpService> rcp_;
@@ -448,7 +418,6 @@ class CoordinatorNode {
   /// SetShardMap (replicated-table reads rotate across them).
   std::vector<ShardId> local_replicated_shards_;
   std::vector<NodeId> peer_cns_;
-  std::vector<NodeId> ddl_targets_;
   uint64_t txn_seq_ = 0;
   mutable uint64_t replicated_rotation_ = 0;
   bool services_running_ = false;

@@ -312,14 +312,6 @@ void DataNode::BindService() {
   server_.Handle(kDnTxnState, [this](NodeId from, TxnOutcomeRequest request) {
     return HandleTxnState(from, std::move(request));
   });
-  server_.Handle(kDnEpochPrepare,
-                 [this](NodeId from, EpochPrepareRequest request) {
-                   return HandleEpochPrepare(from, std::move(request));
-                 });
-  server_.Handle(kDnEpochCommit,
-                 [this](NodeId from, EpochCommitRequest request) {
-                   return HandleEpochCommit(from, std::move(request));
-                 });
 }
 
 sim::Task<StatusOr<TxnOutcomeReply>> DataNode::HandleTxnState(
@@ -675,147 +667,6 @@ sim::Task<StatusOr<rpc::EmptyMessage>> DataNode::HandleAbort(
                                     : RedoRecord::Abort(request.txn));
   decided_.Record(request.txn, false, 0);
   locks_.ReleaseAll(request.txn);
-  co_return rpc::EmptyMessage{};
-}
-
-sim::Task<StatusOr<EpochPrepareReply>> DataNode::HandleEpochPrepare(
-    NodeId from, EpochPrepareRequest request) {
-  co_await cpu_.Consume(options_.commit_cost);
-  metrics_.Add("dn.epoch_prepares");
-  metrics_.Hist("dn.epoch_prepare_members")
-      .Record(static_cast<int64_t>(request.members.size()));
-  EpochPrepareReply reply;
-  reply.results.resize(request.members.size());
-  Lsn last_prepare_lsn = kInvalidLsn;
-  for (size_t i = 0; i < request.members.size(); ++i) {
-    EpochPrepareRequest::Member& member = request.members[i];
-    WriteBatchReply::EntryResult& result = reply.results[i];
-    if (self_aborted_txns_.count(member.txn) > 0) {
-      // This shard already rolled the member back (failing entry in an
-      // earlier pipelined batch): reject it without touching state.
-      result.code = StatusCode::kAborted;
-      result.message = "transaction failed earlier on this shard";
-      continue;
-    }
-    if (const TxnDecision* prior = decided_.Lookup(member.txn)) {
-      // Duplicated/reordered delivery after the member's outcome: never
-      // re-append PREPARE (a replica replaying it after the commit/abort
-      // record would consider the member pending forever).
-      metrics_.Add("dn.decision_dedup_hits");
-      if (!prior->committed) {
-        result.code = StatusCode::kAborted;
-        result.message = "transaction already aborted on this shard";
-      }
-      continue;
-    }
-    // Apply the member's queued write tail (the entries that never reached
-    // the pipelined batch threshold ride inside the prepare).
-    Status applied = Status::OK();
-    for (WriteBatchRequest::Entry& entry : member.entries) {
-      co_await cpu_.Consume(options_.write_cost);
-      Status status = co_await ApplyWrite(member.txn, member.snapshot,
-                                          entry.op, entry.table,
-                                          std::move(entry.key),
-                                          std::move(entry.value));
-      if (!status.ok()) {
-        applied = status;
-        break;
-      }
-    }
-    if (!applied.ok()) {
-      // Per-member self-rollback, exactly like a failing write-batch entry:
-      // this member aborts individually, the rest of the group proceeds.
-      metrics_.Add("dn.epoch_prepare_failures");
-      store_.AbortTxn(member.txn);
-      AppendAndNotify(RedoRecord::Abort(member.txn));
-      locks_.ReleaseAll(member.txn);
-      RememberSelfAborted(member.txn);
-      decided_.Record(member.txn, false, 0);
-      result.code = applied.code();
-      result.message = std::string(applied.message());
-      continue;
-    }
-    // PREPARE per member — even single-shard members, so a primary crash
-    // after the CN's early ack leaves the member in-doubt (resolved commit
-    // via the CN's decision cache) instead of presumed-abort.
-    RedoRecord record = RedoRecord::Prepare(member.txn, member.participants);
-    record.timestamp = request.ts_lower;
-    last_prepare_lsn = AppendAndNotify(std::move(record));
-  }
-  if (last_prepare_lsn != kInvalidLsn && shipper_ != nullptr) {
-    // One durability wait for the whole group: every PREPARE must reach the
-    // replication mode's durability point before the coordinator may decide
-    // commit (what entitles a promoted replica to presume abort for members
-    // whose PREPARE it never replayed). No-op under async replication.
-    Status durability = co_await shipper_->WaitDurable(last_prepare_lsn);
-    if (!durability.ok()) co_return durability;
-  }
-  if (MaybeCrash(CrashStage::kAfterPrepareAppend)) {
-    co_return Status::Unavailable("staged crash after prepare append");
-  }
-  co_return reply;
-}
-
-sim::Task<StatusOr<rpc::EmptyMessage>> DataNode::HandleEpochCommit(
-    NodeId from, EpochCommitRequest request) {
-  co_await cpu_.Consume(options_.commit_cost);
-  metrics_.Add("dn.epoch_commit_rounds");
-  if (MaybeCrash(CrashStage::kOnCommitArrival)) {
-    // The grouped decision arrived but nothing of it applied: the epoch
-    // manager re-drives it against this shard's promoted successor.
-    co_return Status::Unavailable("staged crash on commit arrival");
-  }
-  bool applied_any = false;
-  for (TxnId txn : request.commits) {
-    if (const TxnDecision* prior = decided_.Lookup(txn)) {
-      // Duplicated or re-driven delivery: idempotent per member. A
-      // conflicting decision is a protocol violation, surfaced loudly.
-      metrics_.Add("dn.decision_dedup_hits");
-      if (!prior->committed) {
-        co_return Status::FailedPrecondition(
-            "epoch member already aborted on this shard");
-      }
-      continue;
-    }
-    metrics_.Add("dn.epoch_member_commits");
-    self_aborted_txns_.erase(txn);
-    in_doubt_.erase(txn);  // the grouped re-drive beat the resolver
-    store_.CommitTxn(txn, request.ts);
-    max_commit_ts_ = std::max(max_commit_ts_, request.ts);
-    AppendAndNotify(RedoRecord::CommitPrepared(txn, request.ts));
-    decided_.Record(txn, true, request.ts);
-    applied_any = true;
-  }
-  for (TxnId txn : request.aborts) {
-    if (const TxnDecision* prior = decided_.Lookup(txn)) {
-      metrics_.Add("dn.decision_dedup_hits");
-      if (prior->committed) {
-        co_return Status::FailedPrecondition(
-            "epoch member already committed on this shard");
-      }
-      continue;
-    }
-    metrics_.Add("dn.epoch_member_aborts");
-    self_aborted_txns_.erase(txn);
-    in_doubt_.erase(txn);
-    store_.AbortTxn(txn);
-    AppendAndNotify(RedoRecord::AbortPrepared(txn));
-    decided_.Record(txn, false, 0);
-    applied_any = true;
-  }
-  // The epoch id itself is an outcome key (ts != 0 ⇔ the epoch committed):
-  // in-doubt resolvers and peers can answer epoch-level lookups from it.
-  decided_.Record(request.epoch, request.ts != 0, request.ts);
-  if (applied_any) MaybeCrash(CrashStage::kMidPhase2);
-  // One durability wait for the whole group (covers the duplicate-delivery
-  // reconfirmation too); async replication returns immediately.
-  Status durability;
-  if (shipper_ != nullptr && log_.next_lsn() > 1) {
-    durability = co_await shipper_->WaitDurable(log_.next_lsn() - 1);
-  }
-  for (TxnId txn : request.commits) locks_.ReleaseAll(txn);
-  for (TxnId txn : request.aborts) locks_.ReleaseAll(txn);
-  if (!durability.ok()) co_return durability;
   co_return rpc::EmptyMessage{};
 }
 

@@ -177,9 +177,8 @@ class DataNode {
       NodeId from, ScanBatchRequest request);
   sim::Task<StatusOr<WriteBatchReply>> HandleWriteBatch(
       NodeId from, WriteBatchRequest request);
-  /// Shared write path (write-batch entries and epoch prepare tails): row
-  /// lock, MVCC apply, redo append. Parameters are by value — coroutine
-  /// frame safety.
+  /// One write-batch entry: row lock, MVCC apply, redo append. Parameters
+  /// are by value — coroutine frame safety.
   sim::Task<Status> ApplyWrite(TxnId txn, Timestamp snapshot, WriteOp op,
                                TableId table_id, RowKey key,
                                std::string value);
@@ -189,14 +188,6 @@ class DataNode {
       NodeId from, TxnControlRequest request);
   sim::Task<StatusOr<rpc::EmptyMessage>> HandleAbort(NodeId from,
                                                      TxnControlRequest request);
-  /// Grouped epoch prepare / phase-2 (DESIGN.md §15): per-member apply +
-  /// PREPARE append with one durability wait for the whole group; phase-2
-  /// commits every listed member at the epoch's single timestamp. Both are
-  /// idempotent per member through the decision memo.
-  sim::Task<StatusOr<EpochPrepareReply>> HandleEpochPrepare(
-      NodeId from, EpochPrepareRequest request);
-  sim::Task<StatusOr<rpc::EmptyMessage>> HandleEpochCommit(
-      NodeId from, EpochCommitRequest request);
   sim::Task<StatusOr<rpc::EmptyMessage>> HandleDdl(NodeId from,
                                                    DdlRequest request);
   sim::Task<StatusOr<rpc::EmptyMessage>> HandleHeartbeat(

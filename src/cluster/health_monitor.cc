@@ -97,8 +97,6 @@ sim::Task<void> HealthMonitor::ProbeOnce() {
       co_await client_.CallAll(cn_nodes_, kCnMaxIssued, rpc::EmptyMessage{});
 
   SimDuration max_bound = 0;
-  SimDuration max_seal_latency = 0;
-  uint32_t max_abort_permille = 0;
   bool all_alive = true;
   for (size_t i = 0; i < cn_nodes_.size(); ++i) {
     CnState& state = cns_[cn_nodes_[i]];
@@ -118,41 +116,12 @@ sim::Task<void> HealthMonitor::ProbeOnce() {
       state.misses = 0;
       state.error_bound = results[i]->max_error_bound;
       max_bound = std::max(max_bound, state.error_bound);
-      max_seal_latency = std::max(
-          max_seal_latency, results[i]->epoch_seal_latency_us * kMicrosecond);
-      max_abort_permille =
-          std::max(max_abort_permille, results[i]->epoch_abort_permille);
     }
     if (!state.alive) all_alive = false;
   }
   last_max_error_bound_ = max_bound;
 
   if (!running_ || in_transition_ || transition_ == nullptr) co_return;
-
-  // EPOCH demotion: group commit amortizes WAN rounds only while seals stay
-  // cheap. A CN reporting runaway seal latency (members parked far past the
-  // interval) or a high per-seal abort rate moves the cluster to individual
-  // GTM commits. One-way: returning to EPOCH is an operator decision.
-  if (mode_ == TimestampMode::kEpoch &&
-      (max_seal_latency > options_.epoch_seal_latency_limit ||
-       max_abort_permille > options_.epoch_abort_permille_limit)) {
-    GDB_LOG(Warn) << "health: epoch seal latency " << max_seal_latency
-                  << "ns / abort rate " << max_abort_permille
-                  << "permille exceeds limits, demoting EPOCH -> GTM";
-    in_transition_ = true;
-    auto result = co_await transition_->SwitchEpochToGtm();
-    in_transition_ = false;
-    if (result.ok()) {
-      mode_ = TimestampMode::kGtm;
-      // Deliberately not fell_back_: that flag arms the GTM -> GClock
-      // return path, which must not fire on a cluster configured for EPOCH.
-      epoch_fell_back_ = true;
-      metrics_.Add("health.epoch_fallback_to_gtm");
-    } else {
-      metrics_.Add("health.transition_failures");
-    }
-    co_return;
-  }
 
   // Fallback: clock quality on some reachable CN no longer supports GClock
   // timestamp ordering guarantees — move the cluster to GTM.

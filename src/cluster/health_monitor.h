@@ -36,15 +36,6 @@ struct HealthMonitorOptions {
   /// How long every CN must be alive and under recover_error_bound before
   /// the monitor switches back to GClock (debounces flapping clocks).
   SimDuration recover_dwell = 500 * kMillisecond;
-  /// EPOCH -> GTM demotion thresholds (DESIGN.md §15). While the cluster
-  /// runs epoch/group commit, any reachable CN reporting a seal latency
-  /// above the limit (an epoch's WAN rounds are stalling, so members are
-  /// parked far beyond the interval) or a per-seal OCC/participant abort
-  /// rate above the permille limit demotes the cluster to individual GTM
-  /// commits. There is no automatic return to EPOCH — re-enabling group
-  /// commit is an operator decision.
-  SimDuration epoch_seal_latency_limit = 500 * kMillisecond;
-  uint32_t epoch_abort_permille_limit = 500;
   /// When true the monitor also probes every DN primary (kDnStatus) and,
   /// after primary_miss_threshold consecutive misses, promotes that shard's
   /// most-caught-up replica (DESIGN.md §12). Off by default: a network
@@ -123,9 +114,6 @@ class HealthMonitor {
   /// return transition.
   bool fell_back() const { return fell_back_; }
 
-  /// True after an automatic EPOCH -> GTM demotion (never auto-reverted).
-  bool epoch_fell_back() const { return epoch_fell_back_; }
-
   bool IsCnAlive(NodeId cn) const {
     auto it = cns_.find(cn);
     return it != cns_.end() && it->second.alive;
@@ -159,7 +147,6 @@ class HealthMonitor {
   bool running_ = false;
   TimestampMode mode_;
   bool fell_back_ = false;
-  bool epoch_fell_back_ = false;
   /// A transition is in flight; probes keep running but no new transition
   /// starts until it finishes.
   bool in_transition_ = false;

@@ -396,8 +396,7 @@ struct ScanBatchReply {
   std::string wire_;  // decoded replies: the bytes every view points into
 };
 
-/// Row mutation kind of a buffered write (write batches and epoch prepare
-/// tails).
+/// Row mutation kind of a buffered write.
 enum class WriteOp : uint8_t { kInsert = 1, kUpdate = 2, kDelete = 3 };
 
 /// A pipelined batch of buffered writes for one shard, flushed in statement
@@ -768,186 +767,6 @@ struct ReadHorizonRequest {
   }
 };
 
-/// Grouped prepare for one sealed epoch on one participant shard
-/// (DESIGN.md §15). Carries every OCC-surviving member that touches the
-/// shard: the member's full participant list (so a promoted primary can run
-/// the PR-7 in-doubt resolution per member) plus any write entries still
-/// queued on the CN for this shard — the tail that never reached the
-/// pipelined kDnWriteBatch threshold rides inside the prepare, saving the
-/// final flush round on the commit path. `ts_lower` bounds the epoch's
-/// commit timestamp from below (the CN's max-issued watermark at seal).
-/// The primary applies each member's entries, appends one PREPARE per
-/// member, and waits out durability once for the whole group; per-member
-/// failures travel in the aligned reply (the shard has already rolled the
-/// failing member back locally, exactly like a failing kDnWriteBatch entry).
-struct EpochPrepareRequest {
-  struct Member {
-    TxnId txn = kInvalidTxnId;
-    Timestamp snapshot = 0;
-    std::vector<ShardId> participants;
-    std::vector<WriteBatchRequest::Entry> entries;
-  };
-  TxnId epoch = kInvalidTxnId;  // epoch id; doubles as a txn-outcome key
-  Timestamp ts_lower = 0;
-  std::vector<Member> members;
-
-  std::string Encode() const {
-    std::string s;
-    PutVarint64(&s, epoch);
-    PutVarint64(&s, ts_lower);
-    PutVarint32(&s, static_cast<uint32_t>(members.size()));
-    for (const auto& m : members) {
-      PutVarint64(&s, m.txn);
-      PutVarint64(&s, m.snapshot);
-      PutVarint32(&s, static_cast<uint32_t>(m.participants.size()));
-      for (ShardId shard : m.participants) PutVarint32(&s, shard);
-      PutVarint32(&s, static_cast<uint32_t>(m.entries.size()));
-      for (const auto& e : m.entries) {
-        s.push_back(static_cast<char>(e.op));
-        PutVarint32(&s, e.table);
-        PutLengthPrefixed(&s, e.key);
-        PutLengthPrefixed(&s, e.value);
-      }
-    }
-    return s;
-  }
-  static StatusOr<EpochPrepareRequest> Decode(Slice in) {
-    EpochPrepareRequest r;
-    uint32_t n = 0;
-    if (!GetVarint64(&in, &r.epoch) || !GetVarint64(&in, &r.ts_lower) ||
-        !GetVarint32(&in, &n)) {
-      return Status::Corruption("epoch prepare req");
-    }
-    r.members.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      Member m;
-      uint32_t parts = 0;
-      if (!GetVarint64(&in, &m.txn) || !GetVarint64(&in, &m.snapshot) ||
-          !GetVarint32(&in, &parts)) {
-        return Status::Corruption("epoch prepare member");
-      }
-      m.participants.reserve(parts);
-      for (uint32_t p = 0; p < parts; ++p) {
-        ShardId shard = kInvalidShardId;
-        if (!GetVarint32(&in, &shard)) {
-          return Status::Corruption("epoch prepare participant");
-        }
-        m.participants.push_back(shard);
-      }
-      uint32_t entries = 0;
-      if (!GetVarint32(&in, &entries)) {
-        return Status::Corruption("epoch prepare entry count");
-      }
-      m.entries.reserve(entries);
-      for (uint32_t e = 0; e < entries; ++e) {
-        WriteBatchRequest::Entry entry;
-        if (in.empty()) return Status::Corruption("epoch prepare entry");
-        entry.op = static_cast<WriteOp>(in[0]);
-        in.RemovePrefix(1);
-        Slice key, value;
-        if (!GetVarint32(&in, &entry.table) ||
-            !GetLengthPrefixed(&in, &key) || !GetLengthPrefixed(&in, &value)) {
-          return Status::Corruption("epoch prepare entry fields");
-        }
-        entry.key = key.ToString();
-        entry.value = value.ToString();
-        m.entries.push_back(std::move(entry));
-      }
-      r.members.push_back(std::move(m));
-    }
-    return r;
-  }
-};
-
-/// Per-member outcomes of an epoch prepare, aligned with the request's
-/// members (same shape as WriteBatchReply: the RPC envelope stays OK when
-/// the group was processed; individual member failures travel here and the
-/// shard has already rolled those members back locally).
-struct EpochPrepareReply {
-  std::vector<WriteBatchReply::EntryResult> results;
-
-  std::string Encode() const {
-    std::string s;
-    PutVarint32(&s, static_cast<uint32_t>(results.size()));
-    for (const auto& res : results) {
-      PutVarint32(&s, static_cast<uint32_t>(res.code));
-      PutLengthPrefixed(&s, res.message);
-    }
-    return s;
-  }
-  static StatusOr<EpochPrepareReply> Decode(Slice in) {
-    EpochPrepareReply r;
-    uint32_t n = 0;
-    if (!GetVarint32(&in, &n)) return Status::Corruption("epoch prep reply");
-    r.results.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      WriteBatchReply::EntryResult res;
-      uint32_t code = 0;
-      Slice message;
-      if (!GetVarint32(&in, &code) || !GetLengthPrefixed(&in, &message)) {
-        return Status::Corruption("epoch prep reply entry");
-      }
-      res.code = static_cast<StatusCode>(code);
-      res.message = message.ToString();
-      r.results.push_back(std::move(res));
-    }
-    return r;
-  }
-};
-
-/// Grouped phase-2 for one sealed epoch on one participant shard: every
-/// member in `commits` commits at the epoch's single timestamp `ts`; every
-/// member in `aborts` prepared on this shard but was failed by another
-/// participant and must roll back. Deliveries are idempotent per member via
-/// the decision memos (DESIGN.md §13) — a duplicated or reordered
-/// kDnEpochCommit is a no-op that only reconfirms durability.
-struct EpochCommitRequest {
-  TxnId epoch = kInvalidTxnId;
-  Timestamp ts = 0;
-  std::vector<TxnId> commits;
-  std::vector<TxnId> aborts;
-
-  std::string Encode() const {
-    std::string s;
-    PutVarint64(&s, epoch);
-    PutVarint64(&s, ts);
-    PutVarint32(&s, static_cast<uint32_t>(commits.size()));
-    for (TxnId txn : commits) PutVarint64(&s, txn);
-    PutVarint32(&s, static_cast<uint32_t>(aborts.size()));
-    for (TxnId txn : aborts) PutVarint64(&s, txn);
-    return s;
-  }
-  static StatusOr<EpochCommitRequest> Decode(Slice in) {
-    EpochCommitRequest r;
-    uint32_t commits = 0;
-    if (!GetVarint64(&in, &r.epoch) || !GetVarint64(&in, &r.ts) ||
-        !GetVarint32(&in, &commits)) {
-      return Status::Corruption("epoch commit req");
-    }
-    r.commits.reserve(commits);
-    for (uint32_t i = 0; i < commits; ++i) {
-      TxnId txn = kInvalidTxnId;
-      if (!GetVarint64(&in, &txn)) {
-        return Status::Corruption("epoch commit member");
-      }
-      r.commits.push_back(txn);
-    }
-    uint32_t aborts = 0;
-    if (!GetVarint32(&in, &aborts)) {
-      return Status::Corruption("epoch commit abort count");
-    }
-    r.aborts.reserve(aborts);
-    for (uint32_t i = 0; i < aborts; ++i) {
-      TxnId txn = kInvalidTxnId;
-      if (!GetVarint64(&in, &txn)) {
-        return Status::Corruption("epoch commit abort");
-      }
-      r.aborts.push_back(txn);
-    }
-    return r;
-  }
-};
-
 // --- Method descriptors ------------------------------------------------------
 
 // Served by primary data nodes.
@@ -975,10 +794,6 @@ inline constexpr rpc::RpcMethod<ReadHorizonRequest, rpc::EmptyMessage>
     kDnReadHorizon{"dn.read_horizon"};
 inline constexpr rpc::RpcMethod<TxnOutcomeRequest, TxnOutcomeReply>
     kDnTxnState{"dn.txn_state"};
-inline constexpr rpc::RpcMethod<EpochPrepareRequest, EpochPrepareReply>
-    kDnEpochPrepare{"dn.epoch_prepare"};
-inline constexpr rpc::RpcMethod<EpochCommitRequest, rpc::EmptyMessage>
-    kDnEpochCommit{"dn.epoch_commit"};
 
 // Served by replica data nodes (read-on-replica).
 inline constexpr rpc::RpcMethod<ReadBatchRequest, ReadBatchReply>

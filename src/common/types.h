@@ -58,12 +58,10 @@ using RowKey = std::string;
 enum class TimestampMode {
   kGtm = 0,    // centralized Global Transaction Manager counter
   kDual = 1,   // bridge mode: max(TS_GTM, TS_GClock) + 1
-  kGclock = 2,  // decentralized synchronized-clock timestamps
-  kEpoch = 3   // epoch/group commit: GTM counter timestamps, one grant and
-               // one grouped phase-2 per sealed epoch (DESIGN.md §15)
+  kGclock = 2  // decentralized synchronized-clock timestamps
 };
 
-/// Returns "GTM" / "DUAL" / "GCLOCK" / "EPOCH".
+/// Returns "GTM" / "DUAL" / "GCLOCK".
 inline const char* TimestampModeName(TimestampMode mode) {
   switch (mode) {
     case TimestampMode::kGtm:
@@ -72,8 +70,6 @@ inline const char* TimestampModeName(TimestampMode mode) {
       return "DUAL";
     case TimestampMode::kGclock:
       return "GCLOCK";
-    case TimestampMode::kEpoch:
-      return "EPOCH";
   }
   return "?";
 }

@@ -29,10 +29,6 @@ void GtmServer::BindService() {
 void GtmServer::SetMode(TimestampMode mode, Timestamp floor) {
   GDB_LOG(Info) << "GTM server: mode " << TimestampModeName(mode_) << " -> "
                 << TimestampModeName(mode) << " floor=" << floor;
-  // Epoch mode draws plain GTM counter timestamps (one coalesced grant per
-  // sealed epoch); the grouping lives entirely on the CN side, so the server
-  // itself just runs the centralized counter.
-  if (mode == TimestampMode::kEpoch) mode = TimestampMode::kGtm;
   if (mode == TimestampMode::kDual && mode_ != TimestampMode::kDual) {
     max_error_bound_ = 0;  // start tracking for this transition window
   }
@@ -53,7 +49,6 @@ sim::Task<StatusOr<GtmTimestampReply>> GtmServer::HandleTimestamp(
   reply.server_mode = mode_;
   switch (mode_) {
     case TimestampMode::kGtm:
-    case TimestampMode::kEpoch:  // unreachable: SetMode maps EPOCH -> GTM
       // Plain centralized counter (Eq. 2), advanced by the batch size.
       counter_ += count;
       reply.ts = counter_;

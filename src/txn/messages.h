@@ -56,17 +56,14 @@ struct GtmTimestampRequest {
 /// the server's current mode. `aborted` is set when a GTM-mode transaction
 /// tries to commit after the cluster has moved to GClock mode.
 ///
-/// Range-consumption contract (DESIGN.md §10/§15): the granted range
+/// Range-consumption contract (DESIGN.md §10): the granted range
 /// (ts - count, ts] is fanned out by the coalescing client in waiter arrival
 /// order, binding each timestamp in the range to exactly one waiter at
 /// fan-out time. A timestamp stays bound to its waiter even if that waiter's
-/// transaction (or epoch member) later aborts: the value is simply abandoned,
-/// leaving a harmless gap in the committed-timestamp sequence. Grants are
-/// never re-entered into any pool and never reissued — correctness relies on
-/// uniqueness and monotonicity of issued timestamps, not on density. Epoch
-/// mode leans on the same contract with count == 1: the single epoch grant
-/// is shared by every surviving member, and members aborted by OCC
-/// validation never observe (or recycle) any part of a range.
+/// transaction later aborts: the value is simply abandoned, leaving a
+/// harmless gap in the committed-timestamp sequence. Grants are never
+/// re-entered into any pool and never reissued — correctness relies on
+/// uniqueness and monotonicity of issued timestamps, not on density.
 struct GtmTimestampReply {
   bool aborted = false;
   Timestamp ts = 0;
@@ -123,38 +120,34 @@ struct SetModeRequest {
 };
 
 /// Generic ack carrying a timestamp (max issued / observed error bound).
-/// Under epoch mode the CN also reports its recent epoch health — seal
-/// latency and per-mille member abort rate — which the health monitor folds
-/// into its EPOCH->GTM demotion decision (DESIGN.md §15).
+///
+/// The encoding ends in two reserved zero bytes. They are where two
+/// since-removed varint fields (always zero) used to sit, and they stay so
+/// the health monitor's periodic kCnMaxIssued polls keep their wire size:
+/// the simulated network charges transfer delay per byte, so dropping them
+/// would shift simulated latencies.
 struct AckReply {
+  static constexpr size_t kReservedBytes = 2;
+
   Timestamp max_issued = 0;
   SimDuration max_error_bound = 0;
-  SimDuration epoch_seal_latency_us = 0;  // recent epoch seal latency (us)
-  uint32_t epoch_abort_permille = 0;      // OCC aborts per 1000 members
 
   std::string Encode() const {
     std::string s;
     PutVarint64(&s, max_issued);
     PutVarint64(&s, static_cast<uint64_t>(max_error_bound));
-    PutVarint64(&s, static_cast<uint64_t>(epoch_seal_latency_us));
-    PutVarint32(&s, epoch_abort_permille);
+    s.append(kReservedBytes, '\0');
     return s;
   }
 
   static StatusOr<AckReply> Decode(Slice in) {
     AckReply r;
     uint64_t err = 0;
-    if (!GetVarint64(&in, &r.max_issued) || !GetVarint64(&in, &err)) {
+    if (!GetVarint64(&in, &r.max_issued) || !GetVarint64(&in, &err) ||
+        in.size() < kReservedBytes) {
       return Status::Corruption("ack: truncated");
     }
     r.max_error_bound = static_cast<SimDuration>(err);
-    uint64_t seal = 0;
-    if (GetVarint64(&in, &seal)) {  // epoch health fields are optional
-      r.epoch_seal_latency_us = static_cast<SimDuration>(seal);
-      if (!GetVarint32(&in, &r.epoch_abort_permille)) {
-        return Status::Corruption("ack: truncated epoch health");
-      }
-    }
     return r;
   }
 };

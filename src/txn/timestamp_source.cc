@@ -32,8 +32,6 @@ AckReply TimestampSource::MakeAck() const {
   ack.max_issued =
       std::max(max_issued_, static_cast<Timestamp>(clock_->ReadUpper()));
   ack.max_error_bound = clock_->ErrorBound();
-  ack.epoch_seal_latency_us = epoch_seal_latency_ / kMicrosecond;
-  ack.epoch_abort_permille = epoch_abort_permille_;
   return ack;
 }
 
@@ -157,15 +155,8 @@ sim::Task<StatusOr<TimestampSource::Grant>> TimestampSource::BeginTs(
       co_return grant;
     }
     case TimestampMode::kGtm:
-    case TimestampMode::kDual:
-    case TimestampMode::kEpoch: {
-      // Epoch-mode snapshots are plain GTM counter reads: they share the
-      // GTM coalescing queue (the server treats EPOCH as GTM), while the
-      // grant's mode stays kEpoch so EndTxn routes the commit through the
-      // epoch manager.
-      const TimestampMode rpc_mode =
-          mode_ == TimestampMode::kEpoch ? TimestampMode::kGtm : mode_;
-      auto reply = co_await CallGtm(rpc_mode, /*is_commit=*/false);
+    case TimestampMode::kDual: {
+      auto reply = co_await CallGtm(mode_, /*is_commit=*/false);
       if (!reply.ok()) co_return reply.status();
       if (reply->aborted) co_return Status::Aborted("gtm begin refused");
       grant.ts = reply->ts;
@@ -188,10 +179,6 @@ sim::Task<StatusOr<Timestamp>> TimestampSource::CommitTs(
       mode_ != TimestampMode::kGclock) {
     route = TimestampMode::kDual;
   }
-  // Epoch commits (one grant per sealed epoch, requested by the epoch
-  // manager) and epoch-begun stragglers that fell back to individual 2PC
-  // draw plain GTM counter timestamps.
-  if (txn_mode == TimestampMode::kEpoch) route = TimestampMode::kGtm;
 
   switch (route) {
     case TimestampMode::kGclock: {
@@ -199,8 +186,7 @@ sim::Task<StatusOr<Timestamp>> TimestampSource::CommitTs(
       co_return ts;
     }
     case TimestampMode::kGtm:
-    case TimestampMode::kDual:
-    case TimestampMode::kEpoch: {  // unreachable: remapped to kGtm above
+    case TimestampMode::kDual: {
       auto reply = co_await CallGtm(route, /*is_commit=*/true);
       if (!reply.ok()) co_return reply.status();
       if (reply->aborted) {

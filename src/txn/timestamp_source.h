@@ -70,15 +70,6 @@ class TimestampSource {
   /// the GClock -> GTM transition).
   Timestamp max_issued() const { return max_issued_; }
 
-  /// Epoch-mode health report from the CN's EpochManager after each seal:
-  /// surfaced to the health monitor via kCnMaxIssued acks so it can demote
-  /// EPOCH -> GTM when seal latency or the OCC abort rate spikes
-  /// (DESIGN.md §15).
-  void ReportEpochHealth(SimDuration seal_latency, uint32_t abort_permille) {
-    epoch_seal_latency_ = seal_latency;
-    epoch_abort_permille_ = abort_permille;
-  }
-
   sim::HardwareClock* clock() { return clock_; }
   Metrics& metrics() { return metrics_; }
   /// RPC client used for GTM traffic (retry/latency stats live here).
@@ -138,11 +129,8 @@ class TimestampSource {
   // share an RPC with commits, so the server's per-request verdict (abort,
   // DUAL wait) applies to every waiter of the batch identically — no
   // per-waiter patching of the shared reply.
-  std::vector<std::shared_ptr<GtmWaiter>> queue_[4][2];
-  bool pump_active_[4][2] = {};
-  // Latest epoch seal health (EPOCH mode only; see ReportEpochHealth).
-  SimDuration epoch_seal_latency_ = 0;
-  uint32_t epoch_abort_permille_ = 0;
+  std::vector<std::shared_ptr<GtmWaiter>> queue_[3][2];
+  bool pump_active_[3][2] = {};
   Metrics metrics_;
 };
 

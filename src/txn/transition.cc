@@ -88,22 +88,4 @@ sim::Task<StatusOr<Timestamp>> TransitionCoordinator::SwitchToGtm() {
   co_return floor;
 }
 
-sim::Task<StatusOr<Timestamp>> TransitionCoordinator::SwitchEpochToGtm() {
-  GDB_LOG(Info) << "transition: EPOCH -> GTM begins";
-  metrics_.Add("transition.epoch_to_gtm");
-
-  // Epoch and GTM timestamps share the GTM counter, so there is no bridge
-  // phase: flip the server (a no-op counter-wise) and then every CN. New
-  // transactions on a flipped CN commit individually; members of epochs
-  // sealed before the flip drain through their epoch's grouped rounds.
-  auto gtm_ack = co_await SetGtmMode(TimestampMode::kGtm, 0);
-  if (!gtm_ack.ok()) co_return gtm_ack.status();
-  auto sweep = co_await SetAllCnModes(TimestampMode::kGtm);
-  if (!sweep.ok()) co_return sweep.status();
-
-  GDB_LOG(Info) << "transition: EPOCH -> GTM complete, max_issued="
-                << sweep->max_issued;
-  co_return sweep->max_issued;
-}
-
 }  // namespace globaldb

@@ -48,13 +48,6 @@ class TransitionCoordinator {
   /// Fig. 3. Returns the timestamp floor handed to the GTM server.
   sim::Task<StatusOr<Timestamp>> SwitchToGtm();
 
-  /// EPOCH -> GTM demotion (DESIGN.md §15). No DUAL bridge or dwell is
-  /// needed: epoch timestamps *are* GTM counter values (the server treats
-  /// EPOCH as GTM), so flipping every node straight to GTM preserves the
-  /// total order. Epochs already sealed keep draining — their single
-  /// commit-timestamp fetch routes through the same GTM counter.
-  sim::Task<StatusOr<Timestamp>> SwitchEpochToGtm();
-
   Metrics& metrics() { return metrics_; }
   /// RPC client driving the transition control plane.
   rpc::RpcClient& rpc_client() { return client_; }

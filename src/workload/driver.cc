@@ -1,26 +1,6 @@
 #include "src/workload/driver.h"
 
-#include <cstdlib>
-
-#include "src/common/logging.h"
-
 namespace globaldb {
-
-StatusOr<TimestampMode> ParseTimestampMode(const std::string& name) {
-  if (name == "gtm") return TimestampMode::kGtm;
-  if (name == "gclock") return TimestampMode::kGclock;
-  if (name == "epoch") return TimestampMode::kEpoch;
-  // kDual is a transition-internal state, not a deployable commit mode.
-  return Status::InvalidArgument("unknown timestamp_mode: " + name);
-}
-
-TimestampMode TimestampModeFromEnv(const char* var, TimestampMode fallback) {
-  const char* value = std::getenv(var);
-  if (value == nullptr || value[0] == '\0') return fallback;
-  auto mode = ParseTimestampMode(value);
-  GDB_CHECK(mode.ok()) << var << ": " << mode.status().ToString();
-  return *mode;
-}
 
 sim::Task<void> WorkloadDriver::ClientLoop(CoordinatorNode* cn,
                                            const TxnFn* fn, uint64_t seed,

@@ -10,17 +10,6 @@
 
 namespace globaldb {
 
-/// Commit-mode knob shared by the benches and workload scripts (README:
-/// `timestamp_mode=gtm|gclock|epoch`): maps the knob string onto
-/// ClusterOptions::initial_mode. Unknown names return an error so a config
-/// typo fails loudly instead of silently benchmarking the wrong protocol.
-StatusOr<TimestampMode> ParseTimestampMode(const std::string& name);
-
-/// Reads environment variable `var` (unset/empty -> `fallback`); dies on an
-/// unknown value. Lets scripts sweep commit protocols without recompiling
-/// (e.g. GDB_TIMESTAMP_MODE in scripts/bench_txnpath.sh).
-TimestampMode TimestampModeFromEnv(const char* var, TimestampMode fallback);
-
 /// Result of one client transaction attempt.
 struct TxnResult {
   Status status;

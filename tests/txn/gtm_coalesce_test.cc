@@ -181,13 +181,12 @@ TEST_F(GtmCoalesceTest, GtmCommitDualWaitAppliesOnlyToCommitBatches) {
   EXPECT_LE(src(0).metrics().Get("ts.gtm_rpcs"), 4);
 }
 
-// Range-consumption contract (messages.h, DESIGN.md §10/§15): a granted
-// range (ts - count, ts] binds each value to exactly one waiter at fan-out
-// time. A waiter whose transaction (or epoch member) aborts simply abandons
-// its value — nothing re-enters a pool, so later grants are strictly above
-// every earlier one and abandoned values stay permanent gaps. Epoch-mode
-// commit grants ride the same machinery (remapped to the GTM counter), so
-// the waves mix begin, GTM-commit, and epoch-commit grants.
+// Range-consumption contract (messages.h, DESIGN.md §10): a granted range
+// (ts - count, ts] binds each value to exactly one waiter at fan-out time. A
+// waiter whose transaction aborts simply abandons its value — nothing
+// re-enters a pool, so later grants are strictly above every earlier one and
+// abandoned values stay permanent gaps. The waves mix begin and GTM-commit
+// grants.
 TEST_F(GtmCoalesceTest, AbandonedGrantsAreNeverReissued) {
   std::vector<std::vector<Timestamp>> waves;
   auto client = [&](TimestampSource* s, TimestampMode mode, bool commit,
@@ -210,7 +209,7 @@ TEST_F(GtmCoalesceTest, AbandonedGrantsAreNeverReissued) {
     // server's perspective the two are indistinguishable, which is the
     // point: abandonment needs no protocol action.
     for (int i = 0; i < 6; ++i) {
-      sim_.Spawn(client(&src(0), TimestampMode::kEpoch, true, out));
+      sim_.Spawn(client(&src(0), TimestampMode::kGtm, true, out));
       sim_.Spawn(client(&src(0), TimestampMode::kGtm, i % 2 == 0, out));
     }
     sim_.RunFor(200 * kMillisecond);

@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/rpc/rpc_client.h"
 #include "src/rpc/wire.h"
 #include "src/sim/simulator.h"
+#include "src/txn/messages.h"
 
 namespace globaldb {
 namespace {
@@ -155,6 +158,30 @@ TEST_F(GtmServerTest, MalformedRequestRejectedSafely) {
   while (!done) sim_.RunFor(1 * kMillisecond);
   EXPECT_EQ(status.code(), StatusCode::kCorruption);
   EXPECT_EQ(gtm_->counter(), 0u);  // nothing issued
+}
+
+// The ack (reply to kGtmSetMode, kCnSetMode and kCnMaxIssued) keeps two
+// reserved zero bytes after its fields so its wire size, and with it every
+// simulated transfer delay, stays as it was.
+TEST(AckReplyTest, RoundTripsWithTwoReservedBytes) {
+  EXPECT_EQ(AckReply{}.Encode().size(), 4u);
+
+  AckReply ack;
+  ack.max_issued = 1'700'000'123'456'789ull;
+  ack.max_error_bound = 250 * kMicrosecond;
+  const std::string wire = ack.Encode();
+  auto decoded = AckReply::Decode(wire);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->max_issued, ack.max_issued);
+  EXPECT_EQ(decoded->max_error_bound, ack.max_error_bound);
+  EXPECT_EQ(wire.substr(wire.size() - AckReply::kReservedBytes),
+            std::string(AckReply::kReservedBytes, '\0'));
+
+  for (size_t len = 0; len < wire.size(); ++len) {
+    auto truncated = AckReply::Decode(Slice(wire.data(), len));
+    ASSERT_FALSE(truncated.ok()) << "prefix of " << len << " bytes";
+    EXPECT_EQ(truncated.status().code(), StatusCode::kCorruption);
+  }
 }
 
 }  // namespace

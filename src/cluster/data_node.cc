@@ -135,7 +135,8 @@ void DataNode::InstallForPromotion(Lsn applied_lsn, Timestamp max_commit_ts,
   seed.checkpoint_ts = 0;
   seed.max_commit_ts = max_commit_ts_;
   seed.catalog_image = EncodeCatalog(catalog_);
-  seed.store_image = EncodeShardStore(store_);
+  store_.Freeze();
+  seed.store = &store_;
   durability_.SeedCheckpoint(std::move(seed));
   metrics_.Add("dn.promotions");
 }

@@ -22,12 +22,13 @@ sim::Task<void> Checkpointer::Loop() {
 
 void Checkpointer::RunOnce() {
   const Timestamp horizon = durability_->VacuumHorizon();
-  const size_t reclaimed = store_->Vacuum(horizon);
-  const int64_t live = static_cast<int64_t>(store_->VersionCount());
-  metrics_->Add("storage.versions_gced", static_cast<int64_t>(reclaimed));
+  const MvccTable::VacuumStats vacuum = store_->Vacuum(horizon);
+  metrics_->Add("storage.versions_gced",
+                static_cast<int64_t>(vacuum.reclaimed));
   // versions_live is a gauge: adjust the counter to the current value.
   metrics_->Add("storage.versions_live",
-                live - metrics_->Get("storage.versions_live"));
+                static_cast<int64_t>(vacuum.versions) -
+                    metrics_->Get("storage.versions_live"));
 
   // Quiet shard: the retained checkpoint already covers the whole log.
   // Appending another kCheckpoint would keep the tail moving forever (and
@@ -42,9 +43,12 @@ void Checkpointer::RunOnce() {
   snapshot.checkpoint_ts = horizon;
   snapshot.max_commit_ts = max_commit_ts_();
   snapshot.catalog_image = EncodeCatalog(*catalog_);
-  snapshot.store_image = EncodeShardStore(*store_);
+  // Nothing changed the store since the vacuum walk sized it, so that size
+  // is the frozen image's.
+  store_->Freeze();
+  snapshot.store = store_;
   metrics_->Hist("durability.snapshot_bytes")
-      .Record(static_cast<int64_t>(snapshot.store_image.size()));
+      .Record(static_cast<int64_t>(vacuum.image_bytes));
   durability_->PublishCheckpoint(std::move(snapshot));
 }
 

@@ -13,15 +13,17 @@
 namespace globaldb {
 
 /// Periodic durability-lifecycle driver on a DN primary (DESIGN.md §12).
-/// Each cycle, synchronously (no suspension between the steps, so the image
-/// is exact as of the checkpoint record's LSN):
+/// Each cycle, synchronously (no suspension between the steps, so the
+/// checkpoint is exact as of its record's LSN):
 ///
-///   1. vacuums the shard's version chains at the cluster read horizon,
+///   1. vacuums the shard's version chains at the cluster read horizon, in
+///      the same walk counting versions and sizing the store image,
 ///   2. appends a kCheckpoint redo record carrying that horizon (replicas
 ///      vacuum at the same horizon when they replay it),
-///   3. cuts a full-state image of the store + catalog, and
-///   4. publishes (checkpoint_lsn, image) to the DurabilityManager, which
-///      truncates the redo stream up to min(checkpoint, quorum ack).
+///   3. images the catalog and freezes the store (its image is built only
+///      if a replica needs it), and
+///   4. publishes the checkpoint to the DurabilityManager, which truncates
+///      the redo stream up to min(checkpoint, quorum ack).
 class Checkpointer {
  public:
   struct Options {
@@ -51,8 +53,8 @@ class Checkpointer {
   void Start();
   void Stop() { stopped_ = true; }
 
-  /// One vacuum + checkpoint + publish cycle. Synchronous so the image is
-  /// consistent with the kCheckpoint record's LSN.
+  /// One vacuum + checkpoint + publish cycle. Synchronous so the frozen
+  /// store is consistent with the kCheckpoint record's LSN.
   void RunOnce();
 
  private:

@@ -24,8 +24,9 @@ class LogShipper;
 ///    (clamped here), which keeps it safe across GClock<->GTM fallback:
 ///    DUAL-mode issuance preserves the cluster's single timestamp order.
 ///
-/// It also retains the latest checkpoint snapshot, which the log shipper
-/// serves to replicas whose resume LSN fell below the truncation point.
+/// It also retains the latest checkpoint, whose frozen store the log
+/// shipper images for replicas whose resume LSN fell below the truncation
+/// point.
 class DurabilityManager {
  public:
   DurabilityManager(LogStream* stream, Metrics* metrics)
@@ -52,13 +53,14 @@ class DurabilityManager {
   /// future read anywhere in the cluster runs at a snapshot below it.
   Timestamp VacuumHorizon() const { return read_horizon_; }
 
-  /// Installs a fresh checkpoint snapshot, then truncates the log up to the
-  /// new watermark (keeping everything past the quorum ack shippable).
+  /// Installs a fresh checkpoint, then truncates the log up to the new
+  /// watermark (keeping everything past the quorum ack shippable).
   void PublishCheckpoint(ShardSnapshot snapshot);
 
   /// Seeds checkpoint state without truncating — used when a promoted
-  /// replica becomes primary: its installed state *is* the checkpoint at
-  /// its applied LSN, and stragglers below it must install via snapshot.
+  /// replica becomes primary: its installed state, frozen, *is* the
+  /// checkpoint at its applied LSN, and stragglers below it must install
+  /// via snapshot.
   void SeedCheckpoint(ShardSnapshot snapshot) {
     snapshot_ = std::move(snapshot);
   }

@@ -183,10 +183,12 @@ std::string LogShipper::EncodedRequest(
   auto batch_or =
       stream_->Read(start, extent.records, std::numeric_limits<size_t>::max());
   if (!batch_or.ok() || batch_or->empty()) return std::string();
+  const std::string batch =
+      LogStream::EncodeBatch(*batch_or, options_.compression);
   ReplAppendRequest request;
   request.shard = shard_;
   request.start_lsn = start;
-  request.batch = LogStream::EncodeBatch(*batch_or, options_.compression);
+  request.batch = batch;
   return request.Encode();
 }
 
@@ -285,8 +287,10 @@ sim::Task<void> LogShipper::SendSnapshot(NodeId replica) {
   request.checkpoint_ts = snap.checkpoint_ts;
   request.max_commit_ts = snap.max_commit_ts;
   request.reset = peer.snapshot_reset;
+  // Views of the checkpoint's images, copied once into the request body
+  // before the call suspends (the first send builds the store image).
   request.catalog_image = snap.catalog_image;
-  request.store_image = snap.store_image;
+  request.store_image = snap.store->FrozenImage();
   const uint64_t epoch = peer.epoch;
   metrics_.Add("ship.snapshots");
   metrics_.Add("ship.snapshot_bytes",

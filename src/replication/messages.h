@@ -16,13 +16,16 @@ namespace globaldb {
 struct ReplAppendRequest {
   uint32_t shard = 0;
   Lsn start_lsn = kInvalidLsn;
-  std::string batch;
+  /// A view: of the sender's encoded batch for Encode, and of the received
+  /// payload after Decode (valid while the handler runs).
+  Slice batch;
 
   std::string Encode() const {
     std::string s;
+    s.reserve(VarintLength(shard) + VarintLength(start_lsn) + batch.size());
     PutVarint32(&s, shard);
     PutVarint64(&s, start_lsn);
-    s += batch;
+    s.append(batch.data(), batch.size());
     return s;
   }
   static StatusOr<ReplAppendRequest> Decode(Slice in) {
@@ -30,7 +33,7 @@ struct ReplAppendRequest {
     if (!GetVarint32(&in, &r.shard) || !GetVarint64(&in, &r.start_lsn)) {
       return Status::Corruption("repl append req");
     }
-    r.batch = in.ToString();
+    r.batch = in;
     return r;
   }
 };
@@ -113,11 +116,18 @@ struct ReplSnapshotRequest {
   /// Force installation even if the replica's applied LSN is not behind —
   /// set after a promotion, when the shard's history diverged.
   bool reset = false;
-  std::string catalog_image;
-  std::string store_image;
+  /// Views: of the sender's images for Encode, and of the received payload
+  /// after Decode (valid while the handler runs), so a multi-megabyte image
+  /// is copied once, into the request body.
+  Slice catalog_image;
+  Slice store_image;
 
   std::string Encode() const {
     std::string s;
+    s.reserve(VarintLength(shard) + VarintLength(checkpoint_lsn) +
+              VarintLength(checkpoint_ts) + VarintLength(max_commit_ts) + 1 +
+              VarintLength(catalog_image.size()) + catalog_image.size() +
+              VarintLength(store_image.size()) + store_image.size());
     PutVarint32(&s, shard);
     PutVarint64(&s, checkpoint_lsn);
     PutVarint64(&s, checkpoint_ts);
@@ -130,17 +140,14 @@ struct ReplSnapshotRequest {
   static StatusOr<ReplSnapshotRequest> Decode(Slice in) {
     ReplSnapshotRequest r;
     uint32_t reset = 0;
-    Slice catalog_image, store_image;
     if (!GetVarint32(&in, &r.shard) || !GetVarint64(&in, &r.checkpoint_lsn) ||
         !GetVarint64(&in, &r.checkpoint_ts) ||
         !GetVarint64(&in, &r.max_commit_ts) || !GetVarint32(&in, &reset) ||
-        !GetLengthPrefixed(&in, &catalog_image) ||
-        !GetLengthPrefixed(&in, &store_image)) {
+        !GetLengthPrefixed(&in, &r.catalog_image) ||
+        !GetLengthPrefixed(&in, &r.store_image)) {
       return Status::Corruption("repl snapshot req");
     }
     r.reset = reset != 0;
-    r.catalog_image = catalog_image.ToString();
-    r.store_image = store_image.ToString();
     return r;
   }
 };

@@ -69,8 +69,8 @@ sim::Task<StatusOr<ReplSnapshotReply>> ReplicaApplier::HandleSnapshot(
     ack.accepted = true;
     co_return ack;
   }
-  Status s = InstallCatalog(Slice(request.catalog_image), catalog_);
-  if (s.ok()) s = InstallShardStore(Slice(request.store_image), store_);
+  Status s = InstallCatalog(request.catalog_image, catalog_);
+  if (s.ok()) s = InstallShardStore(request.store_image, store_);
   if (!s.ok()) {
     GDB_LOG(Error) << "replica " << self_
                    << ": snapshot install failed: " << s.ToString();
@@ -315,8 +315,9 @@ void ReplicaApplier::ApplyRecord(const RedoRecord& record) {
     case RedoType::kCheckpoint:
       // The primary checkpointed at this vacuum horizon; prune our version
       // chains at the same horizon so replica memory tracks the primary's.
-      metrics_.Add("storage.versions_gced",
-                   static_cast<int64_t>(store_->Vacuum(record.timestamp)));
+      metrics_.Add(
+          "storage.versions_gced",
+          static_cast<int64_t>(store_->Vacuum(record.timestamp).reclaimed));
       break;
   }
 }

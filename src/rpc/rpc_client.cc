@@ -45,7 +45,12 @@ sim::Task<StatusOr<std::string>> RpcClient::RawCall(NodeId to,
     }
 
     ++attempt;
-    result = co_await network_->Call(self_, to, method, payload, timeout);
+    // The last permitted attempt hands the payload over; earlier ones keep
+    // it for a retry. (A named local: GCC mis-destroys a conditional's
+    // temporary inside a co_await operand.)
+    std::string sent = attempt >= max_attempts ? std::move(payload) : payload;
+    result = co_await network_->Call(self_, to, method, std::move(sent),
+                                     timeout);
     if (result.ok() || !IsTransportError(result.status())) break;
 
     // Deadline exceeded surfaces TimedOut with no further attempts, even

@@ -72,10 +72,62 @@ const TupleVersion* NewestLive(const VersionChain& versions) {
   return nullptr;
 }
 
+/// A chain's image in a table image: length-prefixed key, version count,
+/// then each version's stamps and length-prefixed value.
+void EncodeChain(std::string_view key, const VersionChain& chain,
+                 std::string* dst) {
+  PutLengthPrefixed(dst, key);
+  PutVarint64(dst, chain.size());
+  for (const TupleVersion& v : chain) {
+    PutVarint64(dst, v.begin_ts);
+    PutVarint64(dst, v.end_ts);
+    PutVarint64(dst, v.created_by);
+    PutVarint64(dst, v.ended_by);
+    PutLengthPrefixed(dst, v.value.view());
+  }
+}
+
+/// Exact number of bytes EncodeChain appends.
+size_t ChainEncodedSize(std::string_view key, const VersionChain& chain) {
+  size_t bytes =
+      VarintLength(key.size()) + key.size() + VarintLength(chain.size());
+  for (const TupleVersion& v : chain) {
+    bytes += VarintLength(v.begin_ts) + VarintLength(v.end_ts) +
+             VarintLength(v.created_by) + VarintLength(v.ended_by) +
+             VarintLength(v.value.size()) + v.value.size();
+  }
+  return bytes;
+}
+
 }  // namespace
 
+MvccTable::Entry* MvccTable::MutableEntry(std::string_view key, bool insert) {
+  if (!insert) {
+    Entry* entry = chains_.FindEntry(key);
+    if (entry != nullptr) {
+      CaptureBeforeWrite(entry->first, entry->second, /*inserted=*/false);
+    }
+    return entry;
+  }
+  const size_t keys = chains_.size();
+  Entry& entry = chains_.FindOrInsert(key);
+  CaptureBeforeWrite(entry.first, entry.second, chains_.size() != keys);
+  return &entry;
+}
+
+void MvccTable::CaptureBeforeWrite(std::string_view key,
+                                   const VersionChain& chain, bool inserted) {
+  if (freeze_ == nullptr) return;
+  auto [it, first_write] = freeze_->saved.try_emplace(key.data());
+  if (!first_write || inserted) return;
+  std::string& pre_image = it->second;
+  pre_image.reserve(ChainEncodedSize(key, chain));
+  EncodeChain(key, chain, &pre_image);
+  freeze_->bytes += pre_image.size();
+}
+
 Status MvccTable::Insert(const RowKey& key, Slice value, TxnId txn) {
-  auto& [interned, chain] = chains_.FindOrInsert(key);
+  auto& [interned, chain] = *MutableEntry(key, /*insert=*/true);
   const TupleVersion* live = NewestLive(chain);
   if (live != nullptr) {
     if (live->begin_ts == 0 && live->created_by == txn &&
@@ -101,7 +153,7 @@ Status MvccTable::Insert(const RowKey& key, Slice value, TxnId txn) {
 
 Status MvccTable::Update(const RowKey& key, Slice value, TxnId txn,
                          Timestamp snapshot) {
-  auto* entry = chains_.FindEntry(key);
+  Entry* entry = MutableEntry(key, /*insert=*/false);
   if (entry == nullptr || entry->second.empty()) {
     return Status::NotFound("update: no such key");
   }
@@ -142,7 +194,7 @@ Status MvccTable::Update(const RowKey& key, Slice value, TxnId txn,
 }
 
 Status MvccTable::Delete(const RowKey& key, TxnId txn, Timestamp snapshot) {
-  auto* entry = chains_.FindEntry(key);
+  Entry* entry = MutableEntry(key, /*insert=*/false);
   if (entry == nullptr || entry->second.empty()) {
     return Status::NotFound("delete: no such key");
   }
@@ -199,7 +251,7 @@ Status MvccTable::LoadCommitted(
 }
 
 void MvccTable::ApplyInsert(const RowKey& key, Slice value, TxnId txn) {
-  auto& [interned, chain] = chains_.FindOrInsert(key);
+  auto& [interned, chain] = *MutableEntry(key, /*insert=*/true);
   TupleVersion v;
   v.created_by = txn;
   v.value = value.ToView();
@@ -208,7 +260,7 @@ void MvccTable::ApplyInsert(const RowKey& key, Slice value, TxnId txn) {
 }
 
 void MvccTable::ApplyUpdate(const RowKey& key, Slice value, TxnId txn) {
-  auto& [interned, chain] = chains_.FindOrInsert(key);
+  auto& [interned, chain] = *MutableEntry(key, /*insert=*/true);
   for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
     if (it->end_ts == kTimestampMax) {
       if (it->begin_ts == 0 && it->created_by == txn) {
@@ -228,7 +280,7 @@ void MvccTable::ApplyUpdate(const RowKey& key, Slice value, TxnId txn) {
 }
 
 void MvccTable::ApplyDelete(const RowKey& key, TxnId txn) {
-  auto& [interned, chain] = chains_.FindOrInsert(key);
+  auto& [interned, chain] = *MutableEntry(key, /*insert=*/true);
   for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
     if (it->end_ts == kTimestampMax) {
       it->ended_by = txn;
@@ -242,9 +294,9 @@ void MvccTable::CommitTxn(TxnId txn, Timestamp ts) {
   auto it = touched_.find(txn);
   if (it == touched_.end()) return;
   for (std::string_view key : it->second) {
-    VersionChain* chain = FindChain(key);
-    if (chain == nullptr) continue;
-    for (TupleVersion& v : *chain) {
+    Entry* entry = MutableEntry(key, /*insert=*/false);
+    if (entry == nullptr) continue;
+    for (TupleVersion& v : entry->second) {
       if (v.created_by == txn && v.begin_ts == 0) v.begin_ts = ts;
       if (v.ended_by == txn) {
         v.end_ts = ts;
@@ -259,12 +311,13 @@ void MvccTable::AbortTxn(TxnId txn) {
   auto it = touched_.find(txn);
   if (it == touched_.end()) return;
   for (std::string_view key : it->second) {
-    VersionChain* chain = FindChain(key);
-    if (chain == nullptr) continue;
-    chain->EraseIf([txn](const TupleVersion& v) {
+    Entry* entry = MutableEntry(key, /*insert=*/false);
+    if (entry == nullptr) continue;
+    VersionChain& chain = entry->second;
+    chain.EraseIf([txn](const TupleVersion& v) {
       return v.created_by == txn && v.begin_ts == 0;
     });
-    for (TupleVersion& v : *chain) {
+    for (TupleVersion& v : chain) {
       if (v.ended_by == txn) v.ended_by = kInvalidTxnId;
     }
   }
@@ -423,32 +476,50 @@ size_t MvccTable::VersionCount() const {
 void MvccTable::EncodeTo(std::string* dst) const {
   PutVarint64(dst, chains_.size());
   for (auto it = chains_.Begin(); it.Valid(); it.Next()) {
-    PutLengthPrefixed(dst, it.key());
-    const VersionChain& chain = it.value();
-    PutVarint64(dst, chain.size());
-    for (const TupleVersion& v : chain) {
-      PutVarint64(dst, v.begin_ts);
-      PutVarint64(dst, v.end_ts);
-      PutVarint64(dst, v.created_by);
-      PutVarint64(dst, v.ended_by);
-      PutLengthPrefixed(dst, v.value.view());
-    }
+    EncodeChain(it.key(), it.value(), dst);
   }
 }
 
 size_t MvccTable::EncodedSize() const {
   size_t bytes = VarintLength(chains_.size());
   for (auto it = chains_.Begin(); it.Valid(); it.Next()) {
-    const VersionChain& chain = it.value();
-    bytes += VarintLength(it.key().size()) + it.key().size() +
-             VarintLength(chain.size());
-    for (const TupleVersion& v : chain) {
-      bytes += VarintLength(v.begin_ts) + VarintLength(v.end_ts) +
-               VarintLength(v.created_by) + VarintLength(v.ended_by) +
-               VarintLength(v.value.size()) + v.value.size();
-    }
+    bytes += ChainEncodedSize(it.key(), it.value());
   }
   return bytes;
+}
+
+void MvccTable::Freeze() {
+  GDB_CHECK(!chains_.empty()) << "freeze of an empty table";
+  freeze_ = std::make_unique<FreezeState>();
+  freeze_->keys = chains_.size();
+}
+
+// A key born since the freeze has an empty saved image, so both walks below
+// skip it by adding or appending nothing.
+
+size_t MvccTable::FrozenEncodedSize() const {
+  GDB_CHECK(freeze_ != nullptr) << "table " << id_ << " is not frozen";
+  size_t bytes = VarintLength(freeze_->keys);
+  for (auto it = chains_.Begin(); it.Valid(); it.Next()) {
+    auto saved = freeze_->saved.find(it.key().data());
+    bytes += saved == freeze_->saved.end()
+                 ? ChainEncodedSize(it.key(), it.value())
+                 : saved->second.size();
+  }
+  return bytes;
+}
+
+void MvccTable::EncodeFrozenTo(std::string* dst) const {
+  GDB_CHECK(freeze_ != nullptr) << "table " << id_ << " is not frozen";
+  PutVarint64(dst, freeze_->keys);
+  for (auto it = chains_.Begin(); it.Valid(); it.Next()) {
+    auto saved = freeze_->saved.find(it.key().data());
+    if (saved == freeze_->saved.end()) {
+      EncodeChain(it.key(), it.value(), dst);
+    } else {
+      dst->append(saved->second);
+    }
+  }
 }
 
 Status MvccTable::DecodeFrom(Slice* input) {
@@ -508,15 +579,23 @@ std::vector<TxnId> MvccTable::ProvisionalTxns() const {
   return out;
 }
 
-size_t MvccTable::Vacuum(Timestamp horizon) {
-  size_t reclaimed = 0;
+MvccTable::VacuumStats MvccTable::Vacuum(Timestamp horizon) {
+  const auto expired = [horizon](const TupleVersion& v) {
+    return v.begin_ts != 0 && v.end_ts != kTimestampMax && v.end_ts <= horizon;
+  };
+  VacuumStats stats;
+  stats.image_bytes = VarintLength(chains_.size());
   for (auto it = chains_.Begin(); it.Valid(); it.Next()) {
-    reclaimed += it.value().EraseIf([horizon](const TupleVersion& v) {
-      return v.begin_ts != 0 && v.end_ts != kTimestampMax &&
-             v.end_ts <= horizon;
-    });
+    VersionChain& chain = it.value();
+    if (freeze_ != nullptr &&
+        std::any_of(chain.begin(), chain.end(), expired)) {
+      CaptureBeforeWrite(it.key(), chain, /*inserted=*/false);
+    }
+    stats.reclaimed += chain.EraseIf(expired);
+    stats.versions += chain.size();
+    stats.image_bytes += ChainEncodedSize(it.key(), chain);
   }
-  return reclaimed;
+  return stats;
 }
 
 }  // namespace globaldb

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -239,9 +240,16 @@ class MvccTable {
   /// Total versions across all chains (the `storage.versions_live` gauge).
   size_t VersionCount() const;
 
+  /// What one Vacuum walk saw of the table it left behind.
+  struct VacuumStats {
+    size_t reclaimed = 0;    // versions dropped
+    size_t versions = 0;     // versions kept (VersionCount())
+    size_t image_bytes = 0;  // EncodedSize()
+  };
   /// Drops versions that ended at or before `horizon` (no snapshot at or
-  /// below the horizon is active). Returns versions reclaimed.
-  size_t Vacuum(Timestamp horizon);
+  /// below the horizon is active). The same walk counts what is left and
+  /// sizes its image, so a checkpoint walks the table once.
+  VacuumStats Vacuum(Timestamp horizon);
 
   // --- Checkpoint snapshot -------------------------------------------------
 
@@ -252,6 +260,27 @@ class MvccTable {
   /// Exact number of bytes EncodeTo appends, so a caller can length-prefix
   /// the image and write it in place.
   size_t EncodedSize() const;
+
+  /// Freezes the table as EncodeTo would image it now, without encoding it
+  /// (DESIGN.md §12 "Checkpointer"). Until Thaw, each chain's first change
+  /// saves its encoded pre-image and each new key is marked born, so
+  /// EncodeFrozenTo can rebuild the frozen image at any later point. Ends
+  /// any earlier freeze. Call only on a non-empty table: an empty one needs
+  /// no capture, its image is a zero chain count.
+  void Freeze();
+  /// Ends the freeze and frees its pre-images.
+  void Thaw() { freeze_.reset(); }
+
+  /// Exact size and bytes of the image EncodeTo appended at Freeze(): the
+  /// live chains, with each changed chain's pre-image in its place and keys
+  /// born since left out. Requires a live freeze.
+  size_t FrozenEncodedSize() const;
+  void EncodeFrozenTo(std::string* dst) const;
+
+  /// Bytes of pre-images the live freeze holds (0 without one).
+  size_t FrozenBytes() const {
+    return freeze_ == nullptr ? 0 : freeze_->bytes;
+  }
 
   /// Rebuilds a freshly constructed table from an EncodeTo image, restoring
   /// chains and the provisional-transaction bookkeeping (touched_) so
@@ -284,13 +313,37 @@ class MvccTable {
                                           Timestamp snapshot, TxnId reader,
                                           TxnId* provisional);
 
-  VersionChain* FindChain(std::string_view key) { return chains_.Find(key); }
+  using Entry = BTree<VersionChain>::Entry;
+
+  /// The one way a write reaches a chain: looks `key` up, inserting an empty
+  /// chain when `insert` (else null when absent), and first lets a live
+  /// freeze capture it (CaptureBeforeWrite).
+  Entry* MutableEntry(std::string_view key, bool insert);
+  /// MutableEntry's capture, also called by Vacuum's walk for a chain it is
+  /// about to prune. `key` views the interned key. Keeps the chain's bytes
+  /// as of the freeze unless they are already kept, or marks the key born
+  /// when `inserted` (the lookup just created it).
+  void CaptureBeforeWrite(std::string_view key, const VersionChain& chain,
+                          bool inserted);
+
   /// Records a provisional write; `key` must view the tree's interned copy.
   void Touch(TxnId txn, std::string_view key) { touched_[txn].push_back(key); }
+
+  /// Capture state of a live freeze. Keys are interned and never erased, so
+  /// a key's arena address names its chain for the table's lifetime.
+  struct FreezeState {
+    size_t keys = 0;   // chain count at the freeze
+    size_t bytes = 0;  // total pre-image bytes
+    /// Per chain changed since the freeze: its encoded image (key, version
+    /// count, versions) as of the freeze, or empty for a key born since
+    /// (a chain image is never empty).
+    std::unordered_map<const char*, std::string> saved;
+  };
 
   TableId id_;
   mutable BTree<VersionChain> chains_;
   std::unordered_map<TxnId, std::vector<std::string_view>> touched_;
+  std::unique_ptr<FreezeState> freeze_;
 };
 
 }  // namespace globaldb

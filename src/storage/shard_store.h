@@ -4,6 +4,8 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -36,7 +38,12 @@ class ShardStore {
     return it == tables_.end() ? nullptr : it->second.get();
   }
 
-  void DropTable(TableId id) { tables_.erase(id); }
+  /// Drops the table, ending any live freeze (its capture lives in the
+  /// tables).
+  void DropTable(TableId id) {
+    EndCapture();
+    tables_.erase(id);
+  }
 
   void CommitTxn(TxnId txn, Timestamp ts) {
     for (auto& [id, table] : tables_) {
@@ -52,11 +59,10 @@ class ShardStore {
 
   size_t NumTables() const { return tables_.size(); }
 
-  size_t Vacuum(Timestamp horizon) {
-    size_t reclaimed = 0;
-    for (auto& [id, table] : tables_) reclaimed += table->Vacuum(horizon);
-    return reclaimed;
-  }
+  /// Vacuums every table at `horizon` in one walk per table
+  /// (MvccTable::Vacuum); `image_bytes` is the size EncodeShardStore's image
+  /// of the result would have.
+  MvccTable::VacuumStats Vacuum(Timestamp horizon);
 
   /// Total live versions across all tables (the `storage.versions_live`
   /// gauge the soak bench asserts stays bounded).
@@ -87,18 +93,52 @@ class ShardStore {
   }
 
   /// Swaps in a complete set of tables (a decoded snapshot image),
-  /// dropping the old ones.
+  /// dropping the old ones and ending any live freeze.
   void ReplaceTables(std::map<TableId, std::unique_ptr<MvccTable>> tables) {
+    EndCapture();
     tables_ = std::move(tables);
   }
+
+  // --- Checkpoint freeze (DESIGN.md §12 "Checkpointer") -------------------
+
+  /// Freezes the store as EncodeShardStore would image it now, ending the
+  /// previous freeze and dropping its image. Nothing is encoded here: each
+  /// non-empty table captures the pre-image of a chain on its first change.
+  /// A table created later is left out of the image, and one empty now
+  /// images as empty.
+  void Freeze();
+
+  /// The image frozen by the last Freeze(), byte-identical to
+  /// EncodeShardStore(*this) at that moment. The first call builds it from
+  /// the live tables and their pre-images and ends the capture; the image
+  /// is cached until the next Freeze(). Requires a freeze that neither
+  /// ReplaceTables nor DropTable has ended since.
+  const std::string& FrozenImage();
+
+  /// Bytes the last freeze holds: its pre-images until FrozenImage() builds
+  /// the image, then the image.
+  size_t FrozenBytes() const;
 
   const std::map<TableId, std::unique_ptr<MvccTable>>& tables() const {
     return tables_;
   }
 
  private:
+  /// Thaws every frozen table; a later FrozenImage() needs a new freeze.
+  void EndCapture();
+
+  /// A table as the live freeze found it: `table` is null when it was empty
+  /// (it images as empty and keeps no capture).
+  struct FrozenTable {
+    TableId id;
+    MvccTable* table;
+  };
+
   ShardId shard_;
   std::map<TableId, std::unique_ptr<MvccTable>> tables_;
+  bool capturing_ = false;
+  std::vector<FrozenTable> frozen_;  // the live freeze's tables, in id order
+  std::optional<std::string> frozen_image_;
 };
 
 }  // namespace globaldb

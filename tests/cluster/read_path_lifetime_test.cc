@@ -68,7 +68,7 @@ class ReadPathLifetimeTest : public ::testing::Test {
     ASSERT_TRUE(table->Update("a", "new-a", 20, 100).ok());
     ASSERT_TRUE(table->Update("b", std::string(48, 'n'), 20, 100).ok());
     table->CommitTxn(20, 50);
-    ASSERT_EQ(table->Vacuum(60), 2u);
+    ASSERT_EQ(table->Vacuum(60).reclaimed, 2u);
   }
 
   sim::Simulator sim_;

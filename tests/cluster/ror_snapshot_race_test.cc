@@ -30,18 +30,27 @@ sim::NetworkOptions NetOptions() {
   return o;
 }
 
-ReplSnapshotRequest MakeSnapshot(const ShardStore& store, Lsn checkpoint_lsn,
-                                 Timestamp max_commit_ts, bool reset) {
-  Catalog catalog;
-  ReplSnapshotRequest snap;
-  snap.shard = 0;
-  snap.checkpoint_lsn = checkpoint_lsn;
-  snap.max_commit_ts = max_commit_ts;
-  snap.reset = reset;
-  snap.catalog_image = EncodeCatalog(catalog);
-  snap.store_image = EncodeShardStore(store);
-  return snap;
-}
+/// A kReplSnapshot request for `store`, with the images its views point
+/// into (so it is neither copied nor moved).
+struct SnapshotOf {
+  SnapshotOf(const ShardStore& store, Lsn checkpoint_lsn,
+             Timestamp max_commit_ts, bool reset)
+      : catalog_image(EncodeCatalog(Catalog())),
+        store_image(EncodeShardStore(store)) {
+    request.shard = 0;
+    request.checkpoint_lsn = checkpoint_lsn;
+    request.max_commit_ts = max_commit_ts;
+    request.reset = reset;
+    request.catalog_image = catalog_image;
+    request.store_image = store_image;
+  }
+  SnapshotOf(const SnapshotOf&) = delete;
+  SnapshotOf& operator=(const SnapshotOf&) = delete;
+
+  const std::string catalog_image;
+  const std::string store_image;
+  ReplSnapshotRequest request;
+};
 
 TEST(RorSnapshotRaceTest, ParkedReadSurvivesSnapshotInstall) {
   sim::Simulator sim(23);
@@ -59,8 +68,9 @@ TEST(RorSnapshotRaceTest, ParkedReadSurvivesSnapshotInstall) {
     ShardStore source(0);
     MvccTable* t = source.GetOrCreateTable(1);
     t->ApplyInsert("k", "v-pending", 5);
-    auto reply = co_await client.Call(
-        kReplica, kReplSnapshot, MakeSnapshot(source, 3, 0, /*reset=*/false));
+    const SnapshotOf snap(source, 3, 0, /*reset=*/false);
+    auto reply =
+        co_await client.Call(kReplica, kReplSnapshot, snap.request);
     EXPECT_TRUE(reply.ok());
     if (!reply.ok()) co_return;
     EXPECT_TRUE(reply->accepted);
@@ -104,8 +114,9 @@ TEST(RorSnapshotRaceTest, ParkedReadSurvivesSnapshotInstall) {
     MvccTable* t = source.GetOrCreateTable(1);
     t->ApplyInsert("k", "v-final", 5);
     t->CommitTxn(5, 10);
-    auto reply = co_await client.Call(
-        kReplica, kReplSnapshot, MakeSnapshot(source, 9, 10, /*reset=*/true));
+    const SnapshotOf snap(source, 9, 10, /*reset=*/true);
+    auto reply =
+        co_await client.Call(kReplica, kReplSnapshot, snap.request);
     EXPECT_TRUE(reply.ok());
     if (!reply.ok()) co_return;
     EXPECT_TRUE(reply->accepted);
@@ -137,8 +148,9 @@ TEST(RorSnapshotRaceTest, ParkedScanBatchChunkSurvivesSnapshotInstall) {
     t->ApplyInsert("a", "v-old", 4);
     t->CommitTxn(4, 2);
     t->ApplyInsert("k", "v-pending", 5);
-    auto reply = co_await client.Call(
-        kReplica, kReplSnapshot, MakeSnapshot(source, 3, 2, /*reset=*/false));
+    const SnapshotOf snap(source, 3, 2, /*reset=*/false);
+    auto reply =
+        co_await client.Call(kReplica, kReplSnapshot, snap.request);
     EXPECT_TRUE(reply.ok());
     if (!reply.ok()) co_return;
     EXPECT_TRUE(reply->accepted);
@@ -185,8 +197,9 @@ TEST(RorSnapshotRaceTest, ParkedScanBatchChunkSurvivesSnapshotInstall) {
     t->CommitTxn(5, 10);
     t->ApplyInsert("z", "v-new", 6);
     t->CommitTxn(6, 11);
-    auto reply = co_await client.Call(
-        kReplica, kReplSnapshot, MakeSnapshot(source, 9, 11, /*reset=*/true));
+    const SnapshotOf snap(source, 9, 11, /*reset=*/true);
+    auto reply =
+        co_await client.Call(kReplica, kReplSnapshot, snap.request);
     EXPECT_TRUE(reply.ok());
     if (!reply.ok()) co_return;
     EXPECT_TRUE(reply->accepted);

@@ -43,7 +43,6 @@ TEST(DurabilityManagerTest, WatermarkWithoutShipperFollowsCheckpoint) {
   ShardSnapshot snap;
   snap.checkpoint_lsn = 6;
   snap.catalog_image = "c";
-  snap.store_image = "s";
   dm.PublishCheckpoint(std::move(snap));
   EXPECT_EQ(dm.TruncationWatermark(), 6u);
   EXPECT_EQ(stream.begin_lsn(), 7u);
@@ -76,13 +75,13 @@ TEST(MvccVacuumTest, NeverReclaimsVersionsVisibleAtTheHorizon) {
   ASSERT_EQ(table.VersionCount(), 2u);
 
   // Horizon below the old version's end: a reader at 15 still needs v1.
-  EXPECT_EQ(table.Vacuum(15), 0u);
+  EXPECT_EQ(table.Vacuum(15).reclaimed, 0u);
   EXPECT_EQ(table.Read("k", 15).value, "v1");
 
   // Vacuum *at* the end timestamp is safe: visibility at snapshot S needs
   // end_ts > S, and vacuum only removes end_ts <= horizon. The oldest
   // in-flight read at 20 sees v2, which survives.
-  EXPECT_EQ(table.Vacuum(20), 1u);
+  EXPECT_EQ(table.Vacuum(20).reclaimed, 1u);
   EXPECT_EQ(table.VersionCount(), 1u);
   EXPECT_EQ(table.Read("k", 20).value, "v2");
   EXPECT_EQ(table.Read("k", 25).value, "v2");
@@ -237,8 +236,8 @@ class DurabilityShipperTest : public ::testing::Test {
     stream_.Append(RedoRecord::Commit(txn, commit_ts));
   }
 
-  /// Publishes a checkpoint cut from replica A's replayed state (exactly
-  /// what a real checkpoint at its applied LSN would contain).
+  /// Publishes a checkpoint of replica A's replayed state (exactly what a
+  /// real checkpoint at its applied LSN would contain), freezing its store.
   void PublishCheckpointFromReplicaA() {
     ReplicaState& source = *replicas_[0];
     ShardSnapshot snap;
@@ -246,7 +245,8 @@ class DurabilityShipperTest : public ::testing::Test {
     snap.checkpoint_ts = 0;
     snap.max_commit_ts = source.applier.max_commit_ts();
     snap.catalog_image = EncodeCatalog(source.catalog);
-    snap.store_image = EncodeShardStore(source.store);
+    source.store.Freeze();
+    snap.store = &source.store;
     durability_.PublishCheckpoint(std::move(snap));
   }
 
@@ -330,6 +330,75 @@ TEST_F(DurabilityShipperTest, TruncatedCursorFallsBackToSnapshotNotResync) {
   EXPECT_EQ(shipper->AckedLsn(kReplicaB), stream_.next_lsn() - 1);
 }
 
+// A checkpoint freezes the primary's store instead of imaging it. A replica
+// that lags past the truncation point installs it after the primary kept
+// writing (updates and deletes of frozen rows, new rows, an open
+// transaction): the image built on demand is the one EncodeShardStore took
+// at the checkpoint, and replay from the checkpoint converges.
+TEST_F(DurabilityShipperTest, LaggingReplicaInstallsFrozenCheckpoint) {
+  ShipperOptions options;
+  options.quorum_replicas = 1;  // quorum = fastest replica; B can be outrun
+  auto shipper = MakeShipper(options);
+  for (int i = 0; i < 10; ++i) {
+    AppendTxn(1 + i, "k" + std::to_string(i), "v0", 100 + i);
+  }
+  shipper->NotifyAppend();
+  sim_.RunFor(200 * kMillisecond);
+
+  net_.SetPartitioned(kPrimary, kReplicaB, true);
+  for (int i = 0; i < 10; ++i) {
+    AppendTxn(20 + i, "p" + std::to_string(i), "v0", 200 + i);
+  }
+  shipper->NotifyAppend();
+  sim_.RunFor(300 * kMillisecond);
+  ReplicaState& source = *replicas_[0];
+  const std::string eager = EncodeShardStore(source.store);
+  PublishCheckpointFromReplicaA();
+  ASSERT_GT(stream_.begin_lsn(), shipper->AckedLsn(kReplicaB) + 1);
+
+  // The primary keeps writing under the freeze.
+  for (int i = 0; i < 10; ++i) {
+    const TxnId txn = 40 + i;
+    const std::string key = "k" + std::to_string(i);
+    stream_.Append(i % 3 == 0 ? RedoRecord::Delete(txn, 1, key)
+                              : RedoRecord::Update(txn, 1, key, "v1"));
+    stream_.Append(RedoRecord::PendingCommit(txn));
+    stream_.Append(RedoRecord::Commit(txn, 300 + i));
+  }
+  AppendTxn(60, "q0", "v0", 400);
+  stream_.Append(RedoRecord::Update(61, 1, "p0", "open"));  // left open
+  shipper->NotifyAppend();
+  sim_.RunFor(300 * kMillisecond);
+  EXPECT_GT(source.store.FrozenBytes(), 0u);
+
+  // Hold B's replay after the install so its store shows the image.
+  ReplicaState& lagging = *replicas_[1];
+  lagging.applier.set_extra_apply_delay(150 * kMillisecond);
+  net_.SetPartitioned(kPrimary, kReplicaB, false);
+  for (int i = 0; i < 3000 &&
+                  lagging.applier.metrics().Get("apply.snapshot_installs") == 0;
+       ++i) {
+    sim_.RunFor(kMillisecond);
+  }
+  ASSERT_EQ(lagging.applier.metrics().Get("apply.snapshot_installs"), 1);
+  EXPECT_TRUE(EncodeShardStore(lagging.store) == eager);
+  EXPECT_TRUE(source.store.FrozenImage() == eager);
+  // Every send (one was lost to the partition) shipped the frozen image.
+  EXPECT_EQ(shipper->metrics().Get("ship.snapshot_bytes"),
+            shipper->metrics().Get("ship.snapshots") *
+                static_cast<int64_t>(eager.size() +
+                                     EncodeCatalog(source.catalog).size()));
+
+  lagging.applier.set_extra_apply_delay(0);
+  sim_.RunFor(2 * kSecond);
+  shipper->Stop();
+  EXPECT_EQ(lagging.applier.applied_lsn(), stream_.next_lsn() - 1);
+  EXPECT_TRUE(EncodeShardStore(lagging.store) ==
+              EncodeShardStore(source.store));
+  EXPECT_EQ(lagging.store.GetTable(1)->Read("k1", 1000).value, "v1");
+  EXPECT_FALSE(lagging.store.GetTable(1)->Read("k0", 1000).found);
+}
+
 // Satellite b: a snapshot install clears the reorder buffer (its parked
 // batches predate the image) and re-validates in-flight appends at the
 // apply gate, so nothing stale replays on top of the installed state.
@@ -350,7 +419,9 @@ TEST_F(DurabilityShipperTest, SnapshotInstallClearsReorderBufferAndPending) {
     ReplAppendRequest ahead;
     ahead.shard = 0;
     ahead.start_lsn = 4;
-    ahead.batch = LogStream::EncodeBatch(*tail, CompressionType::kNone);
+    const std::string ahead_batch =
+        LogStream::EncodeBatch(*tail, CompressionType::kNone);
+    ahead.batch = ahead_batch;
     auto reply = co_await client.Call(kReplicaB, kReplAppend, ahead);
     EXPECT_TRUE(reply.ok());
     if (!reply.ok()) co_return;
@@ -367,12 +438,14 @@ TEST_F(DurabilityShipperTest, SnapshotInstallClearsReorderBufferAndPending) {
     t->ApplyInsert("b", "v2", 2);
     t->CommitTxn(2, 20);
     Catalog source_catalog;
+    const std::string catalog_image = EncodeCatalog(source_catalog);
+    const std::string store_image = EncodeShardStore(source);
     ReplSnapshotRequest snap;
     snap.shard = 0;
     snap.checkpoint_lsn = 6;
     snap.max_commit_ts = 20;
-    snap.catalog_image = EncodeCatalog(source_catalog);
-    snap.store_image = EncodeShardStore(source);
+    snap.catalog_image = catalog_image;
+    snap.store_image = store_image;
     auto snap_reply = co_await client.Call(kReplicaB, kReplSnapshot, snap);
     EXPECT_TRUE(snap_reply.ok());
     if (!snap_reply.ok()) co_return;
@@ -395,7 +468,9 @@ TEST_F(DurabilityShipperTest, SnapshotInstallClearsReorderBufferAndPending) {
     ReplAppendRequest follow;
     follow.shard = 0;
     follow.start_lsn = 7;
-    follow.batch = LogStream::EncodeBatch(*next, CompressionType::kNone);
+    const std::string follow_batch =
+        LogStream::EncodeBatch(*next, CompressionType::kNone);
+    follow.batch = follow_batch;
     auto follow_reply = co_await client.Call(kReplicaB, kReplAppend, follow);
     EXPECT_TRUE(follow_reply.ok());
     if (!follow_reply.ok()) co_return;
@@ -422,12 +497,14 @@ TEST_F(DurabilityShipperTest, ResetInstallRefusesOtherSendersAppends) {
     // Reset install arrives from the *new* primary (replica A's node).
     ShardStore source(0);
     Catalog source_catalog;
+    const std::string catalog_image = EncodeCatalog(source_catalog);
+    const std::string store_image = EncodeShardStore(source);
     ReplSnapshotRequest snap;
     snap.shard = 0;
     snap.checkpoint_lsn = 40;
     snap.reset = true;
-    snap.catalog_image = EncodeCatalog(source_catalog);
-    snap.store_image = EncodeShardStore(source);
+    snap.catalog_image = catalog_image;
+    snap.store_image = store_image;
     auto snap_reply = co_await new_primary.Call(kReplicaB, kReplSnapshot,
                                                 snap);
     EXPECT_TRUE(snap_reply.ok());
@@ -448,7 +525,9 @@ TEST_F(DurabilityShipperTest, ResetInstallRefusesOtherSendersAppends) {
     ReplAppendRequest stale;
     stale.shard = 0;
     stale.start_lsn = 41;  // "collides" with the new primary's next append
-    stale.batch = LogStream::EncodeBatch(*batch, CompressionType::kNone);
+    const std::string stale_batch =
+        LogStream::EncodeBatch(*batch, CompressionType::kNone);
+    stale.batch = stale_batch;
     auto reply = co_await old_primary.Call(kReplicaB, kReplAppend, stale);
     EXPECT_TRUE(reply.ok());
     if (!reply.ok()) co_return;

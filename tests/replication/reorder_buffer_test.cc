@@ -67,7 +67,8 @@ class ReorderBufferTest : public ::testing::Test {
     ReplAppendRequest request;
     request.shard = 0;
     request.start_lsn = from;
-    request.batch = EncodeRange(from, to);
+    const std::string request_batch = EncodeRange(from, to);
+    request.batch = request_batch;
     StatusOr<ReplAppendReply> result = Status::Unavailable("no reply");
     auto deliver = [](rpc::RpcClient* client, ReplAppendRequest req,
                       StatusOr<ReplAppendReply>* out) -> sim::Task<void> {

@@ -333,7 +333,9 @@ TEST_F(ReplicationTest, DuplicateBatchDeliveryIsIdempotent) {
   ReplAppendRequest request;
   request.shard = 0;
   request.start_lsn = 1;
-  request.batch = LogStream::EncodeBatch(*records, CompressionType::kNone);
+  const std::string request_batch =
+      LogStream::EncodeBatch(*records, CompressionType::kNone);
+  request.batch = request_batch;
 
   rpc::RpcClient client(&net_, kPrimary);
   auto deliver = [&]() -> sim::Task<void> {
@@ -360,7 +362,9 @@ TEST_F(ReplicationTest, GapBatchBufferedNotApplied) {
   ReplAppendRequest request;
   request.shard = 0;
   request.start_lsn = 4;  // gap: replica has applied nothing
-  request.batch = LogStream::EncodeBatch(*records, CompressionType::kNone);
+  const std::string request_batch =
+      LogStream::EncodeBatch(*records, CompressionType::kNone);
+  request.batch = request_batch;
   rpc::RpcClient client(&net_, kPrimary);
   auto deliver = [&]() -> sim::Task<void> {
     auto r = co_await client.Call(kReplicaLocal, kReplAppend, request);
@@ -397,7 +401,9 @@ TEST_F(ReplicationTest, GapBatchRefusedWhenReorderingDisabled) {
   ReplAppendRequest request;
   request.shard = 0;
   request.start_lsn = 4;  // gap: replica has applied nothing
-  request.batch = LogStream::EncodeBatch(*records, CompressionType::kNone);
+  const std::string request_batch =
+      LogStream::EncodeBatch(*records, CompressionType::kNone);
+  request.batch = request_batch;
   rpc::RpcClient client(&net_, kPrimary);
   auto deliver = [&]() -> sim::Task<void> {
     auto r = co_await client.Call(4, kReplAppend, request);

@@ -285,7 +285,7 @@ TEST_F(MvccTableTest, VacuumReclaimsDeadVersions) {
     ASSERT_TRUE(table_.Update("k", "v" + std::to_string(i), txn, 1000).ok());
     table_.CommitTxn(txn, 200 + i * 100);
   }
-  const size_t reclaimed = table_.Vacuum(/*horizon=*/500);
+  const size_t reclaimed = table_.Vacuum(/*horizon=*/500).reclaimed;
   EXPECT_GE(reclaimed, 3u);
   // Latest version still readable.
   EXPECT_TRUE(table_.Read("k", 10000).found);

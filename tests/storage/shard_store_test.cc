@@ -52,7 +52,7 @@ TEST(ShardStoreTest, VacuumAggregatesAcrossTables) {
     table->CommitTxn(3, 30);
   }
   // Horizon 25: the v1 versions (ended at 20) are reclaimable everywhere.
-  const size_t reclaimed = store.Vacuum(25);
+  const size_t reclaimed = store.Vacuum(25).reclaimed;
   EXPECT_GE(reclaimed, 3u);
   for (TableId t = 1; t <= 3; ++t) {
     EXPECT_EQ(store.GetTable(t)->Read("k", 100).value, "v3");

@@ -4,6 +4,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/common/codec.h"
 #include "src/common/hash.h"
 #include "src/common/rng.h"
@@ -100,6 +105,37 @@ void BM_BTreeInsert(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_BTreeInsert)->Arg(1000)->Arg(100000);
+
+// A packed tree (Build) taking interleaved ascending runs into its middle,
+// like TPC-C's new orders appended per district.
+void BM_BTreeRunsIntoBuilt(benchmark::State& state) {
+  constexpr int kBuilt = 64 * 1000;
+  constexpr int kRuns = 10;
+  const int run_length = static_cast<int>(state.range(0));
+  std::vector<std::string> keys;
+  for (int i = 0; i < kBuilt; ++i) {
+    char key[16];
+    snprintf(key, sizeof(key), "k%08d", 2 * i);
+    keys.push_back(key);
+  }
+  for (auto _ : state) {
+    BTree<int> tree;
+    std::vector<BTree<int>::KeyValue> entries;
+    entries.reserve(keys.size());
+    for (const std::string& key : keys) entries.emplace_back(key, 0);
+    tree.Build(std::move(entries));
+    for (int j = 0; j < run_length; ++j) {
+      for (int r = 0; r < kRuns; ++r) {
+        char key[32];
+        snprintf(key, sizeof(key), "k%08d/%06d", 2 * (r * kBuilt / kRuns), j);
+        tree.Put(key, j);
+      }
+    }
+    benchmark::DoNotOptimize(tree.size());
+  }
+  state.SetItemsProcessed(state.iterations() * kRuns * run_length);
+}
+BENCHMARK(BM_BTreeRunsIntoBuilt)->Arg(1000);
 
 void BM_BTreeLookup(benchmark::State& state) {
   const int n = 100000;

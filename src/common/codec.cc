@@ -109,15 +109,6 @@ bool GetLengthPrefixed(Slice* input, Slice* value) {
   return true;
 }
 
-int VarintLength(uint64_t value) {
-  int len = 1;
-  while (value >= 0x80) {
-    value >>= 7;
-    ++len;
-  }
-  return len;
-}
-
 void PutVarsint64(std::string* dst, int64_t value) {
   PutVarint64(dst, ZigZagEncode(value));
 }

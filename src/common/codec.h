@@ -1,6 +1,7 @@
 #ifndef GLOBALDB_SRC_COMMON_CODEC_H_
 #define GLOBALDB_SRC_COMMON_CODEC_H_
 
+#include <bit>
 #include <cstdint>
 #include <string>
 
@@ -29,8 +30,11 @@ bool GetVarint32(Slice* input, uint32_t* value);
 bool GetVarint64(Slice* input, uint64_t* value);
 bool GetLengthPrefixed(Slice* input, Slice* value);
 
-/// Number of bytes PutVarint64 would emit.
-int VarintLength(uint64_t value);
+/// Number of bytes PutVarint64 would emit: one per started group of seven
+/// significant bits (zero takes one byte).
+inline int VarintLength(uint64_t value) {
+  return 1 + (63 - std::countl_zero(value | 1)) / 7;
+}
 
 /// ZigZag transform so small negative numbers encode compactly as varints.
 inline uint64_t ZigZagEncode(int64_t v) {

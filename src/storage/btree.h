@@ -3,19 +3,48 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "src/common/codec.h"
+
 namespace globaldb {
 
+/// A key interned in a KeyArena: the address of its varint length prefix,
+/// with the key's bytes right behind it. A leaf slot holds this 8-byte
+/// handle where a string_view would take 16; view() decodes the prefix,
+/// which is one byte for any key under 128 bytes.
+class InternedKey {
+ public:
+  explicit InternedKey(const char* prefix) : prefix_(prefix) {}
+
+  std::string_view view() const {
+    const auto* p = reinterpret_cast<const unsigned char*>(prefix_);
+    if (*p < 0x80) return {prefix_ + 1, *p};
+    size_t len = 0;
+    int shift = 0;
+    while (*p >= 0x80) {
+      len |= static_cast<size_t>(*p++ & 0x7f) << shift;
+      shift += 7;
+    }
+    len |= static_cast<size_t>(*p++) << shift;
+    return {reinterpret_cast<const char*>(p), len};
+  }
+
+ private:
+  const char* prefix_;
+};
+
 /// Append-only byte arena that owns a BTree's keys. Each key is copied in
-/// once; every view Intern returns stays valid until the arena dies, because
-/// chunks never move and bytes are never freed. Chunks start small (tiny
-/// tables stay tiny) and double up to kMaxChunk; a key too large for the
-/// next chunk gets a block of its own and leaves the current chunk open.
+/// once, behind its varint length; every handle Intern returns stays valid
+/// until the arena dies, because chunks never move and bytes are never
+/// freed. Chunks start small (tiny tables stay tiny) and double up to
+/// kMaxChunk; a key too large for the next chunk gets a block of its own and
+/// leaves the current chunk open.
 class KeyArena {
  public:
   static constexpr size_t kMinChunk = 256;
@@ -25,26 +54,36 @@ class KeyArena {
   KeyArena(const KeyArena&) = delete;
   KeyArena& operator=(const KeyArena&) = delete;
 
-  std::string_view Intern(std::string_view key) {
-    if (key.empty()) return {};
-    if (key.size() > left_) {
-      if (key.size() > next_chunk_ / 2) {
-        char* block = Allocate(key.size());
-        memcpy(block, key.data(), key.size());
-        return {block, key.size()};
-      }
-      StartChunk(next_chunk_);
-      next_chunk_ = std::min(2 * next_chunk_, kMaxChunk);
-    }
-    char* dst = cur_;
-    memcpy(dst, key.data(), key.size());
-    cur_ += key.size();
-    left_ -= key.size();
-    return {dst, key.size()};
+  /// Arena bytes one interned key takes: its length prefix and its bytes.
+  static size_t InternedSize(std::string_view key) {
+    return VarintLength(key.size()) + key.size();
   }
 
-  /// Makes the next `bytes` bytes of keys fit one chunk (bulk builds size
-  /// the chunk exactly).
+  InternedKey Intern(std::string_view key) {
+    const size_t bytes = InternedSize(key);
+    char* dst;
+    if (bytes <= left_) {
+      dst = Take(bytes);
+    } else if (bytes > next_chunk_ / 2) {
+      dst = Allocate(bytes);
+    } else {
+      StartChunk(next_chunk_);
+      next_chunk_ = std::min(2 * next_chunk_, kMaxChunk);
+      dst = Take(bytes);
+    }
+    char* p = dst;
+    uint64_t len = key.size();
+    while (len >= 0x80) {
+      *p++ = static_cast<char>(len | 0x80);
+      len >>= 7;
+    }
+    *p++ = static_cast<char>(len);
+    if (!key.empty()) memcpy(p, key.data(), key.size());
+    return InternedKey(dst);
+  }
+
+  /// Makes the next `bytes` bytes of interned keys (InternedSize each) fit
+  /// one chunk (bulk builds size the chunk exactly).
   void Reserve(size_t bytes) {
     if (bytes > left_) StartChunk(bytes);
   }
@@ -62,6 +101,12 @@ class KeyArena {
     cur_ = Allocate(bytes);
     left_ = bytes;
   }
+  char* Take(size_t bytes) {
+    char* dst = cur_;
+    cur_ += bytes;
+    left_ -= bytes;
+    return dst;
+  }
 
   std::vector<std::unique_ptr<char[]>> chunks_;
   char* cur_ = nullptr;
@@ -75,12 +120,17 @@ class KeyArena {
 /// table. Leaves are linked for ordered range scans.
 ///
 /// Keys are interned: the tree copies each distinct key once into its
-/// KeyArena, and leaves and separators hold views of those bytes. A key's
-/// bytes live until the tree dies, so a view from key() or an entry stays
-/// valid across any later insert, split or erase.
+/// KeyArena; a leaf slot holds the key's 8-byte handle and separators hold
+/// views of its bytes. A key's bytes live until the tree dies, so a view
+/// from key() or an entry stays valid across any later insert, split or
+/// erase.
 ///
 /// A leaf never holds more than kLeafCapacity slots: a full leaf splits
 /// before the insert, and leaf vectors grow by doubling only up to the cap.
+/// A split leaves no stranded slots behind: the half that does not take the
+/// new key is trimmed to its size, and an insert that continues an
+/// ascending run splits at the insertion point, so the left leaf stays
+/// full (DESIGN.md §12 "Leaf splits").
 ///
 /// Erase uses lazy deletion: entries are removed from leaves without
 /// rebalancing (underfull leaves are tolerated; an empty leaf is unlinked
@@ -89,7 +139,14 @@ class KeyArena {
 template <typename V>
 class BTree {
  public:
-  using Entry = std::pair<std::string_view, V>;
+  /// A leaf slot: the interned key's handle and its value.
+  struct Entry {
+    Entry(InternedKey k, V&& v) : key(k), value(std::move(v)) {}
+    InternedKey key;
+    V value;
+  };
+  /// Build's input: a key viewing the caller's bytes, and its value.
+  using KeyValue = std::pair<std::string_view, V>;
 
  private:
   struct Node {
@@ -99,9 +156,12 @@ class BTree {
   };
 
   struct Leaf : Node {
+    static constexpr uint8_t kNoInsert = 0xff;
     Leaf() : Node(true) {}
     std::vector<Entry> entries;
     Leaf* next = nullptr;
+    // Position of the last key inserted here, or kNoInsert.
+    uint8_t last_insert = kNoInsert;
   };
 
   struct Internal : Node {
@@ -132,7 +192,7 @@ class BTree {
   Entry* FindEntry(std::string_view key) {
     Leaf* leaf = FindLeaf(key);
     auto it = LowerBound(leaf, key);
-    if (it != leaf->entries.end() && it->first == key) return &*it;
+    if (it != leaf->entries.end() && it->key.view() == key) return &*it;
     return nullptr;
   }
 
@@ -154,7 +214,7 @@ class BTree {
   /// Returns the value for `key`, or nullptr.
   V* Find(std::string_view key) {
     Entry* entry = FindEntry(key);
-    return entry == nullptr ? nullptr : &entry->second;
+    return entry == nullptr ? nullptr : &entry->value;
   }
   const V* Find(std::string_view key) const {
     return const_cast<BTree*>(this)->Find(key);
@@ -163,13 +223,13 @@ class BTree {
   /// Inserts or assigns. Returns a pointer to the stored value (stable until
   /// the next structural modification of its leaf).
   V* Put(std::string_view key, V value) {
-    V* stored = &FindOrInsert(key).second;
+    V* stored = &FindOrInsert(key).value;
     *stored = std::move(value);
     return stored;
   }
 
   /// Gets-or-default-constructs.
-  V& operator[](std::string_view key) { return FindOrInsert(key).second; }
+  V& operator[](std::string_view key) { return FindOrInsert(key).value; }
 
   /// Fills this empty tree bottom-up from `entries`: leaves packed to
   /// kLeafCapacity in order, then each internal level packed to kFanout
@@ -177,16 +237,15 @@ class BTree {
   /// image, a row batch): they are interned into one arena chunk sized to
   /// fit them all. Returns false, leaving the tree empty, unless the keys
   /// are strictly ascending.
-  bool Build(std::vector<Entry> entries) {
+  bool Build(std::vector<KeyValue> entries) {
     assert(empty());
-    size_t key_bytes = entries.empty() ? 0 : entries.front().first.size();
-    for (size_t i = 1; i < entries.size(); ++i) {
-      if (!(entries[i - 1].first < entries[i].first)) return false;
-      key_bytes += entries[i].first.size();
+    size_t key_bytes = 0;
+    for (size_t i = 0; i < entries.size(); ++i) {
+      if (i > 0 && !(entries[i - 1].first < entries[i].first)) return false;
+      key_bytes += KeyArena::InternedSize(entries[i].first);
     }
     if (entries.empty()) return true;
     keys_.Reserve(key_bytes);
-    for (Entry& entry : entries) entry.first = keys_.Intern(entry.first);
     // Each level as (node, smallest key in its subtree).
     std::vector<std::pair<std::unique_ptr<Node>, std::string_view>> level;
     level.reserve((entries.size() + kLeafCapacity - 1) / kLeafCapacity);
@@ -194,15 +253,18 @@ class BTree {
     for (size_t begin = 0; begin < entries.size(); begin += kLeafCapacity) {
       const size_t end = std::min(entries.size(), begin + kLeafCapacity);
       auto leaf = std::make_unique<Leaf>();
-      leaf->entries.assign(std::make_move_iterator(entries.begin() + begin),
-                           std::make_move_iterator(entries.begin() + end));
+      leaf->entries.reserve(end - begin);
+      for (size_t i = begin; i < end; ++i) {
+        leaf->entries.emplace_back(keys_.Intern(entries[i].first),
+                                   std::move(entries[i].second));
+      }
       if (prev == nullptr) {
         first_leaf_ = leaf.get();
       } else {
         prev->next = leaf.get();
       }
       prev = leaf.get();
-      const std::string_view min_key = leaf->entries.front().first;
+      const std::string_view min_key = leaf->entries.front().key.view();
       level.emplace_back(std::move(leaf), min_key);
     }
     while (level.size() > 1) {
@@ -231,7 +293,7 @@ class BTree {
   bool Erase(std::string_view key) {
     Leaf* leaf = FindLeaf(key);
     auto it = LowerBound(leaf, key);
-    if (it == leaf->entries.end() || it->first != key) return false;
+    if (it == leaf->entries.end() || it->key.view() != key) return false;
     leaf->entries.erase(it);
     --size_;
     return true;
@@ -246,8 +308,10 @@ class BTree {
     }
 
     bool Valid() const { return leaf_ != nullptr; }
-    std::string_view key() const { return leaf_->entries[index_].first; }
-    V& value() const { return leaf_->entries[index_].second; }
+    std::string_view key() const {
+      return leaf_->entries[index_].key.view();
+    }
+    V& value() const { return leaf_->entries[index_].value; }
 
     void Next() {
       ++index_;
@@ -305,8 +369,8 @@ class BTree {
     while (leaf != nullptr) {
       if (leaf->entries.capacity() > kLeafCapacity) return false;
       for (const auto& e : leaf->entries) {
-        if (!first && !(prev < e.first)) return false;
-        prev = e.first;
+        if (!first && !(prev < e.key.view())) return false;
+        prev = e.key.view();
         first = false;
         ++counted;
       }
@@ -329,8 +393,8 @@ class BTree {
       if (*leaf_depth == 0) *leaf_depth = depth;
       if (*leaf_depth != depth) return false;
       for (const auto& e : static_cast<const Leaf*>(node)->entries) {
-        if ((lo != nullptr && e.first < *lo) ||
-            (hi != nullptr && !(e.first < *hi))) {
+        const std::string_view k = e.key.view();
+        if ((lo != nullptr && k < *lo) || (hi != nullptr && !(k < *hi))) {
           return false;
         }
       }
@@ -369,7 +433,9 @@ class BTree {
       Leaf* leaf, std::string_view key) {
     return std::lower_bound(
         leaf->entries.begin(), leaf->entries.end(), key,
-        [](const Entry& entry, std::string_view k) { return entry.first < k; });
+        [](const Entry& entry, std::string_view k) {
+          return entry.key.view() < k;
+        });
   }
 
   static size_t ChildIndex(const Internal* in, std::string_view key) {
@@ -411,24 +477,17 @@ class BTree {
 
   Entry* InsertIntoLeaf(Leaf* leaf, std::string_view key, SplitResult* split) {
     auto it = LowerBound(leaf, key);
-    if (it != leaf->entries.end() && it->first == key) return &*it;
+    if (it != leaf->entries.end() && it->key.view() == key) return &*it;
     size_t pos = static_cast<size_t>(it - leaf->entries.begin());
+    Leaf* right = nullptr;
     if (leaf->entries.size() == kLeafCapacity) {
-      // Split before inserting, so the leaf never outgrows its slots.
-      const size_t mid = kLeafCapacity / 2;
-      auto right = std::make_unique<Leaf>();
-      right->entries.assign(
-          std::make_move_iterator(leaf->entries.begin() + mid),
-          std::make_move_iterator(leaf->entries.end()));
-      leaf->entries.erase(leaf->entries.begin() + mid, leaf->entries.end());
-      right->next = leaf->next;
-      leaf->next = right.get();
-      split->separator = right->entries.front().first;
-      if (pos > mid) {
-        leaf = right.get();
-        pos -= mid;
+      std::unique_ptr<Leaf> split_off = SplitFullLeaf(leaf, pos);
+      right = split_off.get();
+      split->right = std::move(split_off);
+      if (pos >= leaf->entries.size()) {
+        pos -= leaf->entries.size();
+        leaf = right;
       }
-      split->right = std::move(right);
     }
     std::vector<Entry>& entries = leaf->entries;
     if (entries.size() == entries.capacity()) {
@@ -436,7 +495,39 @@ class BTree {
                                        std::max<size_t>(1, 2 * entries.size())));
     }
     ++size_;
-    return &*entries.emplace(entries.begin() + pos, keys_.Intern(key), V{});
+    leaf->last_insert = static_cast<uint8_t>(pos);
+    Entry* entry =
+        &*entries.emplace(entries.begin() + pos, keys_.Intern(key), V{});
+    // The new key may be the right half's smallest.
+    if (right != nullptr) split->separator = right->entries.front().key.view();
+    return entry;
+  }
+
+  /// Splits a full leaf before an insert at `pos`, so the leaf never
+  /// outgrows its slots, and returns the new right half (linked in after
+  /// `leaf`). The key then goes right iff `pos` is at least the left's size.
+  /// An insert just past the leaf's previous one continues an ascending
+  /// run: the leaf splits at the insertion point, the left keeps every key
+  /// before it and stays full, and the run goes on in the right. Any other
+  /// insert splits the leaf in half. The half that will not take the key is
+  /// trimmed to its size.
+  std::unique_ptr<Leaf> SplitFullLeaf(Leaf* leaf, size_t pos) {
+    std::vector<Entry>& entries = leaf->entries;
+    const bool ascending = pos == leaf->last_insert + size_t{1};
+    const size_t at = ascending ? pos : kLeafCapacity / 2;
+    auto right = std::make_unique<Leaf>();
+    right->entries.assign(std::make_move_iterator(entries.begin() + at),
+                          std::make_move_iterator(entries.end()));
+    entries.erase(entries.begin() + at, entries.end());
+    if (pos >= at && entries.size() < entries.capacity()) {
+      std::vector<Entry>(std::make_move_iterator(entries.begin()),
+                         std::make_move_iterator(entries.end()))
+          .swap(entries);
+    }
+    leaf->last_insert = Leaf::kNoInsert;
+    right->next = leaf->next;
+    leaf->next = right.get();
+    return right;
   }
 
   friend struct BTreeTestPeer;  // tests break a leaf to exercise the checks

@@ -10,50 +10,59 @@
 namespace globaldb {
 
 void VersionChain::push_back(TupleVersion v) {
-  switch (state_) {
-    case State::kEmpty:
+  switch (tag()) {
+    case kEmpty:
+      // The version's value tag lands in byte 63: the chain is now inline.
       std::construct_at(&one_, std::move(v));
-      state_ = State::kInline;
       return;
-    case State::kInline: {
+    case kSpilled:
+      many_.push_back(std::move(v));
+      return;
+    default: {
       std::vector<TupleVersion> many;
       many.reserve(2);
       many.push_back(std::move(one_));
       many.push_back(std::move(v));
       std::destroy_at(&one_);
       std::construct_at(&many_, std::move(many));
-      state_ = State::kSpilled;
+      set_tag(kSpilled);
       return;
     }
-    case State::kSpilled:
-      many_.push_back(std::move(v));
-      return;
   }
 }
 
 void VersionChain::Clear() {
-  if (state_ == State::kInline) std::destroy_at(&one_);
-  if (state_ == State::kSpilled) std::destroy_at(&many_);
-  state_ = State::kEmpty;
+  switch (tag()) {
+    case kEmpty:
+      return;
+    case kSpilled:
+      std::destroy_at(&many_);
+      break;
+    default:
+      std::destroy_at(&one_);
+  }
+  set_tag(kEmpty);
 }
 
 void VersionChain::TakeFrom(VersionChain* other) {
-  if (other->state_ == State::kInline) {
-    std::construct_at(&one_, std::move(other->one_));
-  } else if (other->state_ == State::kSpilled) {
-    std::construct_at(&many_, std::move(other->many_));
+  switch (other->tag()) {
+    case kEmpty:
+      set_tag(kEmpty);
+      return;
+    case kSpilled:
+      std::construct_at(&many_, std::move(other->many_));
+      set_tag(kSpilled);
+      break;
+    default:
+      std::construct_at(&one_, std::move(other->one_));
   }
-  state_ = other->state_;
   other->Clear();
 }
 
 void VersionChain::Unspill() {
   std::vector<TupleVersion> many = std::move(many_);
   Clear();
-  if (!many.empty()) {
-    std::construct_at(&one_, std::move(many.front()));
-    state_ = State::kInline;
-  }
+  if (!many.empty()) std::construct_at(&one_, std::move(many.front()));
 }
 
 namespace {
@@ -105,13 +114,13 @@ MvccTable::Entry* MvccTable::MutableEntry(std::string_view key, bool insert) {
   if (!insert) {
     Entry* entry = chains_.FindEntry(key);
     if (entry != nullptr) {
-      CaptureBeforeWrite(entry->first, entry->second, /*inserted=*/false);
+      CaptureBeforeWrite(entry->key.view(), entry->value, /*inserted=*/false);
     }
     return entry;
   }
   const size_t keys = chains_.size();
   Entry& entry = chains_.FindOrInsert(key);
-  CaptureBeforeWrite(entry.first, entry.second, chains_.size() != keys);
+  CaptureBeforeWrite(entry.key.view(), entry.value, chains_.size() != keys);
   return &entry;
 }
 
@@ -147,17 +156,17 @@ Status MvccTable::Insert(const RowKey& key, Slice value, TxnId txn) {
   v.created_by = txn;
   v.value = value.ToView();
   chain.push_back(std::move(v));
-  Touch(txn, interned);
+  Touch(txn, interned.view());
   return Status::OK();
 }
 
 Status MvccTable::Update(const RowKey& key, Slice value, TxnId txn,
                          Timestamp snapshot) {
   Entry* entry = MutableEntry(key, /*insert=*/false);
-  if (entry == nullptr || entry->second.empty()) {
+  if (entry == nullptr || entry->value.empty()) {
     return Status::NotFound("update: no such key");
   }
-  VersionChain& chain = entry->second;
+  VersionChain& chain = entry->value;
   TupleVersion* live = nullptr;
   for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
     if (it->end_ts == kTimestampMax) {
@@ -189,16 +198,16 @@ Status MvccTable::Update(const RowKey& key, Slice value, TxnId txn,
   v.created_by = txn;
   v.value = value.ToView();
   chain.push_back(std::move(v));
-  Touch(txn, entry->first);
+  Touch(txn, entry->key.view());
   return Status::OK();
 }
 
 Status MvccTable::Delete(const RowKey& key, TxnId txn, Timestamp snapshot) {
   Entry* entry = MutableEntry(key, /*insert=*/false);
-  if (entry == nullptr || entry->second.empty()) {
+  if (entry == nullptr || entry->value.empty()) {
     return Status::NotFound("delete: no such key");
   }
-  VersionChain& chain = entry->second;
+  VersionChain& chain = entry->value;
   TupleVersion* live = nullptr;
   for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
     if (it->end_ts == kTimestampMax) {
@@ -225,7 +234,7 @@ Status MvccTable::Delete(const RowKey& key, TxnId txn, Timestamp snapshot) {
     return Status::Aborted("write conflict: version newer than snapshot");
   }
   live->ended_by = txn;
-  Touch(txn, entry->first);
+  Touch(txn, entry->key.view());
   return Status::OK();
 }
 
@@ -234,7 +243,7 @@ Status MvccTable::LoadCommitted(
     Timestamp ts) {
   GDB_CHECK(chains_.empty()) << "bulk load into a non-empty table";
   // Keys view `rows` until Build interns them.
-  std::vector<BTree<VersionChain>::Entry> entries;
+  std::vector<BTree<VersionChain>::KeyValue> entries;
   entries.reserve(rows.size());
   for (const auto& [key, value] : rows) {
     TupleVersion v;
@@ -256,7 +265,7 @@ void MvccTable::ApplyInsert(const RowKey& key, Slice value, TxnId txn) {
   v.created_by = txn;
   v.value = value.ToView();
   chain.push_back(std::move(v));
-  Touch(txn, interned);
+  Touch(txn, interned.view());
 }
 
 void MvccTable::ApplyUpdate(const RowKey& key, Slice value, TxnId txn) {
@@ -276,7 +285,7 @@ void MvccTable::ApplyUpdate(const RowKey& key, Slice value, TxnId txn) {
   v.created_by = txn;
   v.value = value.ToView();
   chain.push_back(std::move(v));
-  Touch(txn, interned);
+  Touch(txn, interned.view());
 }
 
 void MvccTable::ApplyDelete(const RowKey& key, TxnId txn) {
@@ -284,7 +293,7 @@ void MvccTable::ApplyDelete(const RowKey& key, TxnId txn) {
   for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
     if (it->end_ts == kTimestampMax) {
       it->ended_by = txn;
-      Touch(txn, interned);
+      Touch(txn, interned.view());
       return;
     }
   }
@@ -296,7 +305,7 @@ void MvccTable::CommitTxn(TxnId txn, Timestamp ts) {
   for (std::string_view key : it->second) {
     Entry* entry = MutableEntry(key, /*insert=*/false);
     if (entry == nullptr) continue;
-    for (TupleVersion& v : entry->second) {
+    for (TupleVersion& v : entry->value) {
       if (v.created_by == txn && v.begin_ts == 0) v.begin_ts = ts;
       if (v.ended_by == txn) {
         v.end_ts = ts;
@@ -313,7 +322,7 @@ void MvccTable::AbortTxn(TxnId txn) {
   for (std::string_view key : it->second) {
     Entry* entry = MutableEntry(key, /*insert=*/false);
     if (entry == nullptr) continue;
-    VersionChain& chain = entry->second;
+    VersionChain& chain = entry->value;
     chain.EraseIf([txn](const TupleVersion& v) {
       return v.created_by == txn && v.begin_ts == 0;
     });
@@ -528,7 +537,7 @@ Status MvccTable::DecodeFrom(Slice* input) {
     return Status::Corruption("table image: chain count");
   }
   // Keys view the image until Build interns them.
-  std::vector<BTree<VersionChain>::Entry> entries;
+  std::vector<BTree<VersionChain>::KeyValue> entries;
   // Every chain takes at least two bytes, which bounds a corrupt count.
   entries.reserve(std::min<uint64_t>(num_chains, input->size() / 2));
   // Provisional writes as (txn, image key), in image order: they become
@@ -567,7 +576,7 @@ Status MvccTable::DecodeFrom(Slice* input) {
     return Status::Corruption("table image: keys out of order or duplicated");
   }
   for (const auto& [txn, key] : provisional) {
-    Touch(txn, chains_.FindEntry(key)->first);
+    Touch(txn, chains_.FindEntry(key)->key.view());
   }
   return Status::OK();
 }

@@ -2,6 +2,7 @@
 #define GLOBALDB_SRC_STORAGE_MVCC_TABLE_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <iterator>
 #include <memory>
@@ -41,9 +42,14 @@ static_assert(sizeof(TupleVersion) == 64);
 /// holds two or more; erasing back down to one moves the survivor inline.
 /// An inline version moves whenever its leaf shifts entries, so views of
 /// its value follow the table's read rule (valid until the next write).
+///
+/// The chain is its 64 bytes of storage and nothing else: byte 63 is the
+/// inline version's value tag, and an empty or spilled chain (whose vector
+/// leaves that byte unused) stores a spare tag code there instead
+/// (DESIGN.md §12 "Row layout").
 class VersionChain {
  public:
-  VersionChain() {}
+  VersionChain() { set_tag(kEmpty); }
   ~VersionChain() { Clear(); }
   VersionChain(VersionChain&& other) noexcept { TakeFrom(&other); }
   VersionChain& operator=(VersionChain&& other) noexcept {
@@ -57,12 +63,18 @@ class VersionChain {
   VersionChain& operator=(const VersionChain&) = delete;
 
   size_t size() const {
-    return state_ == State::kSpilled ? many_.size()
-                                     : static_cast<size_t>(state_);
+    switch (tag()) {
+      case kEmpty:
+        return 0;
+      case kSpilled:
+        return many_.size();
+      default:
+        return 1;
+    }
   }
-  bool empty() const { return state_ == State::kEmpty; }
+  bool empty() const { return tag() == kEmpty; }
   /// True while the versions live in a heap vector.
-  bool spilled() const { return state_ == State::kSpilled; }
+  bool spilled() const { return tag() == kSpilled; }
 
   TupleVersion* begin() { return spilled() ? many_.data() : &one_; }
   TupleVersion* end() { return begin() + size(); }
@@ -92,29 +104,43 @@ class VersionChain {
   template <typename Pred>
   size_t EraseIf(Pred pred) {
     const size_t before = size();
-    if (state_ == State::kInline) {
-      if (pred(static_cast<const TupleVersion&>(one_))) Clear();
-    } else if (state_ == State::kSpilled) {
+    if (spilled()) {
       many_.erase(std::remove_if(many_.begin(), many_.end(), pred),
                   many_.end());
       if (many_.size() <= 1) Unspill();
+    } else if (!empty()) {
+      if (pred(static_cast<const TupleVersion&>(one_))) Clear();
     }
     return before - size();
   }
 
  private:
-  enum class State : uint8_t { kEmpty = 0, kInline = 1, kSpilled = 2 };
+  // Byte 63: the inline version's value tag, or one of these spare codes.
+  static constexpr size_t kTagByte =
+      offsetof(TupleVersion, value) + VersionValue::kTagByte;
+  static constexpr uint8_t kEmpty = VersionValue::kFirstSpareTag;
+  static constexpr uint8_t kSpilled = VersionValue::kFirstSpareTag + 1;
+  static_assert(sizeof(std::vector<TupleVersion>) <= kTagByte,
+                "a spilled chain's vector must leave the tag byte free");
+
+  uint8_t tag() const {
+    return reinterpret_cast<const unsigned char*>(this)[kTagByte];
+  }
+  void set_tag(uint8_t code) {
+    reinterpret_cast<unsigned char*>(this)[kTagByte] = code;
+  }
 
   void Clear();
   void TakeFrom(VersionChain* other);
   void Unspill();
 
   union {
-    TupleVersion one_;                 // kInline
+    TupleVersion one_;                 // one version, inline
     std::vector<TupleVersion> many_;   // kSpilled
   };
-  State state_ = State::kEmpty;
 };
+
+static_assert(sizeof(VersionChain) == 64);
 
 /// Result of a snapshot read. `value` views the visible version inside the
 /// table and stays valid until the table next changes (any write, commit,
@@ -314,6 +340,8 @@ class MvccTable {
                                           TxnId* provisional);
 
   using Entry = BTree<VersionChain>::Entry;
+  // An 8-byte key handle and a 64-byte chain (DESIGN.md §12 "Row layout").
+  static_assert(sizeof(Entry) == 72);
 
   /// The one way a write reaches a chain: looks `key` up, inserting an empty
   /// chain when `insert` (else null when absent), and first lets a live

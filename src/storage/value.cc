@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <string_view>
 
 #include "src/common/codec.h"
 #include "src/common/logging.h"
@@ -39,9 +40,11 @@ double OrderedBitsToDouble(uint64_t bits) {
 }
 
 void PutBigEndian64(std::string* dst, uint64_t v) {
-  for (int i = 7; i >= 0; --i) {
-    dst->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  char buf[8];
+  for (int i = 0; i < 8; ++i) {
+    buf[i] = static_cast<char>((v >> (8 * (7 - i))) & 0xff);
   }
+  dst->append(buf, 8);
 }
 
 bool GetBigEndian64(Slice* input, uint64_t* v) {
@@ -195,13 +198,17 @@ void EncodeKeyPart(const Value& v, std::string* dst) {
     PutBigEndian64(dst, DoubleToOrderedBits(std::get<double>(v)));
     return;
   }
+  const std::string& str = std::get<std::string>(v);
   dst->push_back('s');
-  for (char c : std::get<std::string>(v)) {
-    dst->push_back(c);
-    if (c == '\x00') dst->push_back('\xff');  // escape embedded zero
+  // Copy the runs between embedded zeros whole; each zero is escaped.
+  std::string_view rest = str;
+  for (size_t zero; (zero = rest.find('\x00')) != rest.npos;) {
+    dst->append(rest.data(), zero);
+    dst->append("\x00\xff", 2);
+    rest.remove_prefix(zero + 1);
   }
-  dst->push_back('\x00');
-  dst->push_back('\x00');
+  dst->append(rest);
+  dst->append("\x00\x00", 2);
 }
 
 RowKey EncodeKey(const Row& row, const std::vector<int>& key_columns) {

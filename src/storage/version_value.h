@@ -23,6 +23,13 @@ namespace globaldb {
 class VersionValue {
  public:
   static constexpr size_t kInlineCapacity = 31;
+  /// The tag byte's offset within the value. The tag holds an inline length
+  /// (0–31) or kHeap, so the codes from kFirstSpareTag up to kHeap - 1 are
+  /// never written: a union that overlays a value may store one there to
+  /// say that no value lives in it (VersionChain keeps its empty and
+  /// spilled states that way).
+  static constexpr size_t kTagByte = kInlineCapacity;
+  static constexpr uint8_t kFirstSpareTag = kInlineCapacity + 1;
 
   VersionValue() { rep_[kTagByte] = 0; }
   explicit VersionValue(std::string_view bytes) { Init(bytes); }
@@ -54,7 +61,6 @@ class VersionValue {
   bool on_heap() const { return tag() == kHeap; }
 
  private:
-  static constexpr size_t kTagByte = kInlineCapacity;
   static constexpr uint8_t kHeap = 0xff;
 
   uint8_t tag() const { return static_cast<uint8_t>(rep_[kTagByte]); }

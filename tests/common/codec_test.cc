@@ -54,6 +54,14 @@ TEST(CodecTest, VarintBoundaries) {
     EXPECT_EQ(out, v);
     EXPECT_TRUE(in.empty());
   }
+  // VarintLength against the encoder on both sides of every bit width.
+  for (int bits = 1; bits < 64; ++bits) {
+    for (uint64_t v : {(uint64_t{1} << bits) - 1, uint64_t{1} << bits}) {
+      std::string buf;
+      PutVarint64(&buf, v);
+      EXPECT_EQ(static_cast<int>(buf.size()), VarintLength(v)) << v;
+    }
+  }
 }
 
 TEST(CodecTest, VarintTruncatedFails) {

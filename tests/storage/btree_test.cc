@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/codec.h"
 #include "src/common/rng.h"
 
 namespace globaldb {
@@ -23,6 +24,14 @@ struct BTreeTestPeer {
       sizes.push_back(leaf->entries.size());
     }
     return sizes;
+  }
+  /// Slots (vector capacity) per leaf, in key order.
+  static std::vector<size_t> LeafSlots(const BTree<int>& tree) {
+    std::vector<size_t> slots;
+    for (auto* leaf = tree.first_leaf_; leaf != nullptr; leaf = leaf->next) {
+      slots.push_back(leaf->entries.capacity());
+    }
+    return slots;
   }
 };
 
@@ -214,9 +223,9 @@ std::vector<std::pair<std::string, int>> EvenEntries(int n) {
 }
 
 /// `entries` as Build's input: views of the caller's keys.
-std::vector<BTree<int>::Entry> Views(
+std::vector<BTree<int>::KeyValue> Views(
     const std::vector<std::pair<std::string, int>>& entries) {
-  std::vector<BTree<int>::Entry> views;
+  std::vector<BTree<int>::KeyValue> views;
   for (const auto& [key, value] : entries) views.emplace_back(key, value);
   return views;
 }
@@ -347,24 +356,172 @@ TEST(BTreeTest, LeavesNeverOutgrowTheirSlots) {
 
 TEST(BTreeTest, FullLeafSplitsInHalfBeforeTheInsert) {
   BTree<int> tree;
-  for (int i = 0; i < 128; i += 2) tree.Put(Key(i), i);
+  // Descending inserts form no ascending run, so a full leaf splits in half.
+  for (int i = 126; i >= 0; i -= 2) tree.Put(Key(i), i);
   EXPECT_EQ(BTreeTestPeer::LeafSizes(tree), std::vector<size_t>{64});
   tree.Put(Key(200), 200);  // past the end: lands in the right half
   EXPECT_EQ(BTreeTestPeer::LeafSizes(tree), (std::vector<size_t>{32, 33}));
+  // The left half did not take the key, so it is trimmed to its size.
+  EXPECT_EQ(BTreeTestPeer::LeafSlots(tree), (std::vector<size_t>{32, 64}));
   for (int i = 1; i < 64; i += 2) tree.Put(Key(i), i);  // fills the left
   EXPECT_EQ(BTreeTestPeer::LeafSizes(tree), (std::vector<size_t>{64, 33}));
   tree.Put(Key(63), 63);  // already present: no split
   // The left leaf's 65th key, between Key(10) and Key(11): the leaf halves
-  // and the key lands in the left half.
+  // and the key lands in the left half; the right half is cut to size.
   tree.Put(Key(10) + "x", 10);
   EXPECT_EQ(BTreeTestPeer::LeafSizes(tree),
             (std::vector<size_t>{33, 32, 33}));
+  EXPECT_EQ(BTreeTestPeer::LeafSlots(tree),
+            (std::vector<size_t>{64, 32, 64}));
   EXPECT_TRUE(tree.CheckInvariants());
   auto it = tree.LowerBound(Key(10));
   it.Next();
   EXPECT_EQ(it.key(), Key(10) + "x");
   it.Next();
   EXPECT_EQ(it.key(), Key(11));
+}
+
+TEST(BTreeTest, AscendingRunSplitsAtTheInsertionPoint) {
+  // Appends: the full leaf stays whole and the run goes on in a new leaf.
+  BTree<int> appended;
+  for (int i = 0; i < 65; ++i) appended.Put(Key(i), i);
+  EXPECT_EQ(BTreeTestPeer::LeafSizes(appended), (std::vector<size_t>{64, 1}));
+  EXPECT_EQ(BTreeTestPeer::LeafSlots(appended), (std::vector<size_t>{64, 1}));
+  EXPECT_TRUE(appended.CheckInvariants());
+
+  // A run into the middle of a built leaf: the first insert follows no
+  // earlier one and halves the leaf; the run then fills the left half, and
+  // its next key splits that half where it lands.
+  BTree<int> tree;
+  const auto entries = EvenEntries(64);
+  ASSERT_TRUE(tree.Build(Views(entries)));
+  for (int j = 0; j < 32; ++j) tree.Put(Key(10) + Key(j), j);
+  EXPECT_EQ(BTreeTestPeer::LeafSizes(tree), (std::vector<size_t>{64, 32}));
+  tree.Put(Key(10) + Key(32), 32);
+  // Left: Key(0)..Key(10) and the 32 earlier run keys, trimmed to size.
+  // Right: the new key, then Key(12)..Key(62).
+  EXPECT_EQ(BTreeTestPeer::LeafSizes(tree),
+            (std::vector<size_t>{38, 27, 32}));
+  EXPECT_EQ(BTreeTestPeer::LeafSlots(tree),
+            (std::vector<size_t>{38, 52, 32}));
+  EXPECT_TRUE(tree.CheckInvariants());
+  auto it = tree.LowerBound(Key(10) + Key(32));
+  ASSERT_TRUE(it.Valid());
+  EXPECT_EQ(it.value(), 32);
+  it.Next();
+  EXPECT_EQ(it.key(), Key(12));
+  EXPECT_EQ(*tree.Find(Key(10) + Key(31)), 31);
+}
+
+TEST(BTreeTest, AscendingRunsIntoABuiltTreeKeepLeavesFull) {
+  // Four interleaved ascending runs, each into the middle of a different
+  // full leaf of a packed tree, like new orders appended per district. Each
+  // leaf a run has left is full and exactly sized; only the leaf holding a
+  // run's latest key has spare slots.
+  constexpr int kBuilt = 64 * 50;
+  constexpr int kRuns = 4;
+  constexpr int kRunLength = 1000;
+  BTree<int> tree;
+  const auto entries = EvenEntries(kBuilt);
+  ASSERT_TRUE(tree.Build(Views(entries)));
+  const int starts[kRuns] = {2 * 400, 2 * 1200, 2 * 2000, 2 * 2800};
+  for (int j = 0; j < kRunLength; ++j) {
+    for (int start : starts) tree.Put(Key(start) + Key(j), j);
+  }
+  ASSERT_TRUE(tree.CheckInvariants());
+  ASSERT_EQ(tree.size(), static_cast<size_t>(kBuilt + kRuns * kRunLength));
+  const auto sizes = BTreeTestPeer::LeafSizes(tree);
+  const auto slots = BTreeTestPeer::LeafSlots(tree);
+  size_t total_slots = 0;
+  int leaves_with_spare_slots = 0;
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    total_slots += slots[i];
+    if (slots[i] > sizes[i]) ++leaves_with_spare_slots;
+  }
+  EXPECT_LE(leaves_with_spare_slots, kRuns);
+  EXPECT_GE(static_cast<double>(tree.size()) / total_slots, 0.95);
+  for (int start : starts) {
+    for (int j = 0; j < kRunLength; j += 97) {
+      ASSERT_NE(tree.Find(Key(start) + Key(j)), nullptr);
+    }
+  }
+}
+
+/// Inserts (and a few erases) in random, ascending, descending and
+/// interleaved-run order, checked against std::map after every phase.
+TEST(BTreeTest, InsertPatternsMatchStdMap) {
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    BTree<int> tree;
+    std::map<std::string, int> model;
+    if (seed % 2 == 0) {
+      // Half the seeds start from a packed tree.
+      const auto entries = EvenEntries(64 * 40 + 17);
+      ASSERT_TRUE(tree.Build(Views(entries)));
+      for (const auto& [key, value] : entries) model[key] = value;
+    }
+    int value = 0;
+    const auto put = [&](int k) {
+      const std::string key = Key(k);
+      tree.Put(key, value);
+      model[key] = value;
+      ++value;
+    };
+    const int key_space = 20000;
+    for (int phase = 0; phase < 24; ++phase) {
+      const int start = static_cast<int>(rng.Uniform(key_space));
+      const int length = 1 + static_cast<int>(rng.Uniform(300));
+      switch (rng.Uniform(4)) {
+        case 0:
+          for (int i = 0; i < length; ++i) {
+            put(static_cast<int>(rng.Uniform(key_space)));
+          }
+          break;
+        case 1:
+          for (int i = 0; i < length; ++i) put(start + i);
+          break;
+        case 2:
+          for (int i = 0; i < length; ++i) put(start - i);
+          break;
+        case 3: {
+          // Up to five runs at random points, taking turns.
+          int runs[5];
+          const int num_runs = 2 + static_cast<int>(rng.Uniform(4));
+          for (int r = 0; r < num_runs; ++r) {
+            runs[r] = static_cast<int>(rng.Uniform(key_space));
+          }
+          for (int i = 0; i < length; ++i) {
+            for (int r = 0; r < num_runs; ++r) put(runs[r] + i);
+          }
+          break;
+        }
+      }
+      for (int i = 0; i < 20; ++i) {
+        const std::string key = Key(static_cast<int>(rng.Uniform(key_space)));
+        ASSERT_EQ(tree.Erase(key), model.erase(key) > 0);
+      }
+      ASSERT_EQ(tree.size(), model.size());
+      ASSERT_TRUE(tree.CheckInvariants()) << "phase " << phase;
+      auto it = tree.Begin();
+      for (const auto& [k, v] : model) {
+        ASSERT_TRUE(it.Valid());
+        ASSERT_EQ(it.key(), k);
+        ASSERT_EQ(it.value(), v);
+        it.Next();
+      }
+      ASSERT_FALSE(it.Valid());
+      for (int i = 0; i < 50; ++i) {
+        const std::string key = Key(static_cast<int>(rng.Uniform(key_space)));
+        const int* found = tree.Find(key);
+        auto ref = model.find(key);
+        ASSERT_EQ(found != nullptr, ref != model.end()) << key;
+        if (found != nullptr) {
+          ASSERT_EQ(*found, ref->second);
+        }
+      }
+    }
+  }
 }
 
 TEST(BTreeTest, CheckInvariantsRejectsAnOversizedLeaf) {
@@ -395,53 +552,80 @@ TEST(BTreeTest, KeysAreInternedOnceAndOutliveErase) {
 TEST(KeyArenaTest, ViewsStayStableAcrossGrowth) {
   KeyArena arena;
   std::vector<std::string> keys;
-  std::vector<std::string_view> views;
+  std::vector<InternedKey> handles;
   for (int i = 0; i < 20000; ++i) {
     keys.push_back(Key(i) + std::string(i % 7, 'p'));
-    views.push_back(arena.Intern(keys.back()));
+    handles.push_back(arena.Intern(keys.back()));
   }
-  const std::string_view first = views.front();
+  const std::string_view first = handles.front().view();
   for (size_t i = 0; i < keys.size(); ++i) {
-    ASSERT_EQ(views[i], keys[i]) << i;
-    ASSERT_NE(views[i].data(), keys[i].data());
+    ASSERT_EQ(handles[i].view(), keys[i]) << i;
+    ASSERT_NE(handles[i].view().data(), keys[i].data());
   }
-  EXPECT_EQ(views.front().data(), first.data());
-  // Chunks double up to kMaxChunk: the arena holds the keys plus at most
-  // one partly filled chunk of slack.
+  EXPECT_EQ(handles.front().view().data(), first.data());
+  // Chunks double up to kMaxChunk: the arena holds the keys and their
+  // one-byte length prefixes plus at most one partly filled chunk of slack.
   size_t key_bytes = 0;
-  for (const std::string& key : keys) key_bytes += key.size();
+  for (const std::string& key : keys) {
+    ASSERT_EQ(KeyArena::InternedSize(key), key.size() + 1);
+    key_bytes += key.size() + 1;
+  }
   EXPECT_GE(arena.bytes_allocated(), key_bytes);
   EXPECT_LE(arena.bytes_allocated(), key_bytes + 2 * KeyArena::kMaxChunk);
-  EXPECT_TRUE(arena.Intern("").empty());
+  EXPECT_TRUE(arena.Intern("").view().empty());
+}
+
+TEST(KeyArenaTest, HandlesDecodeEveryLengthPrefix) {
+  // One-, two- and three-byte length prefixes, on both sides of each
+  // boundary, through chunks and oversized blocks alike.
+  KeyArena arena;
+  std::vector<std::string> keys;
+  std::vector<InternedKey> handles;
+  for (size_t len : {0u, 1u, 127u, 128u, 300u, 16383u, 16384u, 70000u}) {
+    keys.push_back(std::string(len, static_cast<char>('a' + keys.size())));
+    handles.push_back(arena.Intern(keys.back()));
+    EXPECT_EQ(KeyArena::InternedSize(keys.back()),
+              len + VarintLength(len));
+  }
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(handles[i].view(), keys[i]) << keys[i].size();
+  }
+  // A key whose bytes include what looks like a length prefix.
+  const std::string binary("\x80\x01\x00\xff", 4);
+  EXPECT_EQ(arena.Intern(binary).view(), binary);
 }
 
 TEST(KeyArenaTest, OversizedKeysGetTheirOwnBlock) {
   KeyArena arena;
-  const std::string_view a = arena.Intern("alpha");
+  const std::string_view a = arena.Intern("alpha").view();
   const std::string huge(3 * KeyArena::kMaxChunk, 'h');
-  const std::string_view big = arena.Intern(huge);
-  const std::string_view b = arena.Intern("beta");
+  const std::string_view big = arena.Intern(huge).view();
+  const std::string_view b = arena.Intern("beta").view();
   EXPECT_EQ(big, huge);
   EXPECT_EQ(a, "alpha");
   EXPECT_EQ(b, "beta");
-  // The oversized key left the small-key chunk open.
-  EXPECT_EQ(b.data(), a.data() + a.size());
-  EXPECT_EQ(arena.bytes_allocated(), KeyArena::kMinChunk + huge.size());
+  // The oversized key left the small-key chunk open: "beta"'s one-byte
+  // length prefix follows "alpha".
+  EXPECT_EQ(b.data(), a.data() + a.size() + 1);
+  // A three-byte prefix: 196608 needs 18 bits.
+  ASSERT_EQ(KeyArena::InternedSize(huge), huge.size() + 3);
+  EXPECT_EQ(arena.bytes_allocated(), KeyArena::kMinChunk + huge.size() + 3);
   // A key just over half the next chunk also goes to its own block.
   const std::string mid(KeyArena::kMinChunk + 1, 'm');
-  EXPECT_EQ(arena.Intern(mid), mid);
+  EXPECT_EQ(arena.Intern(mid).view(), mid);
   EXPECT_EQ(arena.bytes_allocated(),
-            KeyArena::kMinChunk + huge.size() + mid.size());
+            KeyArena::kMinChunk + huge.size() + 3 + mid.size() + 2);
 }
 
 TEST(KeyArenaTest, ReserveSizesOneChunkForABulkBuild) {
   KeyArena arena;
   arena.Reserve(1000);
   std::vector<std::string_view> views;
-  for (int i = 0; i < 100; ++i) views.push_back(arena.Intern(Key(i)));
+  // 100 nine-byte keys, each behind a one-byte length: exactly 1000 bytes.
+  for (int i = 0; i < 100; ++i) views.push_back(arena.Intern(Key(i)).view());
   EXPECT_EQ(arena.bytes_allocated(), 1000u);
   for (int i = 1; i < 100; ++i) {
-    EXPECT_EQ(views[i].data(), views[i - 1].data() + views[i - 1].size());
+    EXPECT_EQ(views[i].data(), views[i - 1].data() + views[i - 1].size() + 1);
   }
 }
 

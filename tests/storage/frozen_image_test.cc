@@ -3,11 +3,16 @@
 // took at the freeze, byte for byte. The changes cover every mutating call
 // on both the primary and the replay path, commits and aborts, vacuum at
 // rising horizons, tables created after the freeze, a table empty at the
-// freeze, LoadCommitted under a freeze, and a second freeze after a build.
+// freeze, LoadCommitted under a freeze, ascending runs of new keys (which
+// split leaves at the insertion point and trim the half left behind), values
+// of every inline length class and on the heap, and a second freeze after a
+// build.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -63,7 +68,20 @@ class RandomWriter {
       Close(txn);
       return;
     }
-    if (op < 18) {
+    if (op < 22) {
+      // An ascending run of new keys behind a random one, like new orders
+      // appended per district.
+      MvccTable* table = PickTable();
+      const RowKey base = Key(rng_.Uniform(kKeySpace)) + "/";
+      const TxnId txn = Txn();
+      for (uint64_t n = 1 + rng_.Uniform(80); n > 0; --n) {
+        char seq[16];
+        snprintf(seq, sizeof(seq), "%08d", next_seq_++);
+        table->ApplyInsert(base + seq, Value(), txn);
+      }
+      return;
+    }
+    if (op < 26) {
       horizon_ = std::min(clock_, horizon_ + rng_.Uniform(8));
       const MvccTable::VacuumStats stats = store_->Vacuum(horizon_);
       // The one walk a checkpoint makes counts and sizes what it left.
@@ -106,9 +124,11 @@ class RandomWriter {
     return "key-" + std::to_string(1000 + i);
   }
 
-  /// Short values sit inline in a version, long ones in a heap block.
+  /// Short values (up to 31 bytes, empty included) sit inline in a
+  /// version, long ones in a heap block.
   std::string Value() {
-    return std::string(rng_.Uniform(2) == 0 ? 8 : 48,
+    static constexpr size_t kSizes[] = {0, 8, 31, 32, 48};
+    return std::string(kSizes[rng_.Uniform(std::size(kSizes))],
                        static_cast<char>('a' + rng_.Uniform(26)));
   }
 
@@ -134,6 +154,7 @@ class RandomWriter {
   Rng rng_;
   std::vector<TxnId> open_;
   TxnId next_txn_ = 100;
+  int next_seq_ = 0;
   TableId next_table_ = 10;
   Timestamp clock_ = 10;
   Timestamp horizon_ = 0;

@@ -2,13 +2,16 @@
 // into the tree's arena and a single-version chain sits inline in its leaf
 // slot with a value of up to 31 bytes in place, so loading N rows allocates
 // nothing per row: only leaves, internal nodes and arena chunks, plus one
-// block per value too long to sit inline. Replaces the global operator new to count, which is why this test
-// has its own binary.
+// block per value too long to sit inline. A loaded row then takes its
+// 72-byte leaf slot and its length-prefixed key, and little else. Replaces
+// the global operator new to count allocations and live bytes, which is
+// why this test has its own binary.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <string>
 #include <utility>
@@ -19,15 +22,34 @@
 
 namespace {
 size_t g_allocations = 0;
+size_t g_live_bytes = 0;
+// Each block carries its requested size in a header this long (which keeps
+// the block 16-byte aligned).
+constexpr size_t kHeader = 16;
 }  // namespace
 
 void* operator new(size_t size) {
   ++g_allocations;
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
+  char* block = static_cast<char*>(std::malloc(kHeader + size));
+  if (block == nullptr) throw std::bad_alloc();
+  std::memcpy(block, &size, sizeof(size));
+  g_live_bytes += size;
+  return block + kHeader;
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept {
+  if (p == nullptr) return;
+  char* block = static_cast<char*>(p) - kHeader;
+  size_t size = 0;
+  std::memcpy(&size, block, sizeof(size));
+  g_live_bytes -= size;
+  std::free(block);
+}
+void operator delete(void* p, size_t) noexcept { operator delete(p); }
+// Arrays too (key arena chunks): a sanitizer runtime defines these itself
+// instead of forwarding them to operator new and delete.
+void* operator new[](size_t size) { return operator new(size); }
+void operator delete[](void* p) noexcept { operator delete(p); }
+void operator delete[](void* p, size_t) noexcept { operator delete(p); }
 
 namespace globaldb {
 namespace {
@@ -63,6 +85,28 @@ TEST(RowFootprintTest, LoadCommittedAllocatesNothingPerRow) {
     EXPECT_LE(g_allocations - before, kStructureBudget);
     EXPECT_EQ(table.KeyCount(), static_cast<size_t>(kRows));
   }
+}
+
+// The slot: an 8-byte key handle and a 64-byte version chain.
+static_assert(sizeof(BTree<VersionChain>::Entry) == 72);
+
+TEST(RowFootprintTest, LoadedRowTakesItsSlotAndItsKey) {
+  const size_t start = g_live_bytes;
+  auto rows = Rows(25);
+  const size_t rows_bytes = g_live_bytes - start;
+  MvccTable table(1);
+  const size_t before = g_live_bytes;
+  ASSERT_TRUE(table.LoadCommitted(std::move(rows), 1, 1).ok());
+  // The rows were consumed; what is left is the table.
+  const size_t table_bytes = g_live_bytes + rows_bytes - before;
+  // Full leaves of 72-byte slots, and every key behind a one-byte length in
+  // one exactly sized arena chunk. Leaf and internal nodes add under two
+  // bytes a row.
+  const size_t per_row =
+      sizeof(BTree<VersionChain>::Entry) + KeyArena::InternedSize(Key(0));
+  ASSERT_EQ(per_row, 72u + 27u);
+  EXPECT_GE(table_bytes, kRows * per_row);
+  EXPECT_LE(table_bytes, kRows * (per_row + 2));
 }
 
 TEST(RowFootprintTest, DecodeFromAllocatesOnlyForLongValues) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
 
 #include "src/common/rng.h"
 
@@ -111,6 +113,34 @@ TEST(KeyEncodingTest, CompositeKeysConcatenate) {
   std::vector<int> cols = {0, 1};
   EXPECT_LT(EncodeKey(r1, cols), EncodeKey(r2, cols));
   EXPECT_LT(EncodeKey(r2, cols), EncodeKey(r3, cols));
+}
+
+TEST(KeyEncodingTest, GoldenBytes) {
+  // The encoding is persisted in images and redo; these bytes must never
+  // change.
+  const std::pair<Value, std::string> golden[] = {
+      {Value{}, "0"},
+      {Value{int64_t{0}}, std::string("i\x80\0\0\0\0\0\0\0", 9)},
+      {Value{int64_t{-1}}, "i\x7f\xff\xff\xff\xff\xff\xff\xff"},
+      {Value{int64_t{0x0102030405060708}},
+       "i\x81\x02\x03\x04\x05\x06\x07\x08"},
+      {Value{INT64_MIN}, std::string("i\0\0\0\0\0\0\0\0", 9)},
+      {Value{1.0}, std::string("d\xbf\xf0\0\0\0\0\0\0", 9)},
+      {Value{-2.5}, "d\x3f\xfb\xff\xff\xff\xff\xff\xff"},
+      {Value{std::string()}, std::string("s\0\0", 3)},
+      {Value{std::string("ab")}, std::string("sab\0\0", 5)},
+      {Value{std::string("a\0b\0", 4)},
+       std::string("sa\0\xff" "b\0\xff\0\0", 9)},
+      {Value{std::string("\0\0", 2)}, std::string("s\0\xff\0\xff\0\0", 7)},
+  };
+  for (const auto& [value, bytes] : golden) {
+    EXPECT_EQ(KeyOf(value), bytes) << ValueToString(value);
+  }
+  // Parts append to what the key already holds.
+  std::string key = "p";
+  EncodeKeyPart(Value{int64_t{1}}, &key);
+  EncodeKeyPart(Value{std::string("\0x", 2)}, &key);
+  EXPECT_EQ(key, std::string("pi\x80\0\0\0\0\0\0\x01s\0\xffx\0\0", 16));
 }
 
 TEST(KeyEncodingTest, DecodeRoundTrip) {

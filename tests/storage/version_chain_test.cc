@@ -153,5 +153,83 @@ TEST(VersionChainTest, LeafShiftsMoveInlineChains) {
   }
 }
 
+// A chain is its 64 bytes: no state byte beside the inline version.
+static_assert(sizeof(VersionChain) == 64);
+
+enum class State { kEmpty, kInline, kSpilled };
+
+/// A chain in `state` whose versions all hold `value`: none, one (begin 1),
+/// or three (begins 1, 2, 3; the first two ended at 2 and 3).
+VersionChain MakeChain(State state, const std::string& value) {
+  VersionChain chain;
+  if (state == State::kInline) chain.push_back(Version(1, kTimestampMax, value));
+  if (state == State::kSpilled) {
+    chain.push_back(Version(1, 2, value));
+    chain.push_back(Version(2, 3, value));
+    chain.push_back(Version(3, kTimestampMax, value));
+  }
+  return chain;
+}
+
+void ExpectState(const VersionChain& chain, State state,
+                 const std::string& value) {
+  const size_t size = state == State::kEmpty    ? 0
+                      : state == State::kInline ? 1
+                                                : 3;
+  EXPECT_EQ(chain.size(), size);
+  EXPECT_EQ(chain.empty(), state == State::kEmpty);
+  EXPECT_EQ(chain.spilled(), state == State::kSpilled);
+  EXPECT_EQ(static_cast<size_t>(chain.end() - chain.begin()), size);
+  EXPECT_EQ(Values(chain), std::vector<std::string>(size, value));
+  for (const TupleVersion& v : chain) {
+    EXPECT_EQ(v.value.on_heap(), value.size() > VersionValue::kInlineCapacity);
+  }
+}
+
+TEST(VersionChainTest, EveryValueTagInEveryChainState) {
+  // The chain keeps its empty and spilled states in the byte that holds an
+  // inline version's value tag. Every tag a value can have (inline lengths
+  // 0 to 31, and heap) must read back as an inline chain, and neither spare
+  // code may be mistaken for a tag, through moves, EraseIf and Unspill.
+  const State kStates[] = {State::kEmpty, State::kInline, State::kSpilled};
+  for (size_t len = 0; len <= VersionValue::kInlineCapacity + 2; ++len) {
+    SCOPED_TRACE(len);
+    const std::string value(len, static_cast<char>('a' + len % 26));
+    for (State from : kStates) {
+      SCOPED_TRACE(static_cast<int>(from));
+      VersionChain chain = MakeChain(from, value);
+      ExpectState(chain, from, value);
+
+      VersionChain moved(std::move(chain));
+      ExpectState(chain, State::kEmpty, value);
+      ExpectState(moved, from, value);
+      for (State over : kStates) {
+        VersionChain target = MakeChain(over, "t");
+        VersionChain source = MakeChain(from, value);
+        target = std::move(source);
+        ExpectState(source, State::kEmpty, value);
+        ExpectState(target, from, value);
+      }
+
+      // Vacuum a spilled chain down to its last version (Unspill), then to
+      // nothing; an inline chain goes straight to empty.
+      if (from == State::kSpilled) {
+        EXPECT_EQ(moved.EraseIf(EndedBy(3)), 2u);
+        ExpectState(moved, State::kInline, value);
+        EXPECT_EQ(moved.begin()->begin_ts, 3u);
+      }
+      EXPECT_EQ(moved.EraseIf([](const TupleVersion&) { return true; }),
+                from == State::kEmpty ? 0u : 1u);
+      ExpectState(moved, State::kEmpty, value);
+      // An emptied chain takes versions again.
+      moved.push_back(Version(1, kTimestampMax, value));
+      ExpectState(moved, State::kInline, value);
+      moved.push_back(Version(2, kTimestampMax, value));
+      EXPECT_TRUE(moved.spilled());
+      EXPECT_EQ(Values(moved), (std::vector<std::string>{value, value}));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace globaldb

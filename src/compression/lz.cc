@@ -1,6 +1,8 @@
 #include "src/compression/lz.h"
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "src/common/codec.h"
@@ -53,7 +55,18 @@ void LzCodec::Compress(Slice input, std::string* output) {
     return;
   }
 
-  std::vector<uint32_t> table(kHashSize, 0);  // position + 1; 0 = empty
+  // One match table serves every call. An entry holds stamp_base +
+  // position + 1; entries of earlier calls are at most `stamp_base`, so
+  // they read as empty. The table is zeroed only when the stamps would
+  // overflow 32 bits.
+  thread_local std::vector<uint32_t> table(kHashSize, 0);
+  thread_local uint64_t next_base = 0;
+  if (next_base + n + 1 > std::numeric_limits<uint32_t>::max()) {
+    std::fill(table.begin(), table.end(), 0);
+    next_base = 0;
+  }
+  const uint32_t stamp_base = static_cast<uint32_t>(next_base);
+  next_base += n + 1;
   size_t pos = 0;
   size_t lit_start = 0;
   // Stop matching near the end; tail is emitted as literals.
@@ -62,12 +75,12 @@ void LzCodec::Compress(Slice input, std::string* output) {
   while (pos <= match_limit) {
     const uint32_t window = Read32(base + pos);
     const uint32_t h = HashWindow(window);
-    const uint32_t candidate_plus1 = table[h];
-    table[h] = static_cast<uint32_t>(pos + 1);
+    const uint32_t stamp = table[h];
+    table[h] = static_cast<uint32_t>(stamp_base + pos + 1);
 
     bool matched = false;
-    if (candidate_plus1 != 0) {
-      const size_t candidate = candidate_plus1 - 1;
+    if (stamp > stamp_base) {
+      const size_t candidate = stamp - stamp_base - 1;
       const size_t offset = pos - candidate;
       if (offset > 0 && offset <= kMaxOffset &&
           Read32(base + candidate) == window) {

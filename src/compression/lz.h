@@ -20,8 +20,9 @@ namespace globaldb {
 ///     [fixed16 match offset][extended match length] -- omitted when the
 ///     literals exhaust the output (final sequence)
 ///
-/// Matches are found with a 64K-entry hash table over 4-byte windows; worst
-/// case output is input size + size/255 + 16 bytes.
+/// Matches are found with a 64K-entry hash table over 4-byte windows, one
+/// per thread, reused across calls without re-zeroing; worst case output is
+/// input size + size/255 + 16 bytes.
 class LzCodec {
  public:
   static constexpr size_t kMinMatch = 4;

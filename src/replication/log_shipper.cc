@@ -59,12 +59,18 @@ void LogShipper::Stop() {
     waiter.lsn = kInvalidLsn;
   }
   waiters_.clear();
-  // Wake loops sleeping on idle/backoff timers so they observe stopped_ and
-  // exit now rather than when their timer would have fired.
+  // Wake every parked loop so it observes stopped_ and exits now rather
+  // than when its timer would have fired.
   WakeLoops();
 }
 
-void LogShipper::NotifyAppend() { WakeLoops(); }
+void LogShipper::NotifyAppend() { WakeShippers(nullptr); }
+
+void LogShipper::WakeLoops() { WakeParked(/*all=*/true, nullptr); }
+
+void LogShipper::WakeShippers(PeerState* acked) {
+  WakeParked(/*all=*/false, acked);
+}
 
 void LogShipper::AnnounceReplica(NodeId replica, Lsn durable_lsn) {
   auto it = peers_.find(replica);
@@ -88,25 +94,92 @@ size_t LogShipper::InflightBatches(NodeId replica) const {
   return it == peers_.end() ? 0 : it->second.inflight;
 }
 
-void LogShipper::WakeLoops() {
-  auto sleepers = std::move(sleepers_);
-  sleepers_.clear();
-  for (auto& sleeper : sleepers) sleeper.TrySet(true);
+size_t LogShipper::LoopsParkedOnWindow() const {
+  return static_cast<size_t>(std::count_if(
+      parked_.begin(), parked_.end(),
+      [](const PeerState* peer) { return peer->parked_on_window; }));
 }
 
-sim::Task<void> LogShipper::InterruptibleSleep(SimDuration d) {
-  if (d <= 0) co_return;
-  // Prune sleepers already resolved by their timer (nobody moved them out).
-  sleepers_.erase(std::remove_if(sleepers_.begin(), sleepers_.end(),
-                                 [](const sim::Promise<bool>& p) {
-                                   return p.has_value();
-                                 }),
-                  sleepers_.end());
-  sim::Promise<bool> wake(sim_);
-  sleepers_.push_back(wake);
-  sim::Future<bool> future = wake.GetFuture();
-  sim_->Schedule(d, [wake]() mutable { wake.TrySet(true); });
-  (void)co_await future;
+void LogShipper::Park::await_suspend(std::coroutine_handle<> h) {
+  peer->parked = h;
+  peer->parked_on_window = on_window;
+  peer->parked_at = shipper->sim_->now();
+  // A loop parking again in the very event that resumed it keeps the rank
+  // its wake reserved, which places it among that wake's loops.
+  peer->park_rank =
+      peer->reserved_rank != 0 &&
+              shipper->sim_->events_executed() == peer->resumed_in_event
+          ? peer->reserved_rank
+          : ++shipper->park_ranks_;
+  peer->reserved_rank = 0;
+  shipper->parked_.push_back(peer);
+  shipper->ArmParkTimer(peer, timeout);
+}
+
+void LogShipper::Park::await_resume() const {
+  peer->resumed_in_event = shipper->sim_->events_executed();
+}
+
+void LogShipper::OnParkTimeout(PeerState* peer) {
+  parked_.erase(std::find(parked_.begin(), parked_.end(), peer));
+  // Timers due at one instant fire in the order their loops parked, so a
+  // loop that parks again right away keeps its rank.
+  peer->reserved_rank = peer->park_rank;
+  Resume(peer, sim_->ReservePlace(sim_->now()));
+}
+
+void LogShipper::ArmParkTimer(PeerState* peer, SimDuration timeout) {
+  // The timer queues the wakeup rather than resuming the loop itself, so a
+  // timed-out loop runs after the events already due at that instant.
+  peer->park_timer =
+      sim_->Schedule(timeout, [this, peer]() { OnParkTimeout(peer); });
+}
+
+void LogShipper::Resume(PeerState* peer, sim::EventPlace place) {
+  sim_->Cancel(peer->park_timer);
+  sim_->ResumeAt(place, std::exchange(peer->parked, nullptr));
+}
+
+void LogShipper::WakeParked(bool all, PeerState* acked) {
+  // Loops wake in the order they last parked (or re-armed).
+  std::sort(parked_.begin(), parked_.end(),
+            [](const PeerState* a, const PeerState* b) {
+              return std::pair(a->parked_at, a->park_rank) <
+                     std::pair(b->parked_at, b->park_rank);
+            });
+  size_t kept = 0;
+  for (PeerState* peer : parked_) {
+    const bool wake = all || !peer->parked_on_window || peer == acked;
+    if (!sim_->IsPast(peer->recheck)) {
+      // It slept through an earlier wake whose re-check of its window is
+      // still ahead: this wake changes nothing for it, unless it resumes
+      // the loop, which then runs at that re-check's place.
+      if (wake) {
+        peer->reserved_rank = peer->park_rank;
+        Resume(peer, peer->recheck);
+      } else {
+        parked_[kept++] = peer;
+      }
+      continue;
+    }
+    const uint64_t rank = ++park_ranks_;
+    if (wake) {
+      peer->reserved_rank = rank;
+      Resume(peer, sim_->ReservePlace(sim_->now()));
+    } else {
+      // Sleeps through this wake, as if it had re-checked its window and
+      // parked again: it takes this place in the wake order, the place in
+      // the event order its re-check would have run at, and a restarted
+      // fallback timer.
+      peer->parked_at = sim_->now();
+      peer->park_rank = rank;
+      peer->recheck = sim_->ReservePlace(sim_->now());
+      sim_->Cancel(peer->park_timer);
+      ArmParkTimer(peer, options_.idle_wait);
+      parked_[kept++] = peer;
+    }
+  }
+  parked_.resize(kept);
 }
 
 void LogShipper::Rewind(PeerState* peer, Lsn to) {
@@ -209,7 +282,7 @@ sim::Task<void> LogShipper::ShipLoop(NodeId replica) {
     if (peer.next_send_at > sim_->now()) {
       // Backoff gate after a failure burst. An announcement clears the gate
       // and wakes us early.
-      co_await InterruptibleSleep(peer.next_send_at - sim_->now());
+      co_await InterruptibleSleep(&peer, peer.next_send_at - sim_->now());
       continue;
     }
     if (peer.needs_snapshot) {
@@ -220,7 +293,7 @@ sim::Task<void> LogShipper::ShipLoop(NodeId replica) {
       } else if (durability_ != nullptr) {
         // Checkpoint not yet published (promotion startup window): the
         // checkpointer runs shortly; park until it does.
-        co_await InterruptibleSleep(options_.idle_wait);
+        co_await InterruptibleSleep(&peer, options_.idle_wait);
       } else {
         // No durability manager (standalone shipper, nothing ever
         // truncates): the legacy resync from the stream start is lossless.
@@ -230,10 +303,11 @@ sim::Task<void> LogShipper::ShipLoop(NodeId replica) {
       continue;
     }
     if (peer.inflight >= window) {
-      // Window full: park until an ack frees a slot (every SendBatch
-      // completion wakes the loops).
+      // Window full: park until one of this replica's batches completes
+      // and frees a slot. No timer is needed: every SendBatch ends, since
+      // the RPC layer always replies or times out.
       metrics_.Add("ship.window_full");
-      co_await InterruptibleSleep(options_.idle_wait);
+      co_await ParkOnWindow(&peer);
       continue;
     }
     auto extent_or = stream_->Extent(peer.cursor, options_.max_batch_records,
@@ -250,7 +324,7 @@ sim::Task<void> LogShipper::ShipLoop(NodeId replica) {
     if (extent_or->records == 0) {
       // Nothing to ship: wait for NotifyAppend, with a bounded sleep as a
       // fallback against notifications racing the read above.
-      co_await InterruptibleSleep(options_.idle_wait);
+      co_await InterruptibleSleep(&peer, options_.idle_wait);
       continue;
     }
 
@@ -277,7 +351,7 @@ sim::Task<void> LogShipper::ShipLoop(NodeId replica) {
 sim::Task<void> LogShipper::SendSnapshot(NodeId replica) {
   PeerState& peer = peers_[replica];
   if (peer.next_send_at > sim_->now()) {
-    co_await InterruptibleSleep(peer.next_send_at - sim_->now());
+    co_await InterruptibleSleep(&peer, peer.next_send_at - sim_->now());
     co_return;
   }
   const ShardSnapshot& snap = durability_->snapshot();
@@ -354,7 +428,7 @@ sim::Task<void> LogShipper::SendBatch(NodeId replica, uint64_t epoch,
       Rewind(&peer, AckedLsn(replica) + 1);
       peer.next_send_at = sim_->now() + peer.backoff;
     }
-    WakeLoops();
+    WakeShippers(&peer);
     co_return;
   }
 
@@ -382,7 +456,9 @@ sim::Task<void> LogShipper::SendBatch(NodeId replica, uint64_t epoch,
       Rewind(&peer, AckedLsn(replica) + 1);
     }
   }
-  WakeLoops();
+  // A completion frees a slot only in this replica's window: loops parked
+  // on other full windows stay parked.
+  WakeShippers(&peer);
 }
 
 void LogShipper::OnShipFailure(PeerState* peer, NodeId replica) {

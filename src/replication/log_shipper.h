@@ -1,8 +1,10 @@
 #ifndef GLOBALDB_SRC_REPLICATION_LOG_SHIPPER_H_
 #define GLOBALDB_SRC_REPLICATION_LOG_SHIPPER_H_
 
+#include <coroutine>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/metrics.h"
@@ -56,7 +58,10 @@ struct ShipperOptions {
 ///
 /// Window protocol: the loop's *send cursor* runs ahead of the replica's
 /// *cumulative ack*, spawning up to `max_inflight_batches` concurrent
-/// kReplAppend calls. Acks are cumulative (the replica's applied LSN), so a
+/// kReplAppend calls. A loop with a full window parks until one of its own
+/// batches completes (the RPC layer always replies or times out); appends
+/// and other replicas' acks leave it parked and only restart its idle_wait
+/// fallback timer. Acks are cumulative (the replica's applied LSN), so a
 /// failure or a refused batch rewinds the send cursor to `ack + 1` and bumps
 /// the peer's epoch — replies from sends issued before the rewind are stale:
 /// their cumulative acks are still consumed, but they no longer touch the
@@ -83,7 +88,8 @@ class LogShipper {
   /// observe `stopped_` and exit instead of staying suspended forever).
   void Stop();
 
-  /// Wakes idle ship loops after the primary appends new records.
+  /// Wakes the ship loops that can ship after the primary appends new
+  /// records (every parked loop but those waiting on a full window).
   void NotifyAppend();
 
   /// Handles a replica's restart announcement (kReplHello): rewinds that
@@ -135,6 +141,8 @@ class LogShipper {
 
   /// Batches currently in flight to `replica` (window occupancy).
   size_t InflightBatches(NodeId replica) const;
+  /// Ship loops parked on a full window (for tests).
+  size_t LoopsParkedOnWindow() const;
 
   const ShipperOptions& options() const { return options_; }
   ShipperOptions* mutable_options() { return &options_; }
@@ -178,6 +186,38 @@ class LogShipper {
     bool snapshot_reset = false;
     /// The `ship.lag.<replica>` histogram, looked up at the first ack.
     Histogram* lag = nullptr;
+    /// The loop while it is parked; null while it runs or its wakeup is
+    /// queued.
+    std::coroutine_handle<> parked;
+    /// Parked on a full window: only this peer's own batch completions, a
+    /// rewind or Stop wake it.
+    bool parked_on_window = false;
+    /// The park's fallback timer.
+    sim::EventHandle park_timer;
+    /// The loop's place in the wake order: when it parked and a rank that
+    /// orders parks within one instant.
+    SimTime parked_at = 0;
+    uint64_t park_rank = 0;
+    /// The rank the last wake reserved for the loop, taken if it parks
+    /// again in the event that resumed it (resumed_in_event).
+    uint64_t reserved_rank = 0;
+    uint64_t resumed_in_event = 0;
+    /// Parked on its window and slept through a wake: the place in the
+    /// event order where re-checking the window would have run. A wake
+    /// that resumes the loop before that place resumes it there.
+    sim::EventPlace recheck;
+  };
+
+  /// Awaitable: parks the peer's loop until a wake or until `timeout`
+  /// elapses (no park at all if it is not positive).
+  struct Park {
+    LogShipper* shipper;
+    PeerState* peer;
+    SimDuration timeout;
+    bool on_window;
+    bool await_ready() const { return timeout <= 0; }
+    void await_suspend(std::coroutine_handle<> h);
+    void await_resume() const;
   };
 
   sim::Task<void> ShipLoop(NodeId replica);
@@ -196,10 +236,37 @@ class LogShipper {
   /// Invalidates the in-flight window and moves the send cursor to `to`
   /// (clamped to the stream's first retained LSN).
   void Rewind(PeerState* peer, Lsn to);
-  /// Sleeps up to `d`, waking early on NotifyAppend / AnnounceReplica /
-  /// Stop / ack completion (the loops re-check state on every wakeup).
-  sim::Task<void> InterruptibleSleep(SimDuration d);
+  /// Sleeps up to `d` (returns at once if `d` <= 0), waking early on
+  /// NotifyAppend / AnnounceReplica / Stop / ack completion (the loops
+  /// re-check state on every wakeup).
+  Park InterruptibleSleep(PeerState* peer, SimDuration d) {
+    return Park{this, peer, d, false};
+  }
+  /// Parks until one of the peer's own batches completes (or a rewind or
+  /// Stop). Its idle_wait timer only re-checks the window after idle_wait
+  /// passes with no wake at all: each wake it sleeps through restarts it.
+  Park ParkOnWindow(PeerState* peer) {
+    return Park{this, peer, options_.idle_wait, true};
+  }
+  /// Unparks the peer's loop when its park timer fires.
+  void OnParkTimeout(PeerState* peer);
+  /// Queues the resumption of a loop taken out of parked_ at `place`,
+  /// cancelling its timer.
+  void Resume(PeerState* peer, sim::EventPlace place);
+  /// Wakes every parked loop.
   void WakeLoops();
+  /// Wakes every parked loop that can ship, plus `acked`'s loop if it is
+  /// parked on its window.
+  void WakeShippers(PeerState* acked);
+  /// Wakes parked loops (all of them, or those WakeShippers names) in the
+  /// order they last parked. A loop parked on its window that sleeps
+  /// through the wake counts as having re-checked its window and parked
+  /// again. Loops so wake, and issue their RPCs (the network drawing their
+  /// jitter), in the order loops that re-checked a full window at every
+  /// wake did, so simulated results do not depend on the skipped wakeups.
+  void WakeParked(bool all, PeerState* acked);
+  /// Schedules the park's fallback timer.
+  void ArmParkTimer(PeerState* peer, SimDuration timeout);
   void OnAck(NodeId replica, Lsn acked);
   void OnShipFailure(PeerState* peer, NodeId replica);
   bool DurabilityReached(Lsn lsn) const;
@@ -221,8 +288,11 @@ class LogShipper {
   Lsn quorum_acked_ = 0;
   Lsn all_acked_ = 0;
   std::map<NodeId, PeerState> peers_;
+  /// Parked loops, in no particular order (WakeParked sorts them).
+  std::vector<PeerState*> parked_;
+  /// Source of PeerState::park_rank.
+  uint64_t park_ranks_ = 0;
   std::vector<DurabilityWaiter> waiters_;
-  std::vector<sim::Promise<bool>> sleepers_;
   bool started_ = false;
   bool stopped_ = false;
   Metrics metrics_;

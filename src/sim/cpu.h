@@ -7,7 +7,6 @@
 #include "src/common/logging.h"
 #include "src/common/types.h"
 #include "src/sim/simulator.h"
-#include "src/sim/task.h"
 
 namespace globaldb::sim {
 
@@ -25,8 +24,10 @@ class CpuScheduler {
   CpuScheduler(const CpuScheduler&) = delete;
   CpuScheduler& operator=(const CpuScheduler&) = delete;
 
-  /// Consumes `work` ns of CPU. Resumes when the work completes.
-  Task<void> Consume(SimDuration work) {
+  /// Consumes `work` ns of CPU. Resumes when the work completes. Returns
+  /// the simulator's sleep awaiter itself, so charging CPU costs one event
+  /// and no coroutine frame; await it at once, as the core is booked now.
+  auto Consume(SimDuration work) {
     GDB_CHECK(work >= 0);
     const SimTime now = sim_->now();
     // Pick the earliest-free core.
@@ -37,7 +38,7 @@ class CpuScheduler {
     *it = end;
     busy_ns_ += work;
     queue_delay_ns_ += (start - now);
-    co_await sim_->SleepUntil(end);
+    return sim_->SleepUntil(end);
   }
 
   /// Earliest time a new unit of work could start right now.

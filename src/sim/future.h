@@ -87,7 +87,7 @@ class Promise {
     auto waiters = std::move(state_->waiters);
     state_->waiters.clear();
     for (auto h : waiters) {
-      state_->sim->Schedule(0, [h]() { h.resume(); });
+      state_->sim->ResumeAt(state_->sim->now(), h);
     }
     return true;
   }
@@ -109,7 +109,7 @@ class Notification {
     auto waiters = std::move(waiters_);
     waiters_.clear();
     for (auto h : waiters) {
-      sim_->Schedule(0, [h]() { h.resume(); });
+      sim_->ResumeAt(sim_->now(), h);
     }
   }
 
@@ -144,7 +144,7 @@ class WaitGroup {
       auto waiters = std::move(waiters_);
       waiters_.clear();
       for (auto h : waiters) {
-        sim_->Schedule(0, [h]() { h.resume(); });
+        sim_->ResumeAt(sim_->now(), h);
       }
     }
   }
@@ -177,7 +177,7 @@ class CondVar {
     auto waiters = std::move(waiters_);
     waiters_.clear();
     for (auto h : waiters) {
-      sim_->Schedule(0, [h]() { h.resume(); });
+      sim_->ResumeAt(sim_->now(), h);
     }
   }
 

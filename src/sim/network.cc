@@ -178,6 +178,7 @@ Task<StatusOr<std::string>> Network::Call(NodeId from, NodeId to,
 
   Promise<StatusOr<std::string>> reply(sim_);
   Future<StatusOr<std::string>> future = reply.GetFuture();
+  EventHandle timer;
 
   if (!CanReach(from, to)) {
     Promise<StatusOr<std::string>> p = reply;
@@ -230,10 +231,13 @@ Task<StatusOr<std::string>> Network::Call(NodeId from, NodeId to,
       });
     }
     Promise<StatusOr<std::string>> p = reply;
-    sim_->Schedule(timeout,
-                   [p]() mutable { p.TrySet(Status::TimedOut("rpc")); });
+    timer = sim_->Schedule(
+        timeout, [p]() mutable { p.TrySet(Status::TimedOut("rpc")); });
   }
   StatusOr<std::string> result = co_await future;
+  // A reply beat the timeout: drop it from the queue, and the promise state
+  // it holds with it.
+  sim_->Cancel(timer);
   co_return result;
 }
 

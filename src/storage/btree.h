@@ -126,11 +126,13 @@ class KeyArena {
 /// erase.
 ///
 /// A leaf never holds more than kLeafCapacity slots: a full leaf splits
-/// before the insert, and leaf vectors grow by doubling only up to the cap.
-/// A split leaves no stranded slots behind: the half that does not take the
-/// new key is trimmed to its size, and an insert that continues an
-/// ascending run splits at the insertion point, so the left leaf stays
-/// full (DESIGN.md §12 "Leaf splits").
+/// before the insert, and leaf vectors grow by kLeafGrowth slots at a time
+/// up to the cap, so a leaf grown by inserts has fewer than kLeafGrowth
+/// spare slots. A split leaves no stranded slots behind: each half is
+/// trimmed to its size (plus one growth step for the half that takes the
+/// new key), and an insert that continues an ascending run splits at the
+/// insertion point, so the left leaf stays full (DESIGN.md §12 "Leaf
+/// splits").
 ///
 /// Erase uses lazy deletion: entries are removed from leaves without
 /// rebalancing (underfull leaves are tolerated; an empty leaf is unlinked
@@ -175,6 +177,7 @@ class BTree {
  public:
   static constexpr int kFanout = 64;        // max children per internal node
   static constexpr int kLeafCapacity = 64;  // max entries per leaf
+  static constexpr int kLeafGrowth = 8;     // slots a full leaf vector gains
 
   BTree() {
     root_ = MakeLeaf();
@@ -491,8 +494,8 @@ class BTree {
     }
     std::vector<Entry>& entries = leaf->entries;
     if (entries.size() == entries.capacity()) {
-      entries.reserve(std::min<size_t>(kLeafCapacity,
-                                       std::max<size_t>(1, 2 * entries.size())));
+      entries.reserve(
+          std::min<size_t>(kLeafCapacity, entries.size() + kLeafGrowth));
     }
     ++size_;
     leaf->last_insert = static_cast<uint8_t>(pos);
@@ -509,8 +512,8 @@ class BTree {
   /// An insert just past the leaf's previous one continues an ascending
   /// run: the leaf splits at the insertion point, the left keeps every key
   /// before it and stays full, and the run goes on in the right. Any other
-  /// insert splits the leaf in half. The half that will not take the key is
-  /// trimmed to its size.
+  /// insert splits the leaf in half. Each half keeps only its entries' slots
+  /// and, if it takes the key, one growth step.
   std::unique_ptr<Leaf> SplitFullLeaf(Leaf* leaf, size_t pos) {
     std::vector<Entry>& entries = leaf->entries;
     const bool ascending = pos == leaf->last_insert + size_t{1};
@@ -519,10 +522,13 @@ class BTree {
     right->entries.assign(std::make_move_iterator(entries.begin() + at),
                           std::make_move_iterator(entries.end()));
     entries.erase(entries.begin() + at, entries.end());
-    if (pos >= at && entries.size() < entries.capacity()) {
-      std::vector<Entry>(std::make_move_iterator(entries.begin()),
-                         std::make_move_iterator(entries.end()))
-          .swap(entries);
+    const size_t keep = pos < at ? at + kLeafGrowth : at;
+    if (entries.capacity() > keep) {
+      std::vector<Entry> trimmed;
+      trimmed.reserve(keep);
+      trimmed.assign(std::make_move_iterator(entries.begin()),
+                     std::make_move_iterator(entries.end()));
+      entries.swap(trimmed);
     }
     leaf->last_insert = Leaf::kNoInsert;
     right->next = leaf->next;

@@ -16,8 +16,16 @@ namespace globaldb {
 
 /// The collection of MVCC tables hosted by one data-node shard (primary or
 /// replica). Commit/abort fan out to every table the transaction touched.
+///
+/// The tables sit in a flat vector sorted by id: a lookup (one per applied
+/// redo record) is a binary search over a dozen contiguous entries, and
+/// every walk (commit, abort, vacuum, images) goes in id order. Ids come
+/// from schemas and images and may be any 32-bit value, so they are not
+/// used as vector positions.
 class ShardStore {
  public:
+  using TableEntry = std::pair<TableId, std::unique_ptr<MvccTable>>;
+
   explicit ShardStore(ShardId shard) : shard_(shard) {}
 
   ShardStore(const ShardStore&) = delete;
@@ -26,23 +34,28 @@ class ShardStore {
   ShardId shard() const { return shard_; }
 
   MvccTable* GetOrCreateTable(TableId id) {
-    auto it = tables_.find(id);
-    if (it == tables_.end()) {
-      it = tables_.emplace(id, std::make_unique<MvccTable>(id)).first;
+    const size_t i = LowerBound(id);
+    if (i == tables_.size() || tables_[i].first != id) {
+      tables_.emplace(tables_.begin() + i, id, std::make_unique<MvccTable>(id));
     }
-    return it->second.get();
+    return tables_[i].second.get();
   }
 
   MvccTable* GetTable(TableId id) const {
-    auto it = tables_.find(id);
-    return it == tables_.end() ? nullptr : it->second.get();
+    const size_t i = LowerBound(id);
+    return i == tables_.size() || tables_[i].first != id
+               ? nullptr
+               : tables_[i].second.get();
   }
 
   /// Drops the table, ending any live freeze (its capture lives in the
   /// tables).
   void DropTable(TableId id) {
     EndCapture();
-    tables_.erase(id);
+    const size_t i = LowerBound(id);
+    if (i < tables_.size() && tables_[i].first == id) {
+      tables_.erase(tables_.begin() + i);
+    }
   }
 
   void CommitTxn(TxnId txn, Timestamp ts) {
@@ -96,7 +109,9 @@ class ShardStore {
   /// dropping the old ones and ending any live freeze.
   void ReplaceTables(std::map<TableId, std::unique_ptr<MvccTable>> tables) {
     EndCapture();
-    tables_ = std::move(tables);
+    tables_.clear();
+    tables_.reserve(tables.size());
+    for (auto& [id, table] : tables) tables_.emplace_back(id, std::move(table));
   }
 
   // --- Checkpoint freeze (DESIGN.md §12 "Checkpointer") -------------------
@@ -119,11 +134,20 @@ class ShardStore {
   /// the image, then the image.
   size_t FrozenBytes() const;
 
-  const std::map<TableId, std::unique_ptr<MvccTable>>& tables() const {
-    return tables_;
-  }
+  /// Every table as (id, table), in id order.
+  const std::vector<TableEntry>& tables() const { return tables_; }
 
  private:
+  /// Position of the first table whose id is not below `id`.
+  size_t LowerBound(TableId id) const {
+    return static_cast<size_t>(
+        std::lower_bound(tables_.begin(), tables_.end(), id,
+                         [](const TableEntry& entry, TableId key) {
+                           return entry.first < key;
+                         }) -
+        tables_.begin());
+  }
+
   /// Thaws every frozen table; a later FrozenImage() needs a new freeze.
   void EndCapture();
 
@@ -135,7 +159,7 @@ class ShardStore {
   };
 
   ShardId shard_;
-  std::map<TableId, std::unique_ptr<MvccTable>> tables_;
+  std::vector<TableEntry> tables_;  // sorted by id
   bool capturing_ = false;
   std::vector<FrozenTable> frozen_;  // the live freeze's tables, in id order
   std::optional<std::string> frozen_image_;

@@ -25,12 +25,14 @@ sim::Task<Status> LockManager::Acquire(TxnId txn, TableId table,
   state.waiters.emplace_back(txn, sim_);
   sim::Promise<bool> granted = state.waiters.back().granted;
   sim::Future<bool> future = granted.GetFuture();
-  sim_->Schedule(lock_timeout_, [granted]() mutable {
-    sim::Promise<bool> p = granted;
-    p.TrySet(false);
-  });
+  const sim::EventHandle timer =
+      sim_->Schedule(lock_timeout_, [granted]() mutable {
+        sim::Promise<bool> p = granted;
+        p.TrySet(false);
+      });
 
   const bool ok = co_await future;
+  sim_->Cancel(timer);  // a no-op when the timeout is what woke us
   if (!ok) {
     metrics_.Add("lock.timeouts");
     co_return Status::TimedOut("lock wait timeout (possible deadlock)");

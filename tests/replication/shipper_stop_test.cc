@@ -5,6 +5,8 @@
 //  - Retry backoff is exponential and capped; sustained failures mark the
 //    replica unhealthy, the first success marks it recovered.
 //  - AnnounceReplica rewinds the cursor without corrupting replica state.
+//  - A loop parked on a full window ignores appends, resumes on its own
+//    ack, and Stop releases it.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -54,10 +56,12 @@ class ShipperStopTest : public ::testing::Test {
     return o;
   }
 
-  std::unique_ptr<LogShipper> MakeShipper(ShipperOptions options = {}) {
+  std::unique_ptr<LogShipper> MakeShipper(
+      ShipperOptions options = {},
+      std::vector<NodeId> replicas = {kReplicaLocal, kReplicaRemote}) {
     auto shipper = std::make_unique<LogShipper>(
-        &sim_, &net_, kPrimary, /*shard=*/0, &stream_,
-        std::vector<NodeId>{kReplicaLocal, kReplicaRemote}, options);
+        &sim_, &net_, kPrimary, /*shard=*/0, &stream_, std::move(replicas),
+        options);
     shipper->Start();
     return shipper;
   }
@@ -194,6 +198,51 @@ TEST_F(ShipperStopTest, AnnounceRewindsCursorIdempotently) {
   EXPECT_EQ(replicas_[0]->applier.applied_lsn(), 3u);
   EXPECT_EQ(replicas_[0]->applier.metrics().Get("apply.records"), 3);
   EXPECT_EQ(replicas_[0]->applier.metrics().Get("apply.gaps"), 0);
+}
+
+TEST_F(ShipperStopTest, FullWindowParksUntilItsOwnAck) {
+  // One batch in flight at a time to the remote replica (30 ms RTT), one
+  // transaction per batch. The fallback timer is longer than the test.
+  ShipperOptions options;
+  options.max_inflight_batches = 1;
+  options.max_batch_records = 3;
+  options.idle_wait = 10 * kSecond;
+  auto shipper = MakeShipper(options, {kReplicaRemote});
+  AppendTxn(1, "k1", "v", 100);
+  shipper->NotifyAppend();
+  sim_.RunFor(1 * kMillisecond);
+  EXPECT_EQ(shipper->InflightBatches(kReplicaRemote), 1u);
+  EXPECT_EQ(shipper->LoopsParkedOnWindow(), 1u);
+  EXPECT_EQ(shipper->metrics().Get("ship.window_full"), 1);
+
+  // Appends do not wake it: it neither re-checks its window nor ships.
+  for (TxnId txn = 2; txn <= 5; ++txn) {
+    AppendTxn(txn, "k" + std::to_string(txn), "v", 100 + txn);
+    shipper->NotifyAppend();
+    sim_.RunFor(1 * kMillisecond);
+  }
+  EXPECT_EQ(shipper->LoopsParkedOnWindow(), 1u);
+  EXPECT_EQ(shipper->metrics().Get("ship.window_full"), 1);
+  EXPECT_EQ(shipper->metrics().Get("ship.batches"), 1);
+
+  // The ack frees the slot: the loop ships the next batch and parks again.
+  sim_.RunFor(40 * kMillisecond);
+  EXPECT_EQ(shipper->AckedLsn(kReplicaRemote), 3u);
+  EXPECT_EQ(shipper->metrics().Get("ship.batches"), 2);
+  EXPECT_EQ(shipper->metrics().Get("ship.window_full"), 2);
+  EXPECT_EQ(shipper->LoopsParkedOnWindow(), 1u);
+
+  // Stop releases the parked loop: it exits, and the rest is never shipped.
+  shipper->Stop();
+  sim_.RunFor(1 * kMillisecond);
+  EXPECT_EQ(shipper->LoopsParkedOnWindow(), 0u);
+  sim_.RunFor(1 * kSecond);
+  EXPECT_EQ(shipper->metrics().Get("ship.batches"), 2);
+  // The batch in flight at the stop lands, but a stopped shipper drops its
+  // reply.
+  EXPECT_EQ(shipper->AckedLsn(kReplicaRemote), 3u);
+  EXPECT_EQ(replicas_[1]->applier.applied_lsn(), 6u);
+  EXPECT_EQ(sim_.pending_events(), 0u);
 }
 
 }  // namespace

@@ -53,6 +53,24 @@ TEST_F(NetworkTest, RpcRoundTripLatency) {
   EXPECT_LT(completed, 27 * kMillisecond);
 }
 
+TEST_F(NetworkTest, AnsweredCallLeavesNoPendingEvent) {
+  // The reply cancels the 5 s timeout: once the call returns, the queue is
+  // empty instead of holding the timeout (and its promise) until it fires.
+  StatusOr<std::string> result = Status::Internal("unset");
+  SimTime completed = 0;
+  sim_.Spawn(DoCall(kA, kB, "hi", &result, &completed));
+  while (completed == 0 && sim_.pending_events() > 0) {
+    sim_.RunUntil(sim_.now() + kMillisecond);
+  }
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_LT(completed, kSecond);
+  EXPECT_EQ(sim_.pending_events(), 0u);
+  const uint64_t executed = sim_.events_executed();
+  sim_.Run();
+  EXPECT_EQ(sim_.events_executed(), executed);
+  EXPECT_LT(sim_.now(), kSecond);
+}
+
 TEST_F(NetworkTest, IntraRegionIsFast) {
   net_.RegisterNode(99, 1);
   net_.RegisterHandler(99, "echo",

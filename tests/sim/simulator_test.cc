@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <queue>
+#include <string>
+#include <tuple>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/sim/future.h"
 #include "src/sim/task.h"
 
@@ -200,6 +205,174 @@ TEST(SimulatorTest, DeterministicEventCount) {
     return sim.events_executed();
   };
   EXPECT_EQ(run(), run());
+}
+
+// --- Cancellation -------------------------------------------------------------
+
+TEST(SimulatorCancelTest, CancelBeforeFiringRemovesTheEvent) {
+  Simulator sim;
+  int ran = 0;
+  const EventHandle handle = sim.Schedule(10, [&] { ++ran; });
+  sim.Schedule(20, [&] { ran += 10; });
+  EXPECT_EQ(sim.pending_events(), 2u);
+  EXPECT_TRUE(sim.Cancel(handle));
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_FALSE(sim.Cancel(handle));  // already gone
+  sim.Run();
+  EXPECT_EQ(ran, 10);
+  EXPECT_EQ(sim.events_executed(), 1u);
+  EXPECT_FALSE(sim.Cancel(EventHandle{}));  // names nothing
+}
+
+TEST(SimulatorCancelTest, CancelAfterFiringIsANoOp) {
+  Simulator sim;
+  int ran = 0;
+  const EventHandle fired = sim.Schedule(10, [&] { ++ran; });
+  sim.Schedule(30, [&] { ran += 10; });
+  sim.RunUntil(20);
+  EXPECT_EQ(ran, 1);
+  EXPECT_FALSE(sim.Cancel(fired));
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.Run();
+  EXPECT_EQ(ran, 11);
+}
+
+TEST(SimulatorCancelTest, StaleHandleCannotCancelTheSlotsNewerEvent) {
+  Simulator sim;
+  int ran = 0;
+  const EventHandle first = sim.Schedule(10, [&] { ++ran; });
+  sim.Run();
+  // The first event's slot is free again, so the next event reuses it.
+  const EventHandle second = sim.Schedule(10, [&] { ran += 10; });
+  ASSERT_EQ(second.slot, first.slot);
+  EXPECT_FALSE(sim.Cancel(first));
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.Run();
+  EXPECT_EQ(ran, 11);
+  // The same holds for a slot freed by a cancel.
+  const EventHandle cancelled = sim.Schedule(5, [&] { ran += 100; });
+  ASSERT_TRUE(sim.Cancel(cancelled));
+  const EventHandle reused = sim.Schedule(5, [&] { ran += 1000; });
+  ASSERT_EQ(reused.slot, cancelled.slot);
+  EXPECT_FALSE(sim.Cancel(cancelled));
+  sim.Run();
+  EXPECT_EQ(ran, 1011);
+}
+
+TEST(SimulatorCancelTest, EqualTimesStayFifoAcrossInterleavedCancels) {
+  Simulator sim;
+  std::vector<int> order;
+  std::vector<EventHandle> handles;
+  for (int i = 0; i < 20; ++i) {
+    handles.push_back(sim.Schedule(100, [&order, i] { order.push_back(i); }));
+    // Cancel every third event as soon as the next one is queued, so freed
+    // slots are reused by later (higher-seq) events at the same time.
+    if (i % 3 == 1) {
+      ASSERT_TRUE(sim.Cancel(handles[i - 1]));
+    }
+  }
+  ASSERT_TRUE(sim.Cancel(handles[10]));
+  sim.Run();
+  std::vector<int> expected;
+  for (int i = 0; i < 20; ++i) {
+    if (i % 3 != 0 && i != 10) expected.push_back(i);
+  }
+  EXPECT_EQ(order, expected);
+}
+
+TEST(SimulatorPlaceTest, ResumeAtAReservedPlaceRunsWhereTheReservationWas) {
+  Simulator sim;
+  std::vector<std::string> order;
+  EventPlace place;
+  std::coroutine_handle<> waiter;
+  auto task = [&]() -> Task<void> {
+    struct Park {
+      std::coroutine_handle<>* slot;
+      bool await_ready() const { return false; }
+      void await_suspend(std::coroutine_handle<> h) { *slot = h; }
+      void await_resume() const {}
+    };
+    co_await Park{&waiter};
+    order.push_back("resumed");
+  };
+  sim.Spawn(task());
+  sim.Schedule(10, [&] {
+    order.push_back("reserve");
+    place = sim.ReservePlace(sim.now());
+    EXPECT_FALSE(sim.IsPast(place));
+    // Queued after the reservation, so it runs after the place.
+    sim.Schedule(0, [&] { order.push_back("later"); });
+  });
+  sim.Schedule(10, [&] {
+    // Runs before the place: a resume there still comes before "later".
+    EXPECT_FALSE(sim.IsPast(place));
+    sim.ResumeAt(place, waiter);
+  });
+  sim.Run();
+  EXPECT_EQ(order,
+            (std::vector<std::string>{"reserve", "resumed", "later"}));
+  EXPECT_TRUE(sim.IsPast(place));
+  EXPECT_FALSE(sim.IsPast(sim.ReservePlace(sim.now())));
+  EXPECT_TRUE(sim.IsPast(EventPlace{}));
+}
+
+TEST(SimulatorCancelTest, RandomScheduleCancelRunMatchesAPriorityQueueModel) {
+  // The reference: std::priority_queue over (time, seq, id), where a cancel
+  // marks an id dead and the pop skips dead ids.
+  using Entry = std::tuple<SimTime, uint64_t, int>;
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    Simulator sim;
+    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> model;
+    std::vector<bool> live;
+    std::vector<EventHandle> handles;
+    std::vector<int> ran;
+    std::vector<int> expected;
+    SimTime model_now = 0;
+    uint64_t model_seq = 0;
+    size_t model_pending = 0;
+    for (int step = 0; step < 4000; ++step) {
+      const uint64_t op = rng.Uniform(10);
+      if (op < 5) {
+        // Few distinct delays, so many events share a time.
+        const SimDuration delay = static_cast<SimDuration>(rng.Uniform(8));
+        const int id = static_cast<int>(handles.size());
+        handles.push_back(
+            sim.Schedule(delay, [&ran, id] { ran.push_back(id); }));
+        live.push_back(true);
+        model.emplace(model_now + delay, model_seq++, id);
+        ++model_pending;
+      } else if (op < 8 && !handles.empty()) {
+        const size_t id = rng.Uniform(handles.size());
+        ASSERT_EQ(sim.Cancel(handles[id]), static_cast<bool>(live[id]));
+        if (live[id]) --model_pending;
+        live[id] = false;
+      } else {
+        const SimTime until =
+            model_now + static_cast<SimDuration>(rng.Uniform(4));
+        sim.RunUntil(until);
+        while (!model.empty() && std::get<0>(model.top()) <= until) {
+          const int id = std::get<2>(model.top());
+          model.pop();
+          if (!live[id]) continue;
+          live[id] = false;
+          --model_pending;
+          expected.push_back(id);
+        }
+        model_now = until;
+      }
+      ASSERT_EQ(sim.pending_events(), model_pending);
+    }
+    sim.Run();
+    while (!model.empty()) {
+      const int id = std::get<2>(model.top());
+      model.pop();
+      if (live[id]) expected.push_back(id);
+    }
+    EXPECT_EQ(ran, expected);
+    EXPECT_EQ(sim.pending_events(), 0u);
+  }
 }
 
 }  // namespace

@@ -361,18 +361,21 @@ TEST(BTreeTest, FullLeafSplitsInHalfBeforeTheInsert) {
   EXPECT_EQ(BTreeTestPeer::LeafSizes(tree), std::vector<size_t>{64});
   tree.Put(Key(200), 200);  // past the end: lands in the right half
   EXPECT_EQ(BTreeTestPeer::LeafSizes(tree), (std::vector<size_t>{32, 33}));
-  // The left half did not take the key, so it is trimmed to its size.
-  EXPECT_EQ(BTreeTestPeer::LeafSlots(tree), (std::vector<size_t>{32, 64}));
+  // The left half did not take the key, so it is trimmed to its size; the
+  // right half is cut to its 32 keys and grows one step (8 slots) to take
+  // the new one.
+  EXPECT_EQ(BTreeTestPeer::LeafSlots(tree), (std::vector<size_t>{32, 40}));
   for (int i = 1; i < 64; i += 2) tree.Put(Key(i), i);  // fills the left
   EXPECT_EQ(BTreeTestPeer::LeafSizes(tree), (std::vector<size_t>{64, 33}));
   tree.Put(Key(63), 63);  // already present: no split
   // The left leaf's 65th key, between Key(10) and Key(11): the leaf halves
-  // and the key lands in the left half; the right half is cut to size.
+  // and the key lands in the left half, which keeps its 32 keys' slots and
+  // one growth step; the right half is cut to size.
   tree.Put(Key(10) + "x", 10);
   EXPECT_EQ(BTreeTestPeer::LeafSizes(tree),
             (std::vector<size_t>{33, 32, 33}));
   EXPECT_EQ(BTreeTestPeer::LeafSlots(tree),
-            (std::vector<size_t>{64, 32, 64}));
+            (std::vector<size_t>{40, 32, 40}));
   EXPECT_TRUE(tree.CheckInvariants());
   auto it = tree.LowerBound(Key(10));
   it.Next();
@@ -382,11 +385,12 @@ TEST(BTreeTest, FullLeafSplitsInHalfBeforeTheInsert) {
 }
 
 TEST(BTreeTest, AscendingRunSplitsAtTheInsertionPoint) {
-  // Appends: the full leaf stays whole and the run goes on in a new leaf.
+  // Appends: the full leaf stays whole and the run goes on in a new leaf,
+  // which starts with one growth step of 8 slots.
   BTree<int> appended;
   for (int i = 0; i < 65; ++i) appended.Put(Key(i), i);
   EXPECT_EQ(BTreeTestPeer::LeafSizes(appended), (std::vector<size_t>{64, 1}));
-  EXPECT_EQ(BTreeTestPeer::LeafSlots(appended), (std::vector<size_t>{64, 1}));
+  EXPECT_EQ(BTreeTestPeer::LeafSlots(appended), (std::vector<size_t>{64, 8}));
   EXPECT_TRUE(appended.CheckInvariants());
 
   // A run into the middle of a built leaf: the first insert follows no
@@ -399,11 +403,12 @@ TEST(BTreeTest, AscendingRunSplitsAtTheInsertionPoint) {
   EXPECT_EQ(BTreeTestPeer::LeafSizes(tree), (std::vector<size_t>{64, 32}));
   tree.Put(Key(10) + Key(32), 32);
   // Left: Key(0)..Key(10) and the 32 earlier run keys, trimmed to size.
-  // Right: the new key, then Key(12)..Key(62).
+  // Right: the new key, then Key(12)..Key(62): cut to those 26 keys, then
+  // grown one step for the new one.
   EXPECT_EQ(BTreeTestPeer::LeafSizes(tree),
             (std::vector<size_t>{38, 27, 32}));
   EXPECT_EQ(BTreeTestPeer::LeafSlots(tree),
-            (std::vector<size_t>{38, 52, 32}));
+            (std::vector<size_t>{38, 34, 32}));
   EXPECT_TRUE(tree.CheckInvariants());
   auto it = tree.LowerBound(Key(10) + Key(32));
   ASSERT_TRUE(it.Valid());
@@ -444,6 +449,59 @@ TEST(BTreeTest, AscendingRunsIntoABuiltTreeKeepLeavesFull) {
     for (int j = 0; j < kRunLength; j += 97) {
       ASSERT_NE(tree.Find(Key(start) + Key(j)), nullptr);
     }
+  }
+}
+
+TEST(BTreeTest, LeavesGrownByInsertsHaveFewerSpareSlotsThanAGrowthStep) {
+  // Leaf vectors grow by kLeafGrowth slots, and splits keep no more than
+  // that, so without erases no leaf ever has kLeafGrowth spare slots,
+  // whatever the insert order and whether the tree started packed.
+  const auto check = [](const BTree<int>& tree) {
+    const auto sizes = BTreeTestPeer::LeafSizes(tree);
+    const auto slots = BTreeTestPeer::LeafSlots(tree);
+    ASSERT_EQ(sizes.size(), slots.size());
+    for (size_t i = 0; i < sizes.size(); ++i) {
+      ASSERT_LE(slots[i] - sizes[i], BTree<int>::kLeafGrowth - 1)
+          << "leaf " << i << " holds " << sizes[i] << " keys in " << slots[i]
+          << " slots";
+    }
+  };
+  BTree<int> ascending;
+  BTree<int> descending;
+  for (int i = 0; i < 3000; ++i) {
+    ascending.Put(Key(i), i);
+    descending.Put(Key(3000 - i), i);
+    if (i % 101 == 0) {
+      check(ascending);
+      check(descending);
+    }
+  }
+  check(ascending);
+  check(descending);
+  // Random keys, and six interleaved ascending runs like new orders
+  // appended per district, into an empty and into a packed tree.
+  for (int packed = 0; packed < 2; ++packed) {
+    SCOPED_TRACE(packed);
+    Rng rng(7 + packed);
+    BTree<int> random;
+    BTree<int> runs;
+    if (packed == 1) {
+      const auto entries = EvenEntries(64 * 30 + 17);
+      ASSERT_TRUE(random.Build(Views(entries)));
+      ASSERT_TRUE(runs.Build(Views(entries)));
+    }
+    for (int i = 0; i < 4000; ++i) {
+      random.Put(Key(static_cast<int>(rng.Uniform(20000))), i);
+      runs.Put(Key(2 * 97 * (i % 6) + 1) + Key(i / 6), i);
+      if (i % 257 == 0) {
+        check(random);
+        check(runs);
+      }
+    }
+    check(random);
+    check(runs);
+    EXPECT_TRUE(random.CheckInvariants());
+    EXPECT_TRUE(runs.CheckInvariants());
   }
 }
 

@@ -59,6 +59,25 @@ TEST_F(LockManagerTest, WaiterGrantedOnRelease) {
   EXPECT_EQ(locks_.HeldCount(2), 1u);
 }
 
+TEST_F(LockManagerTest, GrantAfterAWaitLeavesNoPendingEvent) {
+  // The grant cancels the waiter's lock timeout, so nothing stays queued
+  // once the waiter holds the lock.
+  std::vector<std::pair<TxnId, Status>> log;
+  sim_.Spawn(AcquireAt(0, 1, "k", &log));
+  sim_.Spawn(AcquireAt(1000, 2, "k", &log));
+  sim_.RunFor(10 * kMillisecond);
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(sim_.pending_events(), 1u);  // the waiter's timeout
+  locks_.ReleaseAll(1);
+  sim_.RunFor(1);
+  ASSERT_EQ(log.size(), 2u);
+  EXPECT_TRUE(log[1].second.ok());
+  EXPECT_EQ(sim_.pending_events(), 0u);
+  sim_.Run();
+  EXPECT_EQ(sim_.now(), 10 * kMillisecond + 1);
+  EXPECT_EQ(locks_.metrics().Get("lock.timeouts"), 0);
+}
+
 TEST_F(LockManagerTest, FifoOrderAmongWaiters) {
   std::vector<std::pair<TxnId, Status>> log;
   sim_.Spawn(AcquireAt(0, 1, "k", &log));

@@ -13,6 +13,7 @@
 #include "src/compression/lz.h"
 #include "src/log/log_stream.h"
 #include "src/log/redo_record.h"
+#include "src/rpc/fields.h"
 
 namespace globaldb {
 namespace {
@@ -27,7 +28,7 @@ std::string MakeTpccPayload(int records) {
         i, 3, "warehouse_" + std::to_string(i % 20),
         "customer_row_payload_" + rng.AlphaString(20, 60));
     r.lsn = i + 1;
-    r.EncodeTo(&payload);
+    rpc::EncodeTo(r, &payload);
   }
   return payload;
 }
@@ -43,7 +44,7 @@ std::string MakeRandomPayload(int records) {
     RedoRecord r = RedoRecord::Insert(i, 3, "k" + std::to_string(rng.Next()),
                                       value);
     r.lsn = i + 1;
-    r.EncodeTo(&payload);
+    rpc::EncodeTo(r, &payload);
   }
   return payload;
 }
@@ -105,7 +106,7 @@ void BM_EncodeBatchLz(benchmark::State& state) {
   const std::vector<RedoRecord> batch =
       MakeRedoBatch(static_cast<int>(state.range(0)));
   size_t raw = 0;
-  for (const RedoRecord& r : batch) raw += r.EncodedSize();
+  for (const RedoRecord& r : batch) raw += rpc::EncodedSize(r);
   std::string out;
   for (auto _ : state) {
     out = LogStream::EncodeBatch(batch, CompressionType::kLz);
@@ -121,7 +122,7 @@ void BM_EncodeBatchNone(benchmark::State& state) {
   const std::vector<RedoRecord> batch =
       MakeRedoBatch(static_cast<int>(state.range(0)));
   size_t raw = 0;
-  for (const RedoRecord& r : batch) raw += r.EncodedSize();
+  for (const RedoRecord& r : batch) raw += rpc::EncodedSize(r);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         LogStream::EncodeBatch(batch, CompressionType::kNone));
@@ -134,7 +135,7 @@ void BM_DecodeBatchLz(benchmark::State& state) {
   const std::vector<RedoRecord> batch =
       MakeRedoBatch(static_cast<int>(state.range(0)));
   size_t raw = 0;
-  for (const RedoRecord& r : batch) raw += r.EncodedSize();
+  for (const RedoRecord& r : batch) raw += rpc::EncodedSize(r);
   const std::string wire = LogStream::EncodeBatch(batch, CompressionType::kLz);
   std::vector<RedoRecord> out;
   for (auto _ : state) {

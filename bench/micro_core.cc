@@ -14,6 +14,7 @@
 #include "src/common/rng.h"
 #include "src/compression/lz.h"
 #include "src/log/redo_record.h"
+#include "src/rpc/fields.h"
 #include "src/sim/hardware_clock.h"
 #include "src/sim/simulator.h"
 #include "src/storage/btree.h"
@@ -46,7 +47,7 @@ std::string MakeRedoPayload(int records) {
         i, 3, "warehouse_" + std::to_string(i % 20),
         "customer_row_payload_" + rng.AlphaString(20, 60));
     r.lsn = i + 1;
-    r.EncodeTo(&payload);
+    rpc::EncodeTo(r, &payload);
   }
   return payload;
 }
@@ -82,7 +83,7 @@ void BM_RedoRecordRoundTrip(benchmark::State& state) {
   record.lsn = 99;
   for (auto _ : state) {
     std::string buf;
-    record.EncodeTo(&buf);
+    rpc::EncodeTo(record, &buf);
     Slice in(buf);
     RedoRecord out;
     benchmark::DoNotOptimize(RedoRecord::DecodeFrom(&in, &out));

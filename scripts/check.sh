@@ -94,7 +94,9 @@ ctest --test-dir "${SAN_DIR}" --output-on-failure \
 # chunk must not dangle across a store rebuild), the zero-copy read path's
 # view lifetimes (a primary read or scan whose CPU wait overlaps a rewrite
 # of its rows, and short reply envelopes moved through StatusOr and the
-# CN's chunk list) and the read replies' wire bytes, under sanitizers.
-echo "== scan path smoke (batched scans + equivalence + ROR races + views) =="
+# CN's chunk list), the read replies' wire bytes, and the golden wire bytes
+# and truncation verdicts of every other message, the redo record and the
+# PREPARE participant list (MessageWireTest), under sanitizers.
+echo "== scan path smoke (batched scans + equivalence + ROR races + views + wire bytes) =="
 ctest --test-dir "${SAN_DIR}" --output-on-failure \
-  -R 'ScanBatchTest|ScanEquivalenceTest|RorSnapshotRaceTest|ReadPathLifetimeTest|ReadWireTest'
+  -R 'ScanBatchTest|ScanEquivalenceTest|RorSnapshotRaceTest|ReadPathLifetimeTest|ReadWireTest|MessageWireTest'

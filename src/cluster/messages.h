@@ -8,6 +8,7 @@
 #include "src/common/codec.h"
 #include "src/common/statusor.h"
 #include "src/common/types.h"
+#include "src/rpc/fields.h"
 #include "src/rpc/rpc_method.h"
 #include "src/rpc/wire.h"
 
@@ -21,23 +22,8 @@ struct ReadRequest {
   Timestamp snapshot = 0;
   TxnId txn = kInvalidTxnId;
 
-  std::string Encode() const {
-    std::string s;
-    PutVarint32(&s, table);
-    PutLengthPrefixed(&s, key);
-    PutVarint64(&s, snapshot);
-    PutVarint64(&s, txn);
-    return s;
-  }
-  static StatusOr<ReadRequest> Decode(Slice in) {
-    ReadRequest r;
-    Slice key;
-    if (!GetVarint32(&in, &r.table) || !GetLengthPrefixed(&in, &key) ||
-        !GetVarint64(&in, &r.snapshot) || !GetVarint64(&in, &r.txn)) {
-      return Status::Corruption("read req");
-    }
-    r.key = key.ToString();
-    return r;
+  static void Fields(auto& self, auto&& visit) {
+    visit(self.table, self.key, self.snapshot, self.txn);
   }
 };
 
@@ -46,23 +32,8 @@ struct ReadReply {
   bool found = false;
   std::string value;
 
-  std::string Encode() const {
-    std::string s;
-    s.push_back(found ? 1 : 0);
-    PutLengthPrefixed(&s, value);
-    return s;
-  }
-  static StatusOr<ReadReply> Decode(Slice in) {
-    ReadReply r;
-    Slice value;
-    if (in.empty()) return Status::Corruption("read reply");
-    r.found = in[0] != 0;
-    in.RemovePrefix(1);
-    if (!GetLengthPrefixed(&in, &value)) {
-      return Status::Corruption("read reply value");
-    }
-    r.value = value.ToString();
-    return r;
+  static void Fields(auto& self, auto&& visit) {
+    visit(self.found, self.value);
   }
 };
 
@@ -75,44 +46,17 @@ struct ReadBatchRequest {
     TableId table = kInvalidTableId;
     RowKey key;
     bool for_update = false;
+
+    static void Fields(auto& self, auto&& visit) {
+      visit(self.table, self.key, self.for_update);
+    }
   };
   Timestamp snapshot = 0;
   TxnId txn = kInvalidTxnId;
   std::vector<Entry> entries;
 
-  std::string Encode() const {
-    std::string s;
-    PutVarint64(&s, snapshot);
-    PutVarint64(&s, txn);
-    PutVarint32(&s, static_cast<uint32_t>(entries.size()));
-    for (const auto& e : entries) {
-      PutVarint32(&s, e.table);
-      PutLengthPrefixed(&s, e.key);
-      s.push_back(e.for_update ? 1 : 0);
-    }
-    return s;
-  }
-  static StatusOr<ReadBatchRequest> Decode(Slice in) {
-    ReadBatchRequest r;
-    uint32_t n = 0;
-    if (!GetVarint64(&in, &r.snapshot) || !GetVarint64(&in, &r.txn) ||
-        !GetVarint32(&in, &n)) {
-      return Status::Corruption("read batch req");
-    }
-    r.entries.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      Entry e;
-      Slice key;
-      if (!GetVarint32(&in, &e.table) || !GetLengthPrefixed(&in, &key) ||
-          in.empty()) {
-        return Status::Corruption("read batch entry");
-      }
-      e.key = key.ToString();
-      e.for_update = in[0] != 0;
-      in.RemovePrefix(1);
-      r.entries.push_back(std::move(e));
-    }
-    return r;
+  static void Fields(auto& self, auto&& visit) {
+    visit(self.snapshot, self.txn, self.entries);
   }
 };
 
@@ -125,7 +69,8 @@ struct ReadBatchRequest {
 /// its reply envelope with PutEntry as soon as the entry is resolved, while
 /// the views still point into live table versions; a decoded reply owns the
 /// received envelope and its views point into that. The type is move-only,
-/// since a copy's views would point into the source's buffer.
+/// since a copy's views would point into the source's buffer. Hand-written
+/// around the field codec for those two reasons (DESIGN.md §5).
 struct ReadBatchReply {
   struct EntryResult {
     StatusCode code = StatusCode::kOk;
@@ -135,6 +80,10 @@ struct ReadBatchReply {
     Status ToStatus() const {
       return code == StatusCode::kOk ? Status::OK()
                                      : Status(code, message.ToString());
+    }
+
+    static void Fields(auto& self, auto&& visit) {
+      visit(self.code, self.message, self.found, self.value);
     }
   };
   std::vector<EntryResult> results;
@@ -150,10 +99,7 @@ struct ReadBatchReply {
     PutVarint32(dst, static_cast<uint32_t>(n));
   }
   static void PutEntry(std::string* dst, const EntryResult& res) {
-    PutVarint32(dst, static_cast<uint32_t>(res.code));
-    PutLengthPrefixed(dst, res.message);
-    dst->push_back(res.found ? 1 : 0);
-    PutLengthPrefixed(dst, res.value);
+    rpc::EncodeTo(res, dst);
   }
   static StatusOr<ReadBatchReply> Decode(std::string wire, size_t offset) {
     ReadBatchReply r;
@@ -161,23 +107,8 @@ struct ReadBatchReply {
     rpc::PinToHeap(&r.wire_);
     Slice in(r.wire_);
     in.RemovePrefix(offset);
-    uint32_t n = 0;
-    if (!GetVarint32(&in, &n)) return Status::Corruption("read batch reply");
-    r.results.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      EntryResult res;
-      uint32_t code = 0;
-      if (!GetVarint32(&in, &code) || !GetLengthPrefixed(&in, &res.message) ||
-          in.empty()) {
-        return Status::Corruption("read batch reply entry");
-      }
-      res.code = static_cast<StatusCode>(code);
-      res.found = in[0] != 0;
-      in.RemovePrefix(1);
-      if (!GetLengthPrefixed(&in, &res.value)) {
-        return Status::Corruption("read batch reply value");
-      }
-      r.results.push_back(res);
+    if (!rpc::DecodeFrom(&in, &r.results)) {
+      return Status::Corruption("read batch reply");
     }
     return r;
   }
@@ -223,6 +154,8 @@ struct ScanBatchRequest {
   uint32_t resume_range = 0;
   std::vector<Range> ranges;
 
+  // Hand-written: a range's filter and join fields are on the wire only when
+  // its flag byte says so, which a field list cannot express.
   std::string Encode() const {
     std::string s;
     PutVarint64(&s, snapshot);
@@ -248,8 +181,7 @@ struct ScanBatchRequest {
       if (range.join_table != kInvalidTableId) {
         PutVarint32(&s, range.join_table);
         PutLengthPrefixed(&s, range.join_key_prefix);
-        PutVarint32(&s, static_cast<uint32_t>(range.join_key_cols.size()));
-        for (uint32_t col : range.join_key_cols) PutVarint32(&s, col);
+        rpc::EncodeTo(range.join_key_cols, &s);
         PutVarint32(&s, range.join_limit);
       }
     }
@@ -266,14 +198,12 @@ struct ScanBatchRequest {
     r.ranges.reserve(n);
     for (uint32_t i = 0; i < n; ++i) {
       Range range;
-      Slice start, end;
-      if (!GetVarint32(&in, &range.table) || !GetLengthPrefixed(&in, &start) ||
-          !GetLengthPrefixed(&in, &end) || !GetVarint32(&in, &range.limit) ||
-          in.empty()) {
+      if (!GetVarint32(&in, &range.table) ||
+          !rpc::DecodeFrom(&in, &range.start) ||
+          !rpc::DecodeFrom(&in, &range.end) ||
+          !GetVarint32(&in, &range.limit) || in.empty()) {
         return Status::Corruption("scan batch range");
       }
-      range.start = start.ToString();
-      range.end = end.ToString();
       const uint8_t flags = static_cast<uint8_t>(in[0]);
       in.RemovePrefix(1);
       range.reverse = (flags & 1) != 0;
@@ -285,25 +215,12 @@ struct ScanBatchRequest {
         }
         range.filter_col = static_cast<int32_t>(col);
       }
-      if ((flags & 4) != 0) {
-        Slice prefix;
-        uint32_t cols = 0;
-        if (!GetVarint32(&in, &range.join_table) ||
-            !GetLengthPrefixed(&in, &prefix) || !GetVarint32(&in, &cols)) {
-          return Status::Corruption("scan batch join");
-        }
-        range.join_key_prefix = prefix.ToString();
-        range.join_key_cols.reserve(cols);
-        for (uint32_t c = 0; c < cols; ++c) {
-          uint32_t col = 0;
-          if (!GetVarint32(&in, &col)) {
-            return Status::Corruption("scan batch join col");
-          }
-          range.join_key_cols.push_back(col);
-        }
-        if (!GetVarint32(&in, &range.join_limit)) {
-          return Status::Corruption("scan batch join limit");
-        }
+      if ((flags & 4) != 0 &&
+          (!GetVarint32(&in, &range.join_table) ||
+           !rpc::DecodeFrom(&in, &range.join_key_prefix) ||
+           !rpc::DecodeFrom(&in, &range.join_key_cols) ||
+           !GetVarint32(&in, &range.join_limit))) {
+        return Status::Corruption("scan batch join");
       }
       r.ranges.push_back(std::move(range));
     }
@@ -321,13 +238,18 @@ struct ScanBatchRequest {
 /// table versions (and the executor's join-key buffers), and the reply is
 /// encoded inside the same synchronous pass; a decoded reply owns the
 /// received envelope and its views point into that. The type is move-only,
-/// since a copy's views would point into the source's buffer.
+/// since a copy's views would point into the source's buffer. Hand-written
+/// around the field codec for that reason (DESIGN.md §5).
 struct ScanBatchReply {
   struct RangeResult {
     bool limit_hit = false;  // pushed-down limit satisfied server-side
     std::vector<KeyValueView> rows;
     /// Rows pulled in by the lookup join, deduped per chunk by key.
     std::vector<KeyValueView> joined;
+
+    static void Fields(auto& self, auto&& visit) {
+      visit(self.limit_hit, self.rows, self.joined);
+    }
   };
   bool truncated = false;
   uint32_t resume_range = 0;
@@ -340,54 +262,18 @@ struct ScanBatchReply {
   ScanBatchReply(const ScanBatchReply&) = delete;
   ScanBatchReply& operator=(const ScanBatchReply&) = delete;
 
-  void EncodeTo(std::string* dst) const {
-    dst->push_back(truncated ? 1 : 0);
-    PutVarint32(dst, resume_range);
-    PutLengthPrefixed(dst, resume_key);
-    PutVarint32(dst, static_cast<uint32_t>(results.size()));
-    for (const auto& res : results) {
-      dst->push_back(res.limit_hit ? 1 : 0);
-      for (const auto* list : {&res.rows, &res.joined}) {
-        PutVarint32(dst, static_cast<uint32_t>(list->size()));
-        for (const KeyValueView& row : *list) {
-          PutLengthPrefixed(dst, row.key);
-          PutLengthPrefixed(dst, row.value);
-        }
-      }
-    }
+  static void Fields(auto& self, auto&& visit) {
+    visit(self.truncated, self.resume_range, self.resume_key, self.results);
   }
+  void EncodeTo(std::string* dst) const { rpc::EncodeTo(*this, dst); }
   static StatusOr<ScanBatchReply> Decode(std::string wire, size_t offset) {
     ScanBatchReply r;
     r.wire_ = std::move(wire);
     rpc::PinToHeap(&r.wire_);
     Slice in(r.wire_);
     in.RemovePrefix(offset);
-    if (in.empty()) return Status::Corruption("scan batch reply");
-    r.truncated = in[0] != 0;
-    in.RemovePrefix(1);
-    uint32_t n = 0;
-    if (!GetVarint32(&in, &r.resume_range) ||
-        !GetLengthPrefixed(&in, &r.resume_key) || !GetVarint32(&in, &n)) {
-      return Status::Corruption("scan batch reply header");
-    }
-    r.results.resize(n);
-    for (RangeResult& res : r.results) {
-      if (in.empty()) return Status::Corruption("scan batch reply range");
-      res.limit_hit = in[0] != 0;
-      in.RemovePrefix(1);
-      for (auto* list : {&res.rows, &res.joined}) {
-        uint32_t rows = 0;
-        if (!GetVarint32(&in, &rows)) {
-          return Status::Corruption("scan batch reply rows");
-        }
-        list->resize(rows);
-        for (KeyValueView& row : *list) {
-          if (!GetLengthPrefixed(&in, &row.key) ||
-              !GetLengthPrefixed(&in, &row.value)) {
-            return Status::Corruption("scan batch reply row");
-          }
-        }
-      }
+    if (!rpc::DecodeFrom(&in, &r)) {
+      return Status::Corruption("scan batch reply");
     }
     return r;
   }
@@ -411,47 +297,17 @@ struct WriteBatchRequest {
     TableId table = kInvalidTableId;
     RowKey key;
     std::string value;
+
+    static void Fields(auto& self, auto&& visit) {
+      visit(self.op, self.table, self.key, self.value);
+    }
   };
   TxnId txn = kInvalidTxnId;
   Timestamp snapshot = 0;
   std::vector<Entry> entries;
 
-  std::string Encode() const {
-    std::string s;
-    PutVarint64(&s, txn);
-    PutVarint64(&s, snapshot);
-    PutVarint32(&s, static_cast<uint32_t>(entries.size()));
-    for (const auto& e : entries) {
-      s.push_back(static_cast<char>(e.op));
-      PutVarint32(&s, e.table);
-      PutLengthPrefixed(&s, e.key);
-      PutLengthPrefixed(&s, e.value);
-    }
-    return s;
-  }
-  static StatusOr<WriteBatchRequest> Decode(Slice in) {
-    WriteBatchRequest r;
-    uint32_t n = 0;
-    if (!GetVarint64(&in, &r.txn) || !GetVarint64(&in, &r.snapshot) ||
-        !GetVarint32(&in, &n)) {
-      return Status::Corruption("write batch req");
-    }
-    r.entries.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      Entry e;
-      if (in.empty()) return Status::Corruption("write batch entry");
-      e.op = static_cast<WriteOp>(in[0]);
-      in.RemovePrefix(1);
-      Slice key, value;
-      if (!GetVarint32(&in, &e.table) || !GetLengthPrefixed(&in, &key) ||
-          !GetLengthPrefixed(&in, &value)) {
-        return Status::Corruption("write batch entry fields");
-      }
-      e.key = key.ToString();
-      e.value = value.ToString();
-      r.entries.push_back(std::move(e));
-    }
-    return r;
+  static void Fields(auto& self, auto&& visit) {
+    visit(self.txn, self.snapshot, self.entries);
   }
 };
 
@@ -466,36 +322,14 @@ struct WriteBatchReply {
     Status ToStatus() const {
       return code == StatusCode::kOk ? Status::OK() : Status(code, message);
     }
+
+    static void Fields(auto& self, auto&& visit) {
+      visit(self.code, self.message);
+    }
   };
   std::vector<EntryResult> results;
 
-  std::string Encode() const {
-    std::string s;
-    PutVarint32(&s, static_cast<uint32_t>(results.size()));
-    for (const auto& res : results) {
-      PutVarint32(&s, static_cast<uint32_t>(res.code));
-      PutLengthPrefixed(&s, res.message);
-    }
-    return s;
-  }
-  static StatusOr<WriteBatchReply> Decode(Slice in) {
-    WriteBatchReply r;
-    uint32_t n = 0;
-    if (!GetVarint32(&in, &n)) return Status::Corruption("write batch reply");
-    r.results.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      EntryResult res;
-      uint32_t code = 0;
-      Slice message;
-      if (!GetVarint32(&in, &code) || !GetLengthPrefixed(&in, &message)) {
-        return Status::Corruption("write batch reply entry");
-      }
-      res.code = static_cast<StatusCode>(code);
-      res.message = message.ToString();
-      r.results.push_back(std::move(res));
-    }
-    return r;
-  }
+  static void Fields(auto& self, auto&& visit) { visit(self.results); }
 };
 
 /// Pre-commit (PENDING_COMMIT for one-shard commits, PREPARE for 2PC),
@@ -509,33 +343,8 @@ struct TxnControlRequest {
   bool two_phase = false;
   std::vector<ShardId> participants;
 
-  std::string Encode() const {
-    std::string s;
-    PutVarint64(&s, txn);
-    PutVarint64(&s, ts);
-    s.push_back(two_phase ? 1 : 0);
-    PutVarint32(&s, static_cast<uint32_t>(participants.size()));
-    for (ShardId shard : participants) PutVarint32(&s, shard);
-    return s;
-  }
-  static StatusOr<TxnControlRequest> Decode(Slice in) {
-    TxnControlRequest r;
-    if (!GetVarint64(&in, &r.txn) || !GetVarint64(&in, &r.ts) || in.empty()) {
-      return Status::Corruption("txn control req");
-    }
-    r.two_phase = in[0] != 0;
-    in.RemovePrefix(1);
-    uint32_t n = 0;
-    if (!GetVarint32(&in, &n)) return Status::Corruption("txn control parts");
-    r.participants.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      ShardId shard = kInvalidShardId;
-      if (!GetVarint32(&in, &shard)) {
-        return Status::Corruption("txn control part");
-      }
-      r.participants.push_back(shard);
-    }
-    return r;
+  static void Fields(auto& self, auto&& visit) {
+    visit(self.txn, self.ts, self.two_phase, self.participants);
   }
 };
 
@@ -547,16 +356,7 @@ struct TxnControlRequest {
 struct TxnOutcomeRequest {
   TxnId txn = kInvalidTxnId;
 
-  std::string Encode() const {
-    std::string s;
-    PutVarint64(&s, txn);
-    return s;
-  }
-  static StatusOr<TxnOutcomeRequest> Decode(Slice in) {
-    TxnOutcomeRequest r;
-    if (!GetVarint64(&in, &r.txn)) return Status::Corruption("txn outcome");
-    return r;
-  }
+  static void Fields(auto& self, auto&& visit) { visit(self.txn); }
 };
 
 /// `kPending` is distinct from `kUnknown`: the owning CN is still deciding
@@ -588,21 +388,8 @@ struct TxnOutcomeReply {
   /// Commit timestamp when outcome == kCommitted, else 0.
   Timestamp ts = 0;
 
-  std::string Encode() const {
-    std::string s;
-    s.push_back(static_cast<char>(outcome));
-    PutVarint64(&s, ts);
-    return s;
-  }
-  static StatusOr<TxnOutcomeReply> Decode(Slice in) {
-    TxnOutcomeReply r;
-    if (in.empty()) return Status::Corruption("txn outcome reply");
-    r.outcome = static_cast<TxnOutcome>(in[0]);
-    in.RemovePrefix(1);
-    if (!GetVarint64(&in, &r.ts)) {
-      return Status::Corruption("txn outcome reply ts");
-    }
-    return r;
+  static void Fields(auto& self, auto&& visit) {
+    visit(self.outcome, self.ts);
   }
 };
 
@@ -612,20 +399,8 @@ struct DdlRequest {
   Timestamp ts = 0;
   std::string payload;
 
-  std::string Encode() const {
-    std::string s;
-    PutVarint64(&s, ts);
-    PutLengthPrefixed(&s, payload);
-    return s;
-  }
-  static StatusOr<DdlRequest> Decode(Slice in) {
-    DdlRequest r;
-    Slice payload;
-    if (!GetVarint64(&in, &r.ts) || !GetLengthPrefixed(&in, &payload)) {
-      return Status::Corruption("ddl req");
-    }
-    r.payload = payload.ToString();
-    return r;
+  static void Fields(auto& self, auto&& visit) {
+    visit(self.ts, self.payload);
   }
 };
 
@@ -635,22 +410,8 @@ struct RorStatusReply {
   Lsn applied_lsn = 0;
   SimDuration queue_delay = 0;
 
-  std::string Encode() const {
-    std::string s;
-    PutVarint64(&s, max_commit_ts);
-    PutVarint64(&s, applied_lsn);
-    PutVarint64(&s, static_cast<uint64_t>(queue_delay));
-    return s;
-  }
-  static StatusOr<RorStatusReply> Decode(Slice in) {
-    RorStatusReply r;
-    uint64_t qd = 0;
-    if (!GetVarint64(&in, &r.max_commit_ts) ||
-        !GetVarint64(&in, &r.applied_lsn) || !GetVarint64(&in, &qd)) {
-      return Status::Corruption("ror status");
-    }
-    r.queue_delay = static_cast<SimDuration>(qd);
-    return r;
+  static void Fields(auto& self, auto&& visit) {
+    visit(self.max_commit_ts, self.applied_lsn, self.queue_delay);
   }
 };
 
@@ -662,46 +423,17 @@ struct RcpUpdateMessage {
   struct Entry {
     NodeId node = kInvalidNodeId;
     bool healthy = true;
-    RorStatusReply status;
+    RorStatusReply status;  // sent length-prefixed
+
+    static void Fields(auto& self, auto&& visit) {
+      visit(self.node, self.healthy, rpc::Prefixed(self.status));
+    }
   };
   Timestamp rcp = 0;
   std::vector<Entry> statuses;
 
-  std::string Encode() const {
-    std::string s;
-    PutVarint64(&s, rcp);
-    PutVarint32(&s, static_cast<uint32_t>(statuses.size()));
-    for (const auto& entry : statuses) {
-      PutVarint32(&s, entry.node);
-      s.push_back(entry.healthy ? 1 : 0);
-      PutLengthPrefixed(&s, entry.status.Encode());
-    }
-    return s;
-  }
-  static StatusOr<RcpUpdateMessage> Decode(Slice in) {
-    RcpUpdateMessage r;
-    uint32_t n = 0;
-    if (!GetVarint64(&in, &r.rcp) || !GetVarint32(&in, &n)) {
-      return Status::Corruption("rcp update");
-    }
-    r.statuses.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      Entry entry;
-      Slice encoded;
-      if (!GetVarint32(&in, &entry.node) || in.empty()) {
-        return Status::Corruption("rcp update entry");
-      }
-      entry.healthy = in[0] != 0;
-      in.RemovePrefix(1);
-      if (!GetLengthPrefixed(&in, &encoded)) {
-        return Status::Corruption("rcp update entry");
-      }
-      auto status = RorStatusReply::Decode(encoded);
-      if (!status.ok()) return status.status();
-      entry.status = *status;
-      r.statuses.push_back(std::move(entry));
-    }
-    return r;
+  static void Fields(auto& self, auto&& visit) {
+    visit(self.rcp, self.statuses);
   }
 };
 
@@ -711,19 +443,8 @@ struct DnStatusReply {
   Lsn durable_lsn = 0;
   Timestamp max_commit_ts = 0;
 
-  std::string Encode() const {
-    std::string s;
-    PutVarint64(&s, durable_lsn);
-    PutVarint64(&s, max_commit_ts);
-    return s;
-  }
-  static StatusOr<DnStatusReply> Decode(Slice in) {
-    DnStatusReply r;
-    if (!GetVarint64(&in, &r.durable_lsn) ||
-        !GetVarint64(&in, &r.max_commit_ts)) {
-      return Status::Corruption("dn status");
-    }
-    return r;
+  static void Fields(auto& self, auto&& visit) {
+    visit(self.durable_lsn, self.max_commit_ts);
   }
 };
 
@@ -734,18 +455,7 @@ struct DnStatusReply {
 struct TxnHorizonReply {
   Timestamp horizon = 0;
 
-  std::string Encode() const {
-    std::string s;
-    PutVarint64(&s, horizon);
-    return s;
-  }
-  static StatusOr<TxnHorizonReply> Decode(Slice in) {
-    TxnHorizonReply r;
-    if (!GetVarint64(&in, &r.horizon)) {
-      return Status::Corruption("txn horizon");
-    }
-    return r;
-  }
+  static void Fields(auto& self, auto&& visit) { visit(self.horizon); }
 };
 
 /// Collector push of the folded cluster read horizon to a DN primary (rides
@@ -753,18 +463,7 @@ struct TxnHorizonReply {
 struct ReadHorizonRequest {
   Timestamp horizon = 0;
 
-  std::string Encode() const {
-    std::string s;
-    PutVarint64(&s, horizon);
-    return s;
-  }
-  static StatusOr<ReadHorizonRequest> Decode(Slice in) {
-    ReadHorizonRequest r;
-    if (!GetVarint64(&in, &r.horizon)) {
-      return Status::Corruption("read horizon");
-    }
-    return r;
-  }
+  static void Fields(auto& self, auto&& visit) { visit(self.horizon); }
 };
 
 // --- Method descriptors ------------------------------------------------------

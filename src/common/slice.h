@@ -68,6 +68,9 @@ inline bool operator<(const Slice& a, const Slice& b) {
 struct KeyValueView {
   Slice key;
   Slice value;
+
+  /// Wire field list (src/rpc/fields.h).
+  static void Fields(auto& self, auto&& visit) { visit(self.key, self.value); }
 };
 
 }  // namespace globaldb

@@ -1,12 +1,13 @@
 #include "src/log/log_stream.h"
 
 #include "src/common/logging.h"
+#include "src/rpc/fields.h"
 
 namespace globaldb {
 
 Lsn LogStream::Append(RedoRecord record) {
   record.lsn = next_lsn();
-  const size_t sz = record.EncodedSize();
+  const size_t sz = rpc::EncodedSize(record);
   total_bytes_ += sz;
   retained_bytes_ += sz;
   records_.push_back(std::move(record));
@@ -22,7 +23,7 @@ StatusOr<std::vector<RedoRecord>> LogStream::Read(Lsn from, size_t max_records,
   size_t bytes = 0;
   for (Lsn lsn = from; lsn < next_lsn() && out.size() < max_records; ++lsn) {
     const RedoRecord& rec = records_[lsn - begin_lsn_];
-    const size_t sz = rec.EncodedSize();
+    const size_t sz = rpc::EncodedSize(rec);
     if (!out.empty() && bytes + sz > max_bytes) break;
     out.push_back(rec);
     bytes += sz;
@@ -39,7 +40,7 @@ StatusOr<LogStream::BatchExtent> LogStream::Extent(Lsn from,
   BatchExtent extent;
   for (Lsn lsn = from; lsn < next_lsn() && extent.records < max_records;
        ++lsn) {
-    const size_t sz = records_[lsn - begin_lsn_].EncodedSize();
+    const size_t sz = rpc::EncodedSize(records_[lsn - begin_lsn_]);
     if (extent.records > 0 && extent.bytes + sz > max_bytes) break;
     extent.end_lsn = lsn;
     ++extent.records;
@@ -57,7 +58,7 @@ StatusOr<RedoRecord> LogStream::At(Lsn lsn) const {
 
 void LogStream::TruncateUntil(Lsn until) {
   while (begin_lsn_ < until && !records_.empty()) {
-    retained_bytes_ -= records_.front().EncodedSize();
+    retained_bytes_ -= rpc::EncodedSize(records_.front());
     records_.pop_front();
     ++begin_lsn_;
   }
@@ -72,7 +73,7 @@ std::string LogStream::EncodeBatch(const std::vector<RedoRecord>& records,
                                    CompressionType compression) {
   std::string payload;
   for (const RedoRecord& rec : records) {
-    rec.EncodeTo(&payload);
+    rpc::EncodeTo(rec, &payload);
   }
   std::string batch;
   if (compression == CompressionType::kLz) {

@@ -1,6 +1,6 @@
 #include "src/log/redo_record.h"
 
-#include "src/common/codec.h"
+#include "src/rpc/fields.h"
 
 namespace globaldb {
 
@@ -34,42 +34,14 @@ const char* RedoTypeName(RedoType type) {
   return "?";
 }
 
-void RedoRecord::EncodeTo(std::string* dst) const {
-  dst->push_back(static_cast<char>(type));
-  PutVarint64(dst, lsn);
-  PutVarint64(dst, txn_id);
-  PutVarint64(dst, timestamp);
-  PutVarint32(dst, table_id);
-  PutLengthPrefixed(dst, key);
-  PutLengthPrefixed(dst, value);
-}
-
 Status RedoRecord::DecodeFrom(Slice* input, RedoRecord* out) {
-  if (input->empty()) return Status::Corruption("redo: empty input");
-  const uint8_t type_byte = static_cast<uint8_t>((*input)[0]);
-  if (type_byte < static_cast<uint8_t>(RedoType::kInsert) ||
-      type_byte > static_cast<uint8_t>(RedoType::kCheckpoint)) {
-    return Status::Corruption("redo: bad record type");
-  }
-  out->type = static_cast<RedoType>(type_byte);
-  input->RemovePrefix(1);
-  Slice key, value;
-  if (!GetVarint64(input, &out->lsn) || !GetVarint64(input, &out->txn_id) ||
-      !GetVarint64(input, &out->timestamp) ||
-      !GetVarint32(input, &out->table_id) ||
-      !GetLengthPrefixed(input, &key) || !GetLengthPrefixed(input, &value)) {
+  if (!rpc::DecodeFrom(input, out)) {
     return Status::Corruption("redo: truncated record");
   }
-  out->key = key.ToString();
-  out->value = value.ToString();
+  if (out->type < RedoType::kInsert || out->type > RedoType::kCheckpoint) {
+    return Status::Corruption("redo: bad record type");
+  }
   return Status::OK();
-}
-
-size_t RedoRecord::EncodedSize() const {
-  return 1 + VarintLength(lsn) + VarintLength(txn_id) +
-         VarintLength(timestamp) + VarintLength(table_id) +
-         VarintLength(key.size()) + key.size() + VarintLength(value.size()) +
-         value.size();
 }
 
 RedoRecord RedoRecord::Insert(TxnId txn, TableId table, RowKey key,
@@ -130,7 +102,7 @@ RedoRecord RedoRecord::Prepare(TxnId txn) {
 
 RedoRecord RedoRecord::Prepare(TxnId txn, const std::vector<ShardId>& shards) {
   RedoRecord r = Prepare(txn);
-  r.value = EncodeParticipants(shards);
+  r.value = rpc::Encode(shards);
   return r;
 }
 
@@ -169,26 +141,6 @@ RedoRecord RedoRecord::Checkpoint(Timestamp ts) {
   r.type = RedoType::kCheckpoint;
   r.timestamp = ts;
   return r;
-}
-
-std::string EncodeParticipants(const std::vector<ShardId>& shards) {
-  std::string s;
-  PutVarint32(&s, static_cast<uint32_t>(shards.size()));
-  for (ShardId shard : shards) PutVarint32(&s, shard);
-  return s;
-}
-
-std::vector<ShardId> DecodeParticipants(Slice in) {
-  std::vector<ShardId> shards;
-  uint32_t n = 0;
-  if (!GetVarint32(&in, &n)) return shards;
-  shards.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    ShardId shard = kInvalidShardId;
-    if (!GetVarint32(&in, &shard)) return {};
-    shards.push_back(shard);
-  }
-  return shards;
 }
 
 bool operator==(const RedoRecord& a, const RedoRecord& b) {

@@ -48,12 +48,14 @@ struct RedoRecord {
   std::string value;
   Lsn lsn = kInvalidLsn;  // assigned by LogStream::Append
 
-  /// Appends the binary encoding to *dst.
-  void EncodeTo(std::string* dst) const;
-  /// Consumes one record from *input.
+  /// Wire order of the fields; rpc::EncodeTo / rpc::EncodedSize encode a
+  /// record (src/rpc/fields.h).
+  static void Fields(auto& self, auto&& visit) {
+    visit(self.type, self.lsn, self.txn_id, self.timestamp, self.table_id,
+          self.key, self.value);
+  }
+  /// Consumes one record from *input, rejecting an unknown record type.
   static Status DecodeFrom(Slice* input, RedoRecord* out);
-  /// Bytes EncodeTo would emit.
-  size_t EncodedSize() const;
 
   bool IsData() const {
     return type == RedoType::kInsert || type == RedoType::kUpdate ||
@@ -73,10 +75,10 @@ struct RedoRecord {
   static RedoRecord Commit(TxnId txn, Timestamp ts);
   static RedoRecord Abort(TxnId txn);
   static RedoRecord Prepare(TxnId txn);
-  /// PREPARE carrying the transaction's participant shard list in `value`
-  /// (see EncodeParticipants). A promoted primary that finds the prepare
-  /// in-doubt decodes it to know which peer shards to query for the durable
-  /// decision (DESIGN.md §13).
+  /// PREPARE carrying the transaction's participant shard list in `value`,
+  /// encoded as rpc::Encode(shards) (a varint count, then varint shard ids).
+  /// A promoted primary that finds the prepare in-doubt decodes it to know
+  /// which peer shards to query for the durable decision (DESIGN.md §13).
   static RedoRecord Prepare(TxnId txn, const std::vector<ShardId>& shards);
   static RedoRecord CommitPrepared(TxnId txn, Timestamp ts);
   static RedoRecord AbortPrepared(TxnId txn);
@@ -89,12 +91,6 @@ struct RedoRecord {
 };
 
 bool operator==(const RedoRecord& a, const RedoRecord& b);
-
-/// Participant-list payload of a 2PC PREPARE record (varint count + varint
-/// shard ids). An empty / undecodable payload yields an empty list — the
-/// reader falls back to querying every shard.
-std::string EncodeParticipants(const std::vector<ShardId>& shards);
-std::vector<ShardId> DecodeParticipants(Slice in);
 
 }  // namespace globaldb
 

@@ -7,6 +7,7 @@
 #include "src/common/codec.h"
 #include "src/common/statusor.h"
 #include "src/common/types.h"
+#include "src/rpc/fields.h"
 #include "src/rpc/rpc_method.h"
 
 namespace globaldb {
@@ -20,6 +21,7 @@ struct ReplAppendRequest {
   /// payload after Decode (valid while the handler runs).
   Slice batch;
 
+  // Hand-written: the batch is the raw, unprefixed rest of the payload.
   std::string Encode() const {
     std::string s;
     s.reserve(VarintLength(shard) + VarintLength(start_lsn) + batch.size());
@@ -44,27 +46,15 @@ struct ReplAppendRequest {
 ///
 /// `accepted` distinguishes "the replica kept this batch" (applied now, or
 /// buffered out-of-order for a later drain) from "the replica dropped it"
-/// (stall, decode failure, gap with reordering disabled, reorder buffer
-/// full). A refused batch makes the shipper rewind its send cursor to the
-/// cumulative ack; an accepted one does not.
+/// (stall, decode failure, a gap the reorder buffer refuses because it is
+/// full or disabled by a zero-byte cap). A refused batch makes the shipper
+/// rewind its send cursor to the cumulative ack; an accepted one does not.
 struct ReplAppendReply {
   Lsn applied_lsn = 0;
   bool accepted = true;
 
-  std::string Encode() const {
-    std::string s;
-    PutVarint64(&s, applied_lsn);
-    PutVarint32(&s, accepted ? 1 : 0);
-    return s;
-  }
-  static StatusOr<ReplAppendReply> Decode(Slice in) {
-    ReplAppendReply r;
-    uint32_t accepted = 0;
-    if (!GetVarint64(&in, &r.applied_lsn) || !GetVarint32(&in, &accepted)) {
-      return Status::Corruption("repl append reply");
-    }
-    r.accepted = accepted != 0;
-    return r;
+  static void Fields(auto& self, auto&& visit) {
+    visit(self.applied_lsn, self.accepted);
   }
 };
 
@@ -83,20 +73,8 @@ struct ReplHelloRequest {
   Lsn durable_lsn = 0;
   uint64_t epoch = 0;
 
-  std::string Encode() const {
-    std::string s;
-    PutVarint32(&s, shard);
-    PutVarint64(&s, durable_lsn);
-    PutVarint64(&s, epoch);
-    return s;
-  }
-  static StatusOr<ReplHelloRequest> Decode(Slice in) {
-    ReplHelloRequest r;
-    if (!GetVarint32(&in, &r.shard) || !GetVarint64(&in, &r.durable_lsn) ||
-        !GetVarint64(&in, &r.epoch)) {
-      return Status::Corruption("repl hello req");
-    }
-    return r;
+  static void Fields(auto& self, auto&& visit) {
+    visit(self.shard, self.durable_lsn, self.epoch);
   }
 };
 
@@ -122,33 +100,10 @@ struct ReplSnapshotRequest {
   Slice catalog_image;
   Slice store_image;
 
-  std::string Encode() const {
-    std::string s;
-    s.reserve(VarintLength(shard) + VarintLength(checkpoint_lsn) +
-              VarintLength(checkpoint_ts) + VarintLength(max_commit_ts) + 1 +
-              VarintLength(catalog_image.size()) + catalog_image.size() +
-              VarintLength(store_image.size()) + store_image.size());
-    PutVarint32(&s, shard);
-    PutVarint64(&s, checkpoint_lsn);
-    PutVarint64(&s, checkpoint_ts);
-    PutVarint64(&s, max_commit_ts);
-    PutVarint32(&s, reset ? 1 : 0);
-    PutLengthPrefixed(&s, catalog_image);
-    PutLengthPrefixed(&s, store_image);
-    return s;
-  }
-  static StatusOr<ReplSnapshotRequest> Decode(Slice in) {
-    ReplSnapshotRequest r;
-    uint32_t reset = 0;
-    if (!GetVarint32(&in, &r.shard) || !GetVarint64(&in, &r.checkpoint_lsn) ||
-        !GetVarint64(&in, &r.checkpoint_ts) ||
-        !GetVarint64(&in, &r.max_commit_ts) || !GetVarint32(&in, &reset) ||
-        !GetLengthPrefixed(&in, &r.catalog_image) ||
-        !GetLengthPrefixed(&in, &r.store_image)) {
-      return Status::Corruption("repl snapshot req");
-    }
-    r.reset = reset != 0;
-    return r;
+  static void Fields(auto& self, auto&& visit) {
+    visit(self.shard, self.checkpoint_lsn, self.checkpoint_ts,
+          self.max_commit_ts, self.reset, self.catalog_image,
+          self.store_image);
   }
 };
 
@@ -158,20 +113,8 @@ struct ReplSnapshotReply {
   Lsn applied_lsn = 0;
   bool accepted = true;
 
-  std::string Encode() const {
-    std::string s;
-    PutVarint64(&s, applied_lsn);
-    PutVarint32(&s, accepted ? 1 : 0);
-    return s;
-  }
-  static StatusOr<ReplSnapshotReply> Decode(Slice in) {
-    ReplSnapshotReply r;
-    uint32_t accepted = 0;
-    if (!GetVarint64(&in, &r.applied_lsn) || !GetVarint32(&in, &accepted)) {
-      return Status::Corruption("repl snapshot reply");
-    }
-    r.accepted = accepted != 0;
-    return r;
+  static void Fields(auto& self, auto&& visit) {
+    visit(self.applied_lsn, self.accepted);
   }
 };
 

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "src/common/logging.h"
+#include "src/rpc/fields.h"
 #include "src/storage/snapshot.h"
 
 namespace globaldb {
@@ -141,16 +142,11 @@ sim::Task<StatusOr<ReplAppendReply>> ReplicaApplier::HandleAppend(
   }
   if (request.start_lsn > applied_lsn_ + 1) {
     // LSN gap: an earlier window slot is still in flight (or was lost).
-    // Park the batch for an in-order drain instead of refusing, unless
-    // reordering is disabled or the buffer is full. The gap check and the
-    // buffer insert are one synchronous region — no suspension point —
-    // so a concurrent handler draining the buffer cannot miss this batch.
-    if (options_.reorder_buffer_bytes == 0) {
-      metrics_.Add("apply.gaps");
-      ack.applied_lsn = applied_lsn_;
-      ack.accepted = false;
-      co_return ack;
-    }
+    // Park the batch for an in-order drain instead of refusing, unless the
+    // buffer is full (a zero-byte cap disables reordering: TryBuffer then
+    // refuses every batch). The gap check and the buffer insert are one
+    // synchronous region — no suspension point — so a concurrent handler
+    // draining the buffer cannot miss this batch.
     BufferedBatch batch;
     batch.end_lsn = records.empty() ? request.start_lsn : records.back().lsn;
     batch.bytes = request.batch.size();
@@ -281,8 +277,10 @@ void ReplicaApplier::ApplyRecord(const RedoRecord& record) {
       // Timestamp = lower bound on the eventual commit timestamp.
       pending_[record.txn_id] = record.timestamp;
       if (record.type == RedoType::kPrepare && !record.value.empty()) {
-        pending_participants_[record.txn_id] =
-            DecodeParticipants(Slice(record.value));
+        auto shards = rpc::Decode<std::vector<ShardId>>(record.value);
+        GDB_CHECK(shards.ok())
+            << "malformed PREPARE participant list, txn " << record.txn_id;
+        pending_participants_[record.txn_id] = std::move(*shards);
       }
       break;
     case RedoType::kCommit:

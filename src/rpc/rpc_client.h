@@ -94,7 +94,8 @@ class RpcClient {
   sim::Task<StatusOr<typename M::Reply>> Call(
       NodeId to, M method, const typename M::Request& request,
       CallOptions options = {}) {
-    auto wire = co_await RawCall(to, method.name, request.Encode(), options);
+    auto wire =
+        co_await RawCall(to, method.name, rpc::Encode(request), options);
     if (!wire.ok()) co_return wire.status();
     co_return DecodeEnvelope<typename M::Reply>(std::move(*wire));
   }
@@ -109,7 +110,7 @@ class RpcClient {
     std::vector<StatusOr<Reply>> results(
         nodes.size(), StatusOr<Reply>(Status::Unavailable("not attempted")));
     if (nodes.empty()) co_return results;
-    const std::string payload = request.Encode();
+    const std::string payload = rpc::Encode(request);
     sim::WaitGroup wg(sim_);
     wg.Add(static_cast<int>(nodes.size()));
     for (size_t i = 0; i < nodes.size(); ++i) {
@@ -125,7 +126,7 @@ class RpcClient {
   /// the peer is unreachable, like the raw network Send.
   template <typename M>
   void Send(NodeId to, M method, const typename M::Request& request) {
-    std::string payload = request.Encode();
+    std::string payload = rpc::Encode(request);
     TraceEvent event;
     event.start = sim_->now();
     event.peer = to;

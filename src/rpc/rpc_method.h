@@ -1,11 +1,6 @@
 #ifndef GLOBALDB_SRC_RPC_RPC_METHOD_H_
 #define GLOBALDB_SRC_RPC_RPC_METHOD_H_
 
-#include <string>
-
-#include "src/common/slice.h"
-#include "src/common/statusor.h"
-
 namespace globaldb::rpc {
 
 /// Compile-time descriptor pairing an RPC method name with its request and
@@ -29,12 +24,9 @@ struct RpcMethod {
 /// Message with no payload (acks, parameterless requests). Replaces the old
 /// per-module `StatusReply`: success/error now travels in the reply envelope
 /// (see wire.h), so a handler with nothing else to say returns EmptyMessage.
+/// Its empty field list decodes any payload (trailing bytes are ignored).
 struct EmptyMessage {
-  std::string Encode() const { return std::string(); }
-  static StatusOr<EmptyMessage> Decode(Slice in) {
-    (void)in;  // trailing bytes tolerated: older peers may append fields
-    return EmptyMessage{};
-  }
+  static void Fields(auto&, auto&& visit) { visit(); }
 };
 
 }  // namespace globaldb::rpc

@@ -22,7 +22,7 @@ namespace internal {
 template <typename Request, typename Reply, typename Handler>
 sim::Task<std::string> InvokeHandler(Handler handler, NodeId from,
                                      std::string payload) {
-  auto request = Request::Decode(Slice(payload));
+  auto request = rpc::Decode<Request>(Slice(payload));
   if (!request.ok()) co_return EncodeErrorEnvelope(request.status());
   auto result = co_await handler(from, std::move(*request));
   if (!result.ok()) co_return EncodeErrorEnvelope(result.status());
@@ -32,7 +32,7 @@ sim::Task<std::string> InvokeHandler(Handler handler, NodeId from,
   } else {
     static_assert(std::is_same_v<std::decay_t<decltype(*result)>, Reply>,
                   "handler reply type does not match the method");
-    co_return EncodeOkEnvelope(result->Encode());
+    co_return EncodeOk(*result, rpc::EncodedSize(*result)).envelope;
   }
 }
 

@@ -7,6 +7,7 @@
 #include "src/common/codec.h"
 #include "src/common/slice.h"
 #include "src/common/statusor.h"
+#include "src/rpc/fields.h"
 
 namespace globaldb::rpc {
 
@@ -46,12 +47,6 @@ inline std::string BeginOkEnvelope(size_t reserve = 0) {
   return s;
 }
 
-inline std::string EncodeOkEnvelope(const std::string& reply_payload) {
-  std::string s = BeginOkEnvelope(reply_payload.size());
-  s += reply_payload;
-  return s;
-}
-
 inline std::string EncodeErrorEnvelope(const Status& status) {
   std::string s;
   s.push_back(0);
@@ -78,7 +73,7 @@ struct Encoded {
 template <typename Reply>
 Encoded<Reply> EncodeOk(const Reply& reply, size_t reserve = 0) {
   std::string s = BeginOkEnvelope(reserve);
-  reply.EncodeTo(&s);
+  rpc::EncodeTo(reply, &s);
   return Encoded<Reply>{std::move(s)};
 }
 
@@ -113,7 +108,7 @@ StatusOr<Reply> DecodeEnvelope(std::string&& wire) {
     if constexpr (BorrowsWire<Reply>) {
       return Reply::Decode(std::move(wire), 1);
     } else {
-      return Reply::Decode(in);
+      return rpc::Decode<Reply>(in);
     }
   }
   if (flag != 0) return Status::Corruption("rpc envelope: bad flag");

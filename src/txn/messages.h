@@ -1,11 +1,8 @@
 #ifndef GLOBALDB_SRC_TXN_MESSAGES_H_
 #define GLOBALDB_SRC_TXN_MESSAGES_H_
 
-#include <string>
-
-#include "src/common/codec.h"
-#include "src/common/statusor.h"
 #include "src/common/types.h"
+#include "src/rpc/fields.h"
 #include "src/rpc/rpc_method.h"
 
 namespace globaldb {
@@ -23,29 +20,9 @@ struct GtmTimestampRequest {
   SimDuration error_bound = 0;  // client's T_err (DUAL only)
   uint32_t count = 1;           // timestamps requested (coalesced batch size)
 
-  std::string Encode() const {
-    std::string s;
-    s.push_back(static_cast<char>(client_mode));
-    s.push_back(is_commit ? 1 : 0);
-    PutVarint64(&s, gclock_upper);
-    PutVarint64(&s, static_cast<uint64_t>(error_bound));
-    PutVarint32(&s, count);
-    return s;
-  }
-
-  static StatusOr<GtmTimestampRequest> Decode(Slice in) {
-    GtmTimestampRequest r;
-    if (in.size() < 2) return Status::Corruption("gtm req: short");
-    r.client_mode = static_cast<TimestampMode>(in[0]);
-    r.is_commit = in[1] != 0;
-    in.RemovePrefix(2);
-    uint64_t err = 0;
-    if (!GetVarint64(&in, &r.gclock_upper) || !GetVarint64(&in, &err) ||
-        !GetVarint32(&in, &r.count)) {
-      return Status::Corruption("gtm req: truncated");
-    }
-    r.error_bound = static_cast<SimDuration>(err);
-    return r;
+  static void Fields(auto& self, auto&& visit) {
+    visit(self.client_mode, self.is_commit, self.gclock_upper,
+          self.error_bound, self.count);
   }
 };
 
@@ -70,27 +47,8 @@ struct GtmTimestampReply {
   SimDuration wait = 0;
   TimestampMode server_mode = TimestampMode::kGtm;
 
-  std::string Encode() const {
-    std::string s;
-    s.push_back(aborted ? 1 : 0);
-    PutVarint64(&s, ts);
-    PutVarint64(&s, static_cast<uint64_t>(wait));
-    s.push_back(static_cast<char>(server_mode));
-    return s;
-  }
-
-  static StatusOr<GtmTimestampReply> Decode(Slice in) {
-    GtmTimestampReply r;
-    if (in.empty()) return Status::Corruption("gtm reply: empty");
-    r.aborted = in[0] != 0;
-    in.RemovePrefix(1);
-    uint64_t wait = 0;
-    if (!GetVarint64(&in, &r.ts) || !GetVarint64(&in, &wait) || in.empty()) {
-      return Status::Corruption("gtm reply: truncated");
-    }
-    r.wait = static_cast<SimDuration>(wait);
-    r.server_mode = static_cast<TimestampMode>(in[0]);
-    return r;
+  static void Fields(auto& self, auto&& visit) {
+    visit(self.aborted, self.ts, self.wait, self.server_mode);
   }
 };
 
@@ -100,22 +58,8 @@ struct SetModeRequest {
   TimestampMode mode = TimestampMode::kGtm;
   Timestamp floor = 0;
 
-  std::string Encode() const {
-    std::string s;
-    s.push_back(static_cast<char>(mode));
-    PutVarint64(&s, floor);
-    return s;
-  }
-
-  static StatusOr<SetModeRequest> Decode(Slice in) {
-    SetModeRequest r;
-    if (in.empty()) return Status::Corruption("set_mode: empty");
-    r.mode = static_cast<TimestampMode>(in[0]);
-    in.RemovePrefix(1);
-    if (!GetVarint64(&in, &r.floor)) {
-      return Status::Corruption("set_mode: truncated");
-    }
-    return r;
+  static void Fields(auto& self, auto&& visit) {
+    visit(self.mode, self.floor);
   }
 };
 
@@ -132,23 +76,9 @@ struct AckReply {
   Timestamp max_issued = 0;
   SimDuration max_error_bound = 0;
 
-  std::string Encode() const {
-    std::string s;
-    PutVarint64(&s, max_issued);
-    PutVarint64(&s, static_cast<uint64_t>(max_error_bound));
-    s.append(kReservedBytes, '\0');
-    return s;
-  }
-
-  static StatusOr<AckReply> Decode(Slice in) {
-    AckReply r;
-    uint64_t err = 0;
-    if (!GetVarint64(&in, &r.max_issued) || !GetVarint64(&in, &err) ||
-        in.size() < kReservedBytes) {
-      return Status::Corruption("ack: truncated");
-    }
-    r.max_error_bound = static_cast<SimDuration>(err);
-    return r;
+  static void Fields(auto& self, auto&& visit) {
+    visit(self.max_issued, self.max_error_bound,
+          rpc::Reserved<kReservedBytes>{});
   }
 };
 

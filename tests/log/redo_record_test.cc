@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
+#include "src/rpc/fields.h"
 
 namespace globaldb {
 namespace {
@@ -24,7 +25,7 @@ TEST(RedoRecordTest, EncodeDecodeRoundTripAllTypes) {
   for (size_t i = 0; i < records.size(); ++i) records[i].lsn = i + 1;
 
   std::string buf;
-  for (const auto& r : records) r.EncodeTo(&buf);
+  for (const auto& r : records) rpc::EncodeTo(r, &buf);
 
   Slice in(buf);
   for (const auto& expected : records) {
@@ -39,8 +40,8 @@ TEST(RedoRecordTest, EncodedSizeMatchesActual) {
   RedoRecord r = RedoRecord::Insert(123456, 17, "some_key", "some_value");
   r.lsn = 99;
   std::string buf;
-  r.EncodeTo(&buf);
-  EXPECT_EQ(buf.size(), r.EncodedSize());
+  rpc::EncodeTo(r, &buf);
+  EXPECT_EQ(buf.size(), rpc::EncodedSize(r));
 }
 
 TEST(RedoRecordTest, DecodeRejectsBadType) {
@@ -53,7 +54,7 @@ TEST(RedoRecordTest, DecodeRejectsBadType) {
 TEST(RedoRecordTest, DecodeRejectsTruncation) {
   RedoRecord r = RedoRecord::Insert(1, 2, "key", "value");
   std::string buf;
-  r.EncodeTo(&buf);
+  rpc::EncodeTo(r, &buf);
   for (size_t cut = 0; cut < buf.size(); ++cut) {
     Slice in(buf.data(), cut);
     RedoRecord out;
@@ -78,7 +79,7 @@ TEST(RedoRecordTest, BinaryKeyAndValueSurvive) {
   for (int i = 0; i < 256; ++i) value.push_back(static_cast<char>(i));
   RedoRecord r = RedoRecord::Insert(1, 1, key, value);
   std::string buf;
-  r.EncodeTo(&buf);
+  rpc::EncodeTo(r, &buf);
   Slice in(buf);
   RedoRecord out;
   ASSERT_TRUE(RedoRecord::DecodeFrom(&in, &out).ok());

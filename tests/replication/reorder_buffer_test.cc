@@ -202,7 +202,7 @@ TEST_F(ReorderBufferTest, DuplicateBatchAfterWindowRetryIsIdempotent) {
   // Partially-overlapping retry (rewind to mid-batch).
   EXPECT_EQ(Deliver(2, 6)->applied_lsn, 6u);
   EXPECT_EQ(applier_->metrics().Get("apply.records"), 6);
-  EXPECT_EQ(applier_->metrics().Get("apply.gaps"), 0);
+  EXPECT_EQ(applier_->metrics().Get("apply.reorder_refused"), 0);
 }
 
 TEST_F(ReorderBufferTest, RestartClearsBufferAndResendRecovers) {

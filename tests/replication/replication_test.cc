@@ -415,7 +415,7 @@ TEST_F(ReplicationTest, GapBatchRefusedWhenReorderingDisabled) {
   };
   sim_.Spawn(deliver());
   sim_.Run();
-  EXPECT_EQ(applier.metrics().Get("apply.gaps"), 1);
+  EXPECT_EQ(applier.metrics().Get("apply.reorder_refused"), 1);
   EXPECT_EQ(applier.reorder_batches(), 0u);
 }
 

@@ -197,7 +197,7 @@ TEST_F(ShipperStopTest, AnnounceRewindsCursorIdempotently) {
   EXPECT_EQ(shipper->AckedLsn(kReplicaLocal), 3u);
   EXPECT_EQ(replicas_[0]->applier.applied_lsn(), 3u);
   EXPECT_EQ(replicas_[0]->applier.metrics().Get("apply.records"), 3);
-  EXPECT_EQ(replicas_[0]->applier.metrics().Get("apply.gaps"), 0);
+  EXPECT_EQ(replicas_[0]->applier.metrics().Get("apply.reorder_refused"), 0);
 }
 
 TEST_F(ShipperStopTest, FullWindowParksUntilItsOwnAck) {

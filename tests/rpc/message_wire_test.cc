@@ -2,10 +2,11 @@
 // PREPARE participant list. The simulated network charges transfer delay per
 // byte and the redo log's retained-byte accounting counts encoded bytes, so
 // the layouts must not drift. The expected bytes below were produced by the
-// hand-written per-message encoders and are hard-coded. Each case also pins
-// which strict prefixes of its encoding decode (only a bare batch tail
-// accepts a cut; every other message rejects truncation), that trailing bytes
-// are ignored, and that decoding and re-encoding reproduces the bytes.
+// hand-written per-message encoders that preceded the shared field codec
+// (src/rpc/fields.h) and are hard-coded. Each case also pins which strict
+// prefixes of its encoding decode (only a bare batch tail accepts a cut;
+// every other message rejects truncation), that trailing bytes are ignored,
+// and that decoding and re-encoding reproduces the bytes.
 // ReadBatchReply and ScanBatchReply, which carry views, are pinned by
 // tests/cluster/read_wire_test.cc.
 
@@ -22,30 +23,26 @@
 #include "src/cluster/messages.h"
 #include "src/log/redo_record.h"
 #include "src/replication/messages.h"
+#include "src/rpc/fields.h"
 #include "src/rpc/rpc_method.h"
 #include "src/txn/messages.h"
 
 namespace globaldb {
 namespace {
 
-// --- The codec entry points under test ---------------------------------------
+// --- The codec entry points under test --------------------------------------
 
 template <typename M>
 std::string EncodeMessage(const M& msg) {
-  return msg.Encode();
+  return rpc::Encode(msg);
 }
 
 template <typename M>
 StatusOr<M> DecodeMessage(Slice in) {
-  return M::Decode(in);
+  return rpc::Decode<M>(in);
 }
 
-std::string EncodeMessage(const RedoRecord& record) {
-  std::string s;
-  record.EncodeTo(&s);
-  return s;
-}
-
+/// The redo log decodes records with their record-type check.
 template <>
 StatusOr<RedoRecord> DecodeMessage<RedoRecord>(Slice in) {
   RedoRecord record;
@@ -54,25 +51,10 @@ StatusOr<RedoRecord> DecodeMessage<RedoRecord>(Slice in) {
   return record;
 }
 
-/// A PREPARE record's participant list.
-struct Participants {
-  std::vector<ShardId> shards;
-};
+/// A PREPARE record's participant list, as RedoRecord::Prepare encodes it.
+using Participants = std::vector<ShardId>;
 
-std::string EncodeMessage(const Participants& list) {
-  return EncodeParticipants(list.shards);
-}
-
-/// Only non-empty lists are decoded here: this decoder reads a malformed
-/// payload as the empty list.
-template <>
-StatusOr<Participants> DecodeMessage<Participants>(Slice in) {
-  Participants list{DecodeParticipants(in)};
-  if (list.shards.empty()) return Status::Corruption("participants");
-  return list;
-}
-
-// --- Cases ----------------------------------------------------------------------
+// --- Cases -------------------------------------------------------------------
 
 struct WireCase {
   std::string name;
@@ -107,8 +89,9 @@ std::vector<WireCase> Cases() {
 
   // --- cluster ---
   cases.push_back(Case("ReadRequest/plain", ReadRequest{7, "k1", 1000, 42}));
-  cases.push_back(Case("ReadRequest/binary-key",
-                       ReadRequest{300, kBinaryKey, kTimestampMax, 1ull << 40}));
+  cases.push_back(
+      Case("ReadRequest/binary-key",
+           ReadRequest{300, kBinaryKey, kTimestampMax, 1ull << 40}));
   cases.push_back(Case("ReadRequest/empty-key", ReadRequest{}));
   cases.push_back(Case("ReadReply/found-long", ReadReply{true, kLongValue}));
   cases.push_back(Case("ReadReply/missing", ReadReply{}));
@@ -179,25 +162,27 @@ std::vector<WireCase> Cases() {
 
   cases.push_back(Case("TxnControlRequest/one-phase",
                        TxnControlRequest{77, kTimestampMax, false, {}}));
-  cases.push_back(
-      Case("TxnControlRequest/two-phase",
-           TxnControlRequest{1ull << 40, 5, true, {0, 1, 200, kInvalidShardId}}));
+  cases.push_back(Case(
+      "TxnControlRequest/two-phase",
+      TxnControlRequest{1ull << 40, 5, true, {0, 1, 200, kInvalidShardId}}));
 
   cases.push_back(Case("TxnOutcomeRequest", TxnOutcomeRequest{1ull << 35}));
   cases.push_back(Case("TxnOutcomeReply/committed",
                        TxnOutcomeReply{TxnOutcome::kCommitted, kTimestampMax}));
   cases.push_back(Case("TxnOutcomeReply/unknown", TxnOutcomeReply{}));
-  cases.push_back(
-      Case("TxnOutcomeReply/pending", TxnOutcomeReply{TxnOutcome::kPending, 3}));
+  cases.push_back(Case("TxnOutcomeReply/pending",
+                       TxnOutcomeReply{TxnOutcome::kPending, 3}));
 
   cases.push_back(Case("DdlRequest/empty", DdlRequest{}));
   cases.push_back(Case("DdlRequest/binary",
                        DdlRequest{12, std::string("CREATE TABLE t\x00x", 16)}));
-  cases.push_back(Case("DdlRequest/long", DdlRequest{kTimestampMax, kLongImage}));
+  cases.push_back(
+      Case("DdlRequest/long", DdlRequest{kTimestampMax, kLongImage}));
 
   cases.push_back(Case("RorStatusReply/zero", RorStatusReply{}));
-  cases.push_back(Case("RorStatusReply/negative-delay",
-                       RorStatusReply{kTimestampMax, 123456, -3 * kMillisecond}));
+  cases.push_back(
+      Case("RorStatusReply/negative-delay",
+           RorStatusReply{kTimestampMax, 123456, -3 * kMillisecond}));
 
   cases.push_back(Case("RcpUpdateMessage/empty", RcpUpdateMessage{10, {}}));
   {
@@ -239,14 +224,14 @@ std::vector<WireCase> Cases() {
     r.start_lsn = 1000;
     r.batch = kBatch;
     cases.push_back(Case("ReplAppendRequest/batch", r, /*raw_tail=*/true));
-    cases.push_back(
-        Case("ReplAppendRequest/empty", ReplAppendRequest{}, /*raw_tail=*/true));
+    cases.push_back(Case("ReplAppendRequest/empty", ReplAppendRequest{},
+                         /*raw_tail=*/true));
   }
   cases.push_back(Case("ReplAppendReply/refused", ReplAppendReply{55, false}));
   cases.push_back(
       Case("ReplAppendReply/accepted", ReplAppendReply{kTimestampMax, true}));
-  cases.push_back(
-      Case("ReplHelloRequest", ReplHelloRequest{300, 1ull << 40, kTimestampMax}));
+  cases.push_back(Case("ReplHelloRequest",
+                       ReplHelloRequest{300, 1ull << 40, kTimestampMax}));
   cases.push_back(Case("ReplSnapshotRequest/empty", ReplSnapshotRequest{}));
   {
     ReplSnapshotRequest r;
@@ -259,7 +244,8 @@ std::vector<WireCase> Cases() {
     r.store_image = kLongImage;
     cases.push_back(Case("ReplSnapshotRequest/images", r));
   }
-  cases.push_back(Case("ReplSnapshotReply", ReplSnapshotReply{1ull << 40, false}));
+  cases.push_back(
+      Case("ReplSnapshotReply", ReplSnapshotReply{1ull << 40, false}));
 
   // --- redo log ---
   {
@@ -281,11 +267,11 @@ std::vector<WireCase> Cases() {
     cases.push_back(Case("RedoRecord/checkpoint", RedoRecord::Checkpoint(0)));
   }
   cases.push_back(
-      Case("Participants", Participants{{0, 5, 300, kInvalidShardId}}));
+      Case("Participants", Participants{0, 5, 300, kInvalidShardId}));
   return cases;
 }
 
-// --- Golden data ----------------------------------------------------------------
+// --- Golden data -------------------------------------------------------------
 
 std::string Hex(std::string_view hex) {
   std::string out;

@@ -7,7 +7,7 @@
 #include <memory>
 #include <string>
 
-#include "src/common/codec.h"
+#include "src/rpc/fields.h"
 #include "src/rpc/rpc_client.h"
 #include "src/rpc/rpc_server.h"
 #include "src/sim/network.h"
@@ -22,18 +22,7 @@ constexpr NodeId kServer = 2;
 struct EchoMessage {
   std::string text;
 
-  std::string Encode() const {
-    std::string out;
-    PutLengthPrefixed(&out, text);
-    return out;
-  }
-  static StatusOr<EchoMessage> Decode(Slice in) {
-    EchoMessage m;
-    Slice text;
-    if (!GetLengthPrefixed(&in, &text)) return Status::Corruption("echo");
-    m.text = std::string(text.data(), text.size());
-    return m;
-  }
+  static void Fields(auto& self, auto&& visit) { visit(self.text); }
 };
 
 inline constexpr rpc::RpcMethod<EchoMessage, EchoMessage> kEcho{"test.echo"};

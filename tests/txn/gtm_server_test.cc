@@ -164,13 +164,13 @@ TEST_F(GtmServerTest, MalformedRequestRejectedSafely) {
 // reserved zero bytes after its fields so its wire size, and with it every
 // simulated transfer delay, stays as it was.
 TEST(AckReplyTest, RoundTripsWithTwoReservedBytes) {
-  EXPECT_EQ(AckReply{}.Encode().size(), 4u);
+  EXPECT_EQ(rpc::Encode(AckReply{}).size(), 4u);
 
   AckReply ack;
   ack.max_issued = 1'700'000'123'456'789ull;
   ack.max_error_bound = 250 * kMicrosecond;
-  const std::string wire = ack.Encode();
-  auto decoded = AckReply::Decode(wire);
+  const std::string wire = rpc::Encode(ack);
+  auto decoded = rpc::Decode<AckReply>(wire);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->max_issued, ack.max_issued);
   EXPECT_EQ(decoded->max_error_bound, ack.max_error_bound);
@@ -178,7 +178,7 @@ TEST(AckReplyTest, RoundTripsWithTwoReservedBytes) {
             std::string(AckReply::kReservedBytes, '\0'));
 
   for (size_t len = 0; len < wire.size(); ++len) {
-    auto truncated = AckReply::Decode(Slice(wire.data(), len));
+    auto truncated = rpc::Decode<AckReply>(Slice(wire.data(), len));
     ASSERT_FALSE(truncated.ok()) << "prefix of " << len << " bytes";
     EXPECT_EQ(truncated.status().code(), StatusCode::kCorruption);
   }

@@ -388,9 +388,7 @@ struct TxnOutcomeReply {
   /// Commit timestamp when outcome == kCommitted, else 0.
   Timestamp ts = 0;
 
-  static void Fields(auto& self, auto&& visit) {
-    visit(self.outcome, self.ts);
-  }
+  static void Fields(auto& self, auto&& visit) { visit(self.outcome, self.ts); }
 };
 
 /// DDL applied on a primary DN (appends a DDL redo record) or broadcast to
@@ -399,9 +397,7 @@ struct DdlRequest {
   Timestamp ts = 0;
   std::string payload;
 
-  static void Fields(auto& self, auto&& visit) {
-    visit(self.ts, self.payload);
-  }
+  static void Fields(auto& self, auto&& visit) { visit(self.ts, self.payload); }
 };
 
 /// Replica status snapshot for RCP calculation and skyline selection.

@@ -116,32 +116,23 @@ struct Reserved {};
 
 // --- Field encodings -------------------------------------------------------
 
-template <>
-struct Codec<uint32_t> {
-  static size_t Size(uint32_t v) { return VarintLength(v); }
-  static void Put(std::string* dst, uint32_t v) { PutVarint32(dst, v); }
-  static bool Get(Slice* in, uint32_t* v) { return GetVarint32(in, v); }
-};
-
-template <>
-struct Codec<uint64_t> {
-  static size_t Size(uint64_t v) { return VarintLength(v); }
-  static void Put(std::string* dst, uint64_t v) { PutVarint64(dst, v); }
-  static bool Get(Slice* in, uint64_t* v) { return GetVarint64(in, v); }
-};
-
-template <>
-struct Codec<int64_t> {
-  static size_t Size(int64_t v) {
-    return VarintLength(static_cast<uint64_t>(v));
-  }
-  static void Put(std::string* dst, int64_t v) {
+/// Integers and StatusCode: the varint of the value's uint64_t cast (not
+/// zigzag, so a negative SimDuration takes ten bytes). A 32-bit field
+/// rejects a wider value, as GetVarint32 does.
+template <typename T>
+  requires std::is_same_v<T, uint32_t> || std::is_same_v<T, uint64_t> ||
+           std::is_same_v<T, int64_t> || std::is_same_v<T, StatusCode>
+struct Codec<T> {
+  static size_t Size(T v) { return VarintLength(static_cast<uint64_t>(v)); }
+  static void Put(std::string* dst, T v) {
     PutVarint64(dst, static_cast<uint64_t>(v));
   }
-  static bool Get(Slice* in, int64_t* v) {
+  static bool Get(Slice* in, T* v) {
     uint64_t u = 0;
-    if (!GetVarint64(in, &u)) return false;
-    *v = static_cast<int64_t>(u);
+    if (!GetVarint64(in, &u) || (sizeof(T) == 4 && u > UINT32_MAX)) {
+      return false;
+    }
+    *v = static_cast<T>(u);
     return true;
   }
 };
@@ -162,39 +153,15 @@ struct Codec<T> {
   }
 };
 
-template <>
-struct Codec<StatusCode> {
-  static size_t Size(StatusCode v) {
-    return VarintLength(static_cast<uint32_t>(v));
-  }
-  static void Put(std::string* dst, StatusCode v) {
-    PutVarint32(dst, static_cast<uint32_t>(v));
-  }
-  static bool Get(Slice* in, StatusCode* v) {
-    uint32_t u = 0;
-    if (!GetVarint32(in, &u)) return false;
-    *v = static_cast<StatusCode>(u);
-    return true;
-  }
-};
-
-template <>
-struct Codec<Slice> {
-  static size_t Size(Slice v) { return VarintLength(v.size()) + v.size(); }
-  static void Put(std::string* dst, Slice v) { PutLengthPrefixed(dst, v); }
-  static bool Get(Slice* in, Slice* v) { return GetLengthPrefixed(in, v); }
-};
-
-template <>
-struct Codec<std::string> {
-  static size_t Size(const std::string& v) { return Codec<Slice>::Size(v); }
-  static void Put(std::string* dst, const std::string& v) {
-    PutLengthPrefixed(dst, v);
-  }
-  static bool Get(Slice* in, std::string* v) {
+template <typename T>
+  requires std::is_same_v<T, Slice> || std::is_same_v<T, std::string>
+struct Codec<T> {
+  static size_t Size(const T& v) { return VarintLength(v.size()) + v.size(); }
+  static void Put(std::string* dst, const T& v) { PutLengthPrefixed(dst, v); }
+  static bool Get(Slice* in, T* v) {
     Slice bytes;
     if (!GetLengthPrefixed(in, &bytes)) return false;
-    *v = bytes.ToString();  // an exact-capacity copy
+    *v = T(bytes.data(), bytes.size());  // a view, or an exact-size copy
     return true;
   }
 };

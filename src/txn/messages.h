@@ -58,9 +58,7 @@ struct SetModeRequest {
   TimestampMode mode = TimestampMode::kGtm;
   Timestamp floor = 0;
 
-  static void Fields(auto& self, auto&& visit) {
-    visit(self.mode, self.floor);
-  }
+  static void Fields(auto& self, auto&& visit) { visit(self.mode, self.floor); }
 };
 
 /// Generic ack carrying a timestamp (max issued / observed error bound).

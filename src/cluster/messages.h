@@ -1,6 +1,7 @@
 #ifndef GLOBALDB_SRC_CLUSTER_MESSAGES_H_
 #define GLOBALDB_SRC_CLUSTER_MESSAGES_H_
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -195,7 +196,7 @@ struct ScanBatchRequest {
         !GetVarint32(&in, &n)) {
       return Status::Corruption("scan batch req");
     }
-    r.ranges.reserve(n);
+    r.ranges.reserve(std::min<size_t>(n, in.size()));  // n is untrusted
     for (uint32_t i = 0; i < n; ++i) {
       Range range;
       if (!GetVarint32(&in, &range.table) ||

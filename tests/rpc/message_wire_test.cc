@@ -543,6 +543,25 @@ TEST(MessageWireTest, DecodeReencodesAndIgnoresTrailingBytes) {
   }
 }
 
+// A corrupt element count must be rejected as truncated input, not
+// reserved: 2^32 - 1 entries would ask for hundreds of gigabytes.
+TEST(MessageWireTest, CorruptCountIsRejectedWithoutReserving) {
+  const std::string huge("\xff\xff\xff\xff\x0f", 5);
+  // Each message's fixed fields, then the count of its first list.
+  const std::string zeros2(2, '\0'), zeros4(4, '\0');
+  EXPECT_FALSE(DecodeMessage<ScanBatchRequest>(zeros4 + huge).ok());
+  EXPECT_FALSE(DecodeMessage<ReadBatchRequest>(zeros2 + huge).ok());
+  EXPECT_FALSE(DecodeMessage<WriteBatchRequest>(zeros2 + huge).ok());
+  EXPECT_FALSE(DecodeMessage<WriteBatchReply>(huge).ok());
+  EXPECT_FALSE(DecodeMessage<RcpUpdateMessage>(std::string(1, '\0') + huge)
+                   .ok());
+  EXPECT_FALSE(DecodeMessage<Participants>(huge).ok());
+  EXPECT_FALSE(rpc::DecodeEnvelope<ScanBatchReply>("\x01" + zeros2 +
+                                                   std::string(1, '\0') + huge)
+                   .ok());
+  EXPECT_FALSE(rpc::DecodeEnvelope<ReadBatchReply>("\x01" + huge).ok());
+}
+
 TEST(MessageWireTest, EmptyParticipantListIsOneZeroByte) {
   EXPECT_EQ(EncodeMessage(Participants{}), std::string(1, '\0'));
 }

@@ -1,11 +1,13 @@
 // Microbenchmarks (google-benchmark) for the redo compression hot path the
 // log shipper sits on: LzCodec compress/decompress throughput and ratio on
 // redo-shaped payloads (TPC-C-like repetitive rows and high-entropy rows),
-// plus the end-to-end LogStream::EncodeBatch / DecodeBatch framing the
-// shipper's encoded-batch cache amortizes across replicas.
+// plus the LogStream::EncodeBatch / DecodeBatch framing the shipper applies
+// to each batch, a slice of the log, and each replica undoes.
 
 #include <benchmark/benchmark.h>
 
+#include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -24,9 +26,9 @@ std::string MakeTpccPayload(int records) {
   Rng rng(2);
   std::string payload;
   for (int i = 0; i < records; ++i) {
-    RedoRecord r = RedoRecord::Insert(
-        i, 3, "warehouse_" + std::to_string(i % 20),
-        "customer_row_payload_" + rng.AlphaString(20, 60));
+    const std::string key = "warehouse_" + std::to_string(i % 20);
+    const std::string value = "customer_row_payload_" + rng.AlphaString(20, 60);
+    RedoRecord r = RedoRecord::Insert(i, 3, key, value);
     r.lsn = i + 1;
     rpc::EncodeTo(r, &payload);
   }
@@ -41,26 +43,30 @@ std::string MakeRandomPayload(int records) {
   for (int i = 0; i < records; ++i) {
     std::string value(80, '\0');
     for (char& c : value) c = static_cast<char>(rng.Next() & 0xff);
-    RedoRecord r = RedoRecord::Insert(i, 3, "k" + std::to_string(rng.Next()),
-                                      value);
+    const std::string key = "k" + std::to_string(rng.Next());
+    RedoRecord r = RedoRecord::Insert(i, 3, key, value);
     r.lsn = i + 1;
     rpc::EncodeTo(r, &payload);
   }
   return payload;
 }
 
-std::vector<RedoRecord> MakeRedoBatch(int records) {
+/// A log of `records` TPC-C-shaped inserts, all retained.
+std::unique_ptr<LogStream> MakeRedoLog(int records) {
   Rng rng(6);
-  std::vector<RedoRecord> batch;
-  batch.reserve(records);
+  auto log = std::make_unique<LogStream>();
   for (int i = 0; i < records; ++i) {
-    RedoRecord r = RedoRecord::Insert(
-        i, 3, "district_" + std::to_string(i % 200),
-        "order_line_payload_" + rng.AlphaString(30, 80));
-    r.lsn = i + 1;
-    batch.push_back(std::move(r));
+    const std::string key = "district_" + std::to_string(i % 200);
+    const std::string value = "order_line_payload_" + rng.AlphaString(30, 80);
+    log->Append(RedoRecord::Insert(i, 3, key, value));
   }
-  return batch;
+  return log;
+}
+
+/// The payload of the whole log: the slice the shipper frames.
+Slice WholeLog(const LogStream& log) {
+  return log.Extent(1, log.size(), std::numeric_limits<size_t>::max())
+      ->payload;
 }
 
 void BM_CompressRedoTpcc(benchmark::State& state) {
@@ -103,45 +109,43 @@ void BM_CompressRedoRandom(benchmark::State& state) {
 BENCHMARK(BM_CompressRedoRandom)->Arg(1000);
 
 void BM_EncodeBatchLz(benchmark::State& state) {
-  const std::vector<RedoRecord> batch =
-      MakeRedoBatch(static_cast<int>(state.range(0)));
-  size_t raw = 0;
-  for (const RedoRecord& r : batch) raw += rpc::EncodedSize(r);
+  const auto log = MakeRedoLog(static_cast<int>(state.range(0)));
+  const Slice payload = WholeLog(*log);
   std::string out;
   for (auto _ : state) {
-    out = LogStream::EncodeBatch(batch, CompressionType::kLz);
+    out.clear();
+    LogStream::EncodeBatch(payload, CompressionType::kLz, &out);
     benchmark::DoNotOptimize(out);
   }
-  state.SetBytesProcessed(state.iterations() * raw);
+  state.SetBytesProcessed(state.iterations() * payload.size());
   state.counters["ratio"] =
-      static_cast<double>(out.size()) / static_cast<double>(raw);
+      static_cast<double>(out.size()) / static_cast<double>(payload.size());
 }
 BENCHMARK(BM_EncodeBatchLz)->Arg(100)->Arg(2000);
 
 void BM_EncodeBatchNone(benchmark::State& state) {
-  const std::vector<RedoRecord> batch =
-      MakeRedoBatch(static_cast<int>(state.range(0)));
-  size_t raw = 0;
-  for (const RedoRecord& r : batch) raw += rpc::EncodedSize(r);
+  const auto log = MakeRedoLog(static_cast<int>(state.range(0)));
+  const Slice payload = WholeLog(*log);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        LogStream::EncodeBatch(batch, CompressionType::kNone));
+    std::string out;
+    LogStream::EncodeBatch(payload, CompressionType::kNone, &out);
+    benchmark::DoNotOptimize(out);
   }
-  state.SetBytesProcessed(state.iterations() * raw);
+  state.SetBytesProcessed(state.iterations() * payload.size());
 }
 BENCHMARK(BM_EncodeBatchNone)->Arg(100)->Arg(2000);
 
 void BM_DecodeBatchLz(benchmark::State& state) {
-  const std::vector<RedoRecord> batch =
-      MakeRedoBatch(static_cast<int>(state.range(0)));
-  size_t raw = 0;
-  for (const RedoRecord& r : batch) raw += rpc::EncodedSize(r);
-  const std::string wire = LogStream::EncodeBatch(batch, CompressionType::kLz);
+  const auto log = MakeRedoLog(static_cast<int>(state.range(0)));
+  const Slice payload = WholeLog(*log);
+  std::string wire;
+  LogStream::EncodeBatch(payload, CompressionType::kLz, &wire);
+  std::string scratch;
   std::vector<RedoRecord> out;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(LogStream::DecodeBatch(Slice(wire), &out));
+    benchmark::DoNotOptimize(LogStream::DecodeBatch(wire, &scratch, &out));
   }
-  state.SetBytesProcessed(state.iterations() * raw);
+  state.SetBytesProcessed(state.iterations() * payload.size());
 }
 BENCHMARK(BM_DecodeBatchLz)->Arg(100)->Arg(2000);
 

@@ -43,9 +43,9 @@ std::string MakeRedoPayload(int records) {
   Rng rng(2);
   std::string payload;
   for (int i = 0; i < records; ++i) {
-    RedoRecord r = RedoRecord::Insert(
-        i, 3, "warehouse_" + std::to_string(i % 20),
-        "customer_row_payload_" + rng.AlphaString(20, 60));
+    const std::string key = "warehouse_" + std::to_string(i % 20);
+    const std::string value = "customer_row_payload_" + rng.AlphaString(20, 60);
+    RedoRecord r = RedoRecord::Insert(i, 3, key, value);
     r.lsn = i + 1;
     rpc::EncodeTo(r, &payload);
   }
@@ -78,8 +78,8 @@ void BM_LzDecompress(benchmark::State& state) {
 BENCHMARK(BM_LzDecompress);
 
 void BM_RedoRecordRoundTrip(benchmark::State& state) {
-  RedoRecord record = RedoRecord::Insert(42, 7, "some_primary_key",
-                                         std::string(120, 'x'));
+  const std::string value(120, 'x');
+  RedoRecord record = RedoRecord::Insert(42, 7, "some_primary_key", value);
   record.lsn = 99;
   for (auto _ : state) {
     std::string buf;

@@ -94,9 +94,12 @@ ctest --test-dir "${SAN_DIR}" --output-on-failure \
 # chunk must not dangle across a store rebuild), the zero-copy read path's
 # view lifetimes (a primary read or scan whose CPU wait overlaps a rewrite
 # of its rows, and short reply envelopes moved through StatusOr and the
-# CN's chunk list), the read replies' wire bytes, and the golden wire bytes
+# CN's chunk list), the read replies' wire bytes, the golden wire bytes
 # and truncation verdicts of every other message, the redo record and the
-# PREPARE participant list (MessageWireTest), under sanitizers.
+# PREPARE participant list (MessageWireTest), and the golden bytes and
+# boundaries of shipped redo batches, whose payloads are slices of the byte
+# log and whose decoded records view the received bytes
+# (RedoBatchWireTest), under sanitizers.
 echo "== scan path smoke (batched scans + equivalence + ROR races + views + wire bytes) =="
 ctest --test-dir "${SAN_DIR}" --output-on-failure \
-  -R 'ScanBatchTest|ScanEquivalenceTest|RorSnapshotRaceTest|ReadPathLifetimeTest|ReadWireTest|MessageWireTest'
+  -R 'ScanBatchTest|ScanEquivalenceTest|RorSnapshotRaceTest|ReadPathLifetimeTest|ReadWireTest|MessageWireTest|RedoBatchWireTest'

@@ -5,6 +5,7 @@
 
 #include "src/cluster/scan_batch_exec.h"
 #include "src/common/logging.h"
+#include "src/rpc/fields.h"
 #include "src/storage/snapshot.h"
 
 namespace globaldb {
@@ -576,10 +577,11 @@ sim::Task<StatusOr<rpc::EmptyMessage>> DataNode::HandlePrecommit(
   // carries the CN's lower bound on the eventual commit timestamp; a 2PC
   // PREPARE also carries the participant shard list, so a promoted replica
   // knows which peers to ask when resolving the transaction in doubt.
-  RedoRecord record =
-      request.two_phase
-          ? RedoRecord::Prepare(request.txn, request.participants)
-          : RedoRecord::PendingCommit(request.txn);
+  const std::string participants =
+      request.two_phase ? rpc::Encode(request.participants) : std::string();
+  RedoRecord record = request.two_phase
+                          ? RedoRecord::Prepare(request.txn, participants)
+                          : RedoRecord::PendingCommit(request.txn);
   record.timestamp = request.ts;
   const Lsn prepare_lsn = AppendAndNotify(std::move(record));
   if (request.two_phase && shipper_ != nullptr) {
@@ -620,6 +622,17 @@ sim::Task<StatusOr<rpc::EmptyMessage>> DataNode::HandleCommit(
       if (!durability.ok()) co_return durability;
     }
     co_return rpc::EmptyMessage{};
+  }
+  if (locks_.HeldCount(request.txn) == 0 &&
+      in_doubt_.count(request.txn) == 0) {
+    // No lock and no in-doubt entry: the transaction's writes never reached
+    // this node, so committing would acknowledge nothing (DESIGN.md §13).
+    metrics_.Add("dn.commit_unknown");
+    if (request.two_phase) {
+      GDB_LOG(Error) << "data node " << self_ << ": commit for txn "
+                     << request.txn << " whose PREPARE it never saw";
+    }
+    co_return Status::NotFound("commit for an unknown transaction");
   }
   metrics_.Add("dn.commits");
   self_aborted_txns_.erase(request.txn);

@@ -1,5 +1,7 @@
 #include "src/log/log_stream.h"
 
+#include <algorithm>
+
 #include "src/common/logging.h"
 #include "src/rpc/fields.h"
 
@@ -7,28 +9,11 @@ namespace globaldb {
 
 Lsn LogStream::Append(RedoRecord record) {
   record.lsn = next_lsn();
-  const size_t sz = rpc::EncodedSize(record);
-  total_bytes_ += sz;
-  retained_bytes_ += sz;
-  records_.push_back(std::move(record));
-  return records_.back().lsn;
-}
-
-StatusOr<std::vector<RedoRecord>> LogStream::Read(Lsn from, size_t max_records,
-                                                  size_t max_bytes) const {
-  if (from < begin_lsn_) {
-    return Status::OutOfRange("lsn " + std::to_string(from) + " truncated");
-  }
-  std::vector<RedoRecord> out;
-  size_t bytes = 0;
-  for (Lsn lsn = from; lsn < next_lsn() && out.size() < max_records; ++lsn) {
-    const RedoRecord& rec = records_[lsn - begin_lsn_];
-    const size_t sz = rpc::EncodedSize(rec);
-    if (!out.empty() && bytes + sz > max_bytes) break;
-    out.push_back(rec);
-    bytes += sz;
-  }
-  return out;
+  const size_t before = bytes_.size();
+  rpc::EncodeTo(record, &bytes_);
+  total_bytes_ += bytes_.size() - before;
+  ends_.push_back(total_bytes_);
+  return record.lsn;
 }
 
 StatusOr<LogStream::BatchExtent> LogStream::Extent(Lsn from,
@@ -38,76 +23,69 @@ StatusOr<LogStream::BatchExtent> LogStream::Extent(Lsn from,
     return Status::OutOfRange("lsn " + std::to_string(from) + " truncated");
   }
   BatchExtent extent;
-  for (Lsn lsn = from; lsn < next_lsn() && extent.records < max_records;
-       ++lsn) {
-    const size_t sz = rpc::EncodedSize(records_[lsn - begin_lsn_]);
-    if (extent.records > 0 && extent.bytes + sz > max_bytes) break;
-    extent.end_lsn = lsn;
-    ++extent.records;
-    extent.bytes += sz;
-  }
+  if (from >= next_lsn() || max_records == 0) return extent;
+  const uint64_t base = total_bytes_ - bytes_.size();  // offset of bytes_[0]
+  const auto first = ends_.begin() + (from - begin_lsn_);
+  const uint64_t start = first == ends_.begin() ? base : *(first - 1);
+  const auto cap = first + std::min<size_t>(max_records, ends_.end() - first);
+  // The first record always ships; each later one if the batch still fits.
+  const auto end = std::partition_point(
+      first + 1, cap, [&](uint64_t e) { return e - start <= max_bytes; });
+  extent.records = end - first;
+  extent.end_lsn = from + extent.records - 1;
+  extent.bytes = *(end - 1) - start;
+  extent.payload = Slice(bytes_.data() + (start - base), extent.bytes);
   return extent;
 }
 
-StatusOr<RedoRecord> LogStream::At(Lsn lsn) const {
-  if (lsn < begin_lsn_ || lsn >= next_lsn()) {
-    return Status::NotFound("lsn " + std::to_string(lsn));
-  }
-  return records_[lsn - begin_lsn_];
-}
-
 void LogStream::TruncateUntil(Lsn until) {
-  while (begin_lsn_ < until && !records_.empty()) {
-    retained_bytes_ -= rpc::EncodedSize(records_.front());
-    records_.pop_front();
-    ++begin_lsn_;
-  }
+  if (until <= begin_lsn_ || ends_.empty()) return;
+  const size_t n = std::min<size_t>(until - begin_lsn_, ends_.size());
+  const uint64_t base = total_bytes_ - bytes_.size();
+  bytes_.erase(0, ends_[n - 1] - base);
+  ends_.erase(ends_.begin(), ends_.begin() + n);
+  begin_lsn_ += n;
 }
 
 void LogStream::ResetBase(Lsn first) {
-  GDB_CHECK(records_.empty()) << "ResetBase on non-empty stream";
+  GDB_CHECK(ends_.empty()) << "ResetBase on non-empty stream";
   begin_lsn_ = first;
 }
 
-std::string LogStream::EncodeBatch(const std::vector<RedoRecord>& records,
-                                   CompressionType compression) {
-  std::string payload;
-  for (const RedoRecord& rec : records) {
-    rpc::EncodeTo(rec, &payload);
-  }
-  std::string batch;
+void LogStream::EncodeBatch(Slice payload, CompressionType compression,
+                            std::string* dst) {
+  Slice body = payload;
+  CompressionType framing = CompressionType::kNone;
   if (compression == CompressionType::kLz) {
-    std::string compressed;
+    // One buffer per thread, reused across batches, so the framed batch is
+    // one exact-size copy into *dst. Raw framing unless LZ shrinks it.
+    thread_local std::string compressed;
     LzCodec::Compress(payload, &compressed);
-    // Fall back to raw framing if compression expanded the payload.
     if (compressed.size() < payload.size()) {
-      batch.push_back(static_cast<char>(CompressionType::kLz));
-      batch += compressed;
-      return batch;
+      body = compressed;
+      framing = CompressionType::kLz;
     }
   }
-  batch.push_back(static_cast<char>(CompressionType::kNone));
-  batch += payload;
-  return batch;
+  dst->reserve(dst->size() + 1 + body.size());
+  dst->push_back(static_cast<char>(framing));
+  dst->append(body.data(), body.size());
 }
 
-Status LogStream::DecodeBatch(Slice batch, std::vector<RedoRecord>* out) {
+Status LogStream::DecodeBatch(Slice batch, std::string* scratch,
+                              std::vector<RedoRecord>* out) {
   out->clear();
   if (batch.empty()) return Status::Corruption("batch: empty");
   const auto compression = static_cast<CompressionType>(batch[0]);
   batch.RemovePrefix(1);
-  std::string decompressed;
   Slice payload = batch;
   if (compression == CompressionType::kLz) {
-    GDB_RETURN_IF_ERROR(LzCodec::Decompress(batch, &decompressed));
-    payload = decompressed;
+    GDB_RETURN_IF_ERROR(LzCodec::Decompress(batch, scratch));
+    payload = *scratch;
   } else if (compression != CompressionType::kNone) {
     return Status::Corruption("batch: unknown compression");
   }
   while (!payload.empty()) {
-    RedoRecord rec;
-    GDB_RETURN_IF_ERROR(RedoRecord::DecodeFrom(&payload, &rec));
-    out->push_back(std::move(rec));
+    GDB_RETURN_IF_ERROR(RedoRecord::DecodeFrom(&payload, &out->emplace_back()));
   }
   return Status::OK();
 }

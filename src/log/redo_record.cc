@@ -44,30 +44,30 @@ Status RedoRecord::DecodeFrom(Slice* input, RedoRecord* out) {
   return Status::OK();
 }
 
-RedoRecord RedoRecord::Insert(TxnId txn, TableId table, RowKey key,
-                              std::string value) {
+RedoRecord RedoRecord::Insert(TxnId txn, TableId table, Slice key,
+                              Slice value) {
   RedoRecord r;
   r.type = RedoType::kInsert;
   r.txn_id = txn;
   r.table_id = table;
-  r.key = std::move(key);
-  r.value = std::move(value);
+  r.key = key;
+  r.value = value;
   return r;
 }
 
-RedoRecord RedoRecord::Update(TxnId txn, TableId table, RowKey key,
-                              std::string value) {
-  RedoRecord r = Insert(txn, table, std::move(key), std::move(value));
+RedoRecord RedoRecord::Update(TxnId txn, TableId table, Slice key,
+                              Slice value) {
+  RedoRecord r = Insert(txn, table, key, value);
   r.type = RedoType::kUpdate;
   return r;
 }
 
-RedoRecord RedoRecord::Delete(TxnId txn, TableId table, RowKey key) {
+RedoRecord RedoRecord::Delete(TxnId txn, TableId table, Slice key) {
   RedoRecord r;
   r.type = RedoType::kDelete;
   r.txn_id = txn;
   r.table_id = table;
-  r.key = std::move(key);
+  r.key = key;
   return r;
 }
 
@@ -100,9 +100,9 @@ RedoRecord RedoRecord::Prepare(TxnId txn) {
   return r;
 }
 
-RedoRecord RedoRecord::Prepare(TxnId txn, const std::vector<ShardId>& shards) {
+RedoRecord RedoRecord::Prepare(TxnId txn, Slice participants) {
   RedoRecord r = Prepare(txn);
-  r.value = rpc::Encode(shards);
+  r.value = participants;
   return r;
 }
 
@@ -128,11 +128,11 @@ RedoRecord RedoRecord::Heartbeat(Timestamp ts) {
   return r;
 }
 
-RedoRecord RedoRecord::Ddl(Timestamp ts, std::string payload) {
+RedoRecord RedoRecord::Ddl(Timestamp ts, Slice payload) {
   RedoRecord r;
   r.type = RedoType::kDdl;
   r.timestamp = ts;
-  r.value = std::move(payload);
+  r.value = payload;
   return r;
 }
 

@@ -1,9 +1,6 @@
 #ifndef GLOBALDB_SRC_LOG_REDO_RECORD_H_
 #define GLOBALDB_SRC_LOG_REDO_RECORD_H_
 
-#include <string>
-#include <vector>
-
 #include "src/common/slice.h"
 #include "src/common/status.h"
 #include "src/common/types.h"
@@ -39,13 +36,17 @@ const char* RedoTypeName(RedoType type);
 /// One redo record. Data records (INSERT/UPDATE/DELETE) carry the table,
 /// key, and new tuple image; control records carry the transaction id and,
 /// for commits and heartbeats, the commit timestamp.
+///
+/// A record is a view: `key` and `value` point at bytes someone else owns,
+/// the primary's write (LogStream::Append encodes it at once) or a received
+/// batch (LogStream::DecodeBatch).
 struct RedoRecord {
   RedoType type = RedoType::kHeartbeat;
   TxnId txn_id = kInvalidTxnId;
   Timestamp timestamp = kInvalidTimestamp;
   TableId table_id = kInvalidTableId;
-  RowKey key;
-  std::string value;
+  Slice key;
+  Slice value;
   Lsn lsn = kInvalidLsn;  // assigned by LogStream::Append
 
   /// Wire order of the fields; rpc::EncodeTo / rpc::EncodedSize encode a
@@ -54,7 +55,8 @@ struct RedoRecord {
     visit(self.type, self.lsn, self.txn_id, self.timestamp, self.table_id,
           self.key, self.value);
   }
-  /// Consumes one record from *input, rejecting an unknown record type.
+  /// Consumes one record from *input, rejecting an unknown record type. The
+  /// record's key and value view *input's bytes.
   static Status DecodeFrom(Slice* input, RedoRecord* out);
 
   bool IsData() const {
@@ -66,24 +68,23 @@ struct RedoRecord {
   }
 
   // Convenience constructors.
-  static RedoRecord Insert(TxnId txn, TableId table, RowKey key,
-                           std::string value);
-  static RedoRecord Update(TxnId txn, TableId table, RowKey key,
-                           std::string value);
-  static RedoRecord Delete(TxnId txn, TableId table, RowKey key);
+  static RedoRecord Insert(TxnId txn, TableId table, Slice key, Slice value);
+  static RedoRecord Update(TxnId txn, TableId table, Slice key, Slice value);
+  static RedoRecord Delete(TxnId txn, TableId table, Slice key);
   static RedoRecord PendingCommit(TxnId txn);
   static RedoRecord Commit(TxnId txn, Timestamp ts);
   static RedoRecord Abort(TxnId txn);
   static RedoRecord Prepare(TxnId txn);
   /// PREPARE carrying the transaction's participant shard list in `value`,
-  /// encoded as rpc::Encode(shards) (a varint count, then varint shard ids).
-  /// A promoted primary that finds the prepare in-doubt decodes it to know
-  /// which peer shards to query for the durable decision (DESIGN.md §13).
-  static RedoRecord Prepare(TxnId txn, const std::vector<ShardId>& shards);
+  /// which the caller has encoded as rpc::Encode(shards) (a varint count,
+  /// then varint shard ids). A promoted primary that finds the prepare
+  /// in-doubt decodes it to know which peer shards to query for the durable
+  /// decision (DESIGN.md §13).
+  static RedoRecord Prepare(TxnId txn, Slice participants);
   static RedoRecord CommitPrepared(TxnId txn, Timestamp ts);
   static RedoRecord AbortPrepared(TxnId txn);
   static RedoRecord Heartbeat(Timestamp ts);
-  static RedoRecord Ddl(Timestamp ts, std::string payload);
+  static RedoRecord Ddl(Timestamp ts, Slice payload);
   /// Marks a checkpoint: everything below this record's LSN is captured in a
   /// snapshot; `ts` is the vacuum horizon the checkpoint was taken at
   /// (replicas vacuum their version chains at the same horizon on replay).

@@ -1,7 +1,6 @@
 #include "src/replication/log_shipper.h"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "src/common/codec.h"
@@ -248,21 +247,14 @@ void LogShipper::AddReplica(NodeId replica) {
   if (started_ && !stopped_) sim_->Spawn(ShipLoop(replica));
 }
 
-std::string LogShipper::EncodedRequest(
-    Lsn start, const LogStream::BatchExtent& extent) {
-  // Re-read exactly the extent's record count: the stream may have grown
-  // since Extent(), and the payload must cover exactly the extent the
-  // cursor advances past.
-  auto batch_or =
-      stream_->Read(start, extent.records, std::numeric_limits<size_t>::max());
-  if (!batch_or.ok() || batch_or->empty()) return std::string();
-  const std::string batch =
-      LogStream::EncodeBatch(*batch_or, options_.compression);
+std::string LogShipper::EncodedRequest(Lsn start, Slice payload) {
   ReplAppendRequest request;
   request.shard = shard_;
   request.start_lsn = start;
-  request.batch = batch;
-  return request.Encode();
+  std::string wire;
+  request.EncodeHeader(&wire);
+  LogStream::EncodeBatch(payload, options_.compression, &wire);
+  return wire;
 }
 
 sim::Task<void> LogShipper::ShipLoop(NodeId replica) {
@@ -328,14 +320,9 @@ sim::Task<void> LogShipper::ShipLoop(NodeId replica) {
       continue;
     }
 
-    std::string payload = EncodedRequest(peer.cursor, *extent_or);
-    if (payload.empty()) {
-      // Read failed after a successful Extent: truncation raced us between
-      // the two calls. Same remedy as the Extent failure above.
-      metrics_.Add("ship.cursor_truncated");
-      Rewind(&peer, AckedLsn(replica) + 1);
-      continue;
-    }
+    // Framed before anything can suspend the loop, while the extent's
+    // payload still views the log.
+    std::string payload = EncodedRequest(peer.cursor, extent_or->payload);
     metrics_.Add("ship.batches");
     metrics_.Add("ship.records", static_cast<int64_t>(extent_or->records));
     metrics_.Add("ship.bytes", static_cast<int64_t>(payload.size()));

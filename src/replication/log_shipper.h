@@ -229,10 +229,10 @@ class LogShipper {
   /// reply back into the peer's window / health / ack state.
   sim::Task<void> SendBatch(NodeId replica, uint64_t epoch,
                             std::string payload);
-  /// Returns the fully-encoded kReplAppend payload for the extent starting
-  /// at `start`. Empty if the range was truncated away between Extent and
-  /// Read (an encoded request never is).
-  std::string EncodedRequest(Lsn start, const LogStream::BatchExtent& extent);
+  /// Returns the fully-encoded kReplAppend payload for the batch starting
+  /// at `start` whose records `payload` (a slice of the log) holds: the
+  /// request header, then the framed batch, in one string.
+  std::string EncodedRequest(Lsn start, Slice payload);
   /// Invalidates the in-flight window and moves the send cursor to `to`
   /// (clamped to the stream's first retained LSN).
   void Rewind(PeerState* peer, Lsn to);

@@ -13,20 +13,24 @@
 namespace globaldb {
 
 /// One shipped redo batch: the shard it belongs to, the LSN of the first
-/// record, and the (optionally compressed) LogStream::EncodeBatch bytes.
+/// record, and the framed batch (LogStream::EncodeBatch).
 struct ReplAppendRequest {
   uint32_t shard = 0;
   Lsn start_lsn = kInvalidLsn;
-  /// A view: of the sender's encoded batch for Encode, and of the received
+  /// A view: of the sender's framed batch for Encode, and of the received
   /// payload after Decode (valid while the handler runs).
   Slice batch;
 
   // Hand-written: the batch is the raw, unprefixed rest of the payload.
+  /// Writes everything before the batch. The shipper frames the batch
+  /// straight after it (LogShipper::EncodedRequest).
+  void EncodeHeader(std::string* dst) const {
+    PutVarint32(dst, shard);
+    PutVarint64(dst, start_lsn);
+  }
   std::string Encode() const {
     std::string s;
-    s.reserve(VarintLength(shard) + VarintLength(start_lsn) + batch.size());
-    PutVarint32(&s, shard);
-    PutVarint64(&s, start_lsn);
+    EncodeHeader(&s);
     s.append(batch.data(), batch.size());
     return s;
   }

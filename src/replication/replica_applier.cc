@@ -133,8 +133,11 @@ sim::Task<StatusOr<ReplAppendReply>> ReplicaApplier::HandleAppend(
     ack.accepted = false;
     co_return ack;
   }
+  // The records view the request's payload, which outlives this handler's
+  // suspensions, or `decompressed`, which lives in its frame.
+  std::string decompressed;
   std::vector<RedoRecord> records;
-  if (!LogStream::DecodeBatch(Slice(request.batch), &records).ok()) {
+  if (!LogStream::DecodeBatch(request.batch, &decompressed, &records).ok()) {
     metrics_.Add("apply.bad_batches");
     ack.applied_lsn = applied_lsn_;
     ack.accepted = false;
@@ -149,8 +152,7 @@ sim::Task<StatusOr<ReplAppendReply>> ReplicaApplier::HandleAppend(
     // draining the buffer cannot miss this batch.
     BufferedBatch batch;
     batch.end_lsn = records.empty() ? request.start_lsn : records.back().lsn;
-    batch.bytes = request.batch.size();
-    batch.records = std::move(records);
+    batch.wire = request.batch.ToString();
     ack.accepted = TryBuffer(request.start_lsn, std::move(batch));
     ack.applied_lsn = applied_lsn_;
     co_return ack;
@@ -222,9 +224,14 @@ sim::Task<size_t> ReplicaApplier::DrainReorder() {
   while (!reorder_.empty() && reorder_.begin()->first <= applied_lsn_ + 1) {
     auto it = reorder_.begin();
     BufferedBatch batch = std::move(it->second);
-    reorder_bytes_ -= batch.bytes;
+    reorder_bytes_ -= batch.wire.size();
     reorder_.erase(it);
-    applied += co_await ApplyRecords(std::move(batch.records));
+    // It decoded when it arrived; `batch` and `decompressed` hold the bytes
+    // its records view until they are applied.
+    std::string decompressed;
+    std::vector<RedoRecord> records;
+    GDB_CHECK(LogStream::DecodeBatch(batch.wire, &decompressed, &records).ok());
+    applied += co_await ApplyRecords(std::move(records));
     metrics_.Add("apply.reorder_drained");
   }
   co_return applied;
@@ -235,10 +242,11 @@ bool ReplicaApplier::TryBuffer(Lsn start_lsn, BufferedBatch batch) {
   if (it != reorder_.end()) {
     metrics_.Add("apply.reorder_duplicates");
     if (batch.end_lsn <= it->second.end_lsn) return true;  // already covered
-    reorder_bytes_ -= it->second.bytes;
+    reorder_bytes_ -= it->second.wire.size();
     reorder_.erase(it);
   }
-  while (reorder_bytes_ + batch.bytes > options_.reorder_buffer_bytes) {
+  while (reorder_bytes_ + batch.wire.size() >
+         options_.reorder_buffer_bytes) {
     // Over the cap: evict the farthest-ahead batch (it is the one the
     // shipper will get to resending last). If the newcomer is the farthest,
     // refuse it instead — the shipper falls back to its cumulative-ack
@@ -248,11 +256,11 @@ bool ReplicaApplier::TryBuffer(Lsn start_lsn, BufferedBatch batch) {
       return false;
     }
     auto last = std::prev(reorder_.end());
-    reorder_bytes_ -= last->second.bytes;
+    reorder_bytes_ -= last->second.wire.size();
     reorder_.erase(last);
     metrics_.Add("apply.reorder_evictions");
   }
-  reorder_bytes_ += batch.bytes;
+  reorder_bytes_ += batch.wire.size();
   reorder_.emplace(start_lsn, std::move(batch));
   metrics_.Add("apply.reordered");
   return true;

@@ -113,11 +113,13 @@ class ReplicaApplier {
   Metrics& metrics() { return metrics_; }
 
  private:
-  /// One out-of-order batch parked until the LSN gap before it fills.
+  /// One out-of-order batch parked until the LSN gap before it fills. It
+  /// owns a copy of its wire bytes (the received payload goes away with its
+  /// handler), is charged their size against the buffer's cap, and decodes
+  /// again when it drains.
   struct BufferedBatch {
     Lsn end_lsn = 0;
-    size_t bytes = 0;
-    std::vector<RedoRecord> records;
+    std::string wire;
   };
 
   sim::Task<StatusOr<ReplAppendReply>> HandleAppend(NodeId from,
@@ -138,7 +140,8 @@ class ReplicaApplier {
   void ReleaseApply();
   /// Replays `records` in order (skipping duplicates at or below the
   /// applied LSN), copying row values into the store; returns how many
-  /// were applied. Must hold the apply gate.
+  /// were applied. The bytes the records view must stay in place until it
+  /// returns. Must hold the apply gate.
   sim::Task<size_t> ApplyRecords(std::vector<RedoRecord> records);
   /// Drains buffered batches that became contiguous with the applied tail.
   /// Must hold the apply gate.

@@ -259,8 +259,8 @@ Status MvccTable::LoadCommitted(
   return Status::OK();
 }
 
-void MvccTable::ApplyInsert(const RowKey& key, Slice value, TxnId txn) {
-  auto& [interned, chain] = *MutableEntry(key, /*insert=*/true);
+void MvccTable::ApplyInsert(Slice key, Slice value, TxnId txn) {
+  auto& [interned, chain] = *MutableEntry(key.ToView(), /*insert=*/true);
   TupleVersion v;
   v.created_by = txn;
   v.value = value.ToView();
@@ -268,8 +268,8 @@ void MvccTable::ApplyInsert(const RowKey& key, Slice value, TxnId txn) {
   Touch(txn, interned.view());
 }
 
-void MvccTable::ApplyUpdate(const RowKey& key, Slice value, TxnId txn) {
-  auto& [interned, chain] = *MutableEntry(key, /*insert=*/true);
+void MvccTable::ApplyUpdate(Slice key, Slice value, TxnId txn) {
+  auto& [interned, chain] = *MutableEntry(key.ToView(), /*insert=*/true);
   for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
     if (it->end_ts == kTimestampMax) {
       if (it->begin_ts == 0 && it->created_by == txn) {
@@ -288,8 +288,8 @@ void MvccTable::ApplyUpdate(const RowKey& key, Slice value, TxnId txn) {
   Touch(txn, interned.view());
 }
 
-void MvccTable::ApplyDelete(const RowKey& key, TxnId txn) {
-  auto& [interned, chain] = *MutableEntry(key, /*insert=*/true);
+void MvccTable::ApplyDelete(Slice key, TxnId txn) {
+  auto& [interned, chain] = *MutableEntry(key.ToView(), /*insert=*/true);
   for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
     if (it->end_ts == kTimestampMax) {
       it->ended_by = txn;

@@ -197,9 +197,9 @@ class MvccTable {
 
   // --- Replica replay path (no checks; log order is authoritative) -------
 
-  void ApplyInsert(const RowKey& key, Slice value, TxnId txn);
-  void ApplyUpdate(const RowKey& key, Slice value, TxnId txn);
-  void ApplyDelete(const RowKey& key, TxnId txn);
+  void ApplyInsert(Slice key, Slice value, TxnId txn);
+  void ApplyUpdate(Slice key, Slice value, TxnId txn);
+  void ApplyDelete(Slice key, TxnId txn);
 
   // --- Commit / abort -----------------------------------------------------
 

@@ -4,8 +4,10 @@
 //   - a peer participant shard answers (commit flavor, CN dead),
 //   - presumed abort once the CN and every peer answer a definitive
 //     "unknown" (decision evicted everywhere),
-//   - and a promoted replica that replayed COMMIT_PREPARED rejects a
-//     duplicated late abort via its adopted decision memo.
+//   - a promoted replica that replayed COMMIT_PREPARED rejects a
+//     duplicated late abort via its adopted decision memo,
+//   - and a re-driven one-shard commit that reaches a promoted replica the
+//     transaction's writes never shipped to is refused, not acknowledged.
 
 #include <gtest/gtest.h>
 
@@ -319,6 +321,63 @@ TEST(InDoubtResolutionTest, PromotedReplicaRejectsDuplicatedLateAbort) {
   // The committed rows survived the duplicated aborts.
   EXPECT_TRUE(RowExists(&sim, &cluster, 0, key0));
   EXPECT_TRUE(RowExists(&sim, &cluster, 0, key1));
+}
+
+/// A dn.commit handler that kills `node` when the commit arrives: nothing of
+/// it applies, and the coordinator's call fails in transport.
+sim::Task<std::string> CrashOnArrival(sim::Network* network, NodeId node) {
+  network->SetNodeUp(node, false);
+  co_return std::string();
+}
+
+TEST(InDoubtResolutionTest, CommitUnknownToPromotedPrimaryIsNotAcknowledged) {
+  sim::Simulator sim(55);
+  ClusterOptions options = MakeOptions();
+  // Async shipping: the commit does not wait for its writes to replicate.
+  options.shipper.mode = ReplicationMode::kAsync;
+  Cluster cluster(&sim, options);
+  cluster.Start();
+  CreatePairsTable(&sim, &cluster);
+  sim.RunFor(200 * kMillisecond);  // the DDL reaches the replicas
+
+  // From here on nothing the shard-0 primary logs reaches its replicas, and
+  // it dies the moment the phase-2 commit arrives.
+  const NodeId primary = Cluster::PrimaryNodeId(0);
+  for (uint32_t i = 0; i < options.replicas_per_shard; ++i) {
+    cluster.network().SetPartitioned(primary, cluster.ReplicaNodeId(0, i),
+                                      true);
+  }
+  sim::Network* network = &cluster.network();
+  network->RegisterHandler(primary, kDnCommit.name,
+                           [network, primary](NodeId, std::string) {
+                             return CrashOnArrival(network, primary);
+                           });
+
+  // A one-shard transaction: both rows live on shard 0.
+  const int64_t key_a = KeyOnShard(options.num_shards, 0, 1);
+  const int64_t key_b = KeyOnShard(options.num_shards, 0, key_a + 1);
+  Status commit_status;
+  bool done = false;
+  sim.Spawn(RunPairTxn(&cluster, key_a, key_b, &commit_status, nullptr,
+                       &done));
+  for (int i = 0; i < 1000 && network->IsNodeUp(primary); ++i) {
+    sim.RunFor(1 * kMillisecond);
+  }
+  ASSERT_FALSE(network->IsNodeUp(primary));
+  EXPECT_FALSE(done);
+
+  // The coordinator re-drives the commit; the promoted replica it reaches
+  // never received the transaction's writes.
+  ASSERT_NE(cluster.PromoteShard(0), kInvalidNodeId);
+  for (int i = 0; i < 500 && !done; ++i) sim.RunFor(10 * kMillisecond);
+  ASSERT_TRUE(done);
+  EXPECT_GE(cluster.cn(0).metrics().Get("cn.commit_retries"), 1);
+  EXPECT_EQ(cluster.data_node(0).metrics().Get("dn.commit_unknown"), 1);
+  EXPECT_EQ(commit_status.code(), StatusCode::kNotFound);
+
+  // Not acknowledged, and indeed not committed.
+  EXPECT_FALSE(RowExists(&sim, &cluster, 1, key_a));
+  EXPECT_FALSE(RowExists(&sim, &cluster, 1, key_b));
 }
 
 }  // namespace

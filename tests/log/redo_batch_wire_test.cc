@@ -29,28 +29,28 @@ constexpr size_t kNoLimit = std::numeric_limits<size_t>::max();
 /// The framed batch of the `records` records starting at `from`.
 std::string Framed(const LogStream& log, Lsn from, size_t records,
                    CompressionType compression) {
-  auto batch = log.Read(from, records, kNoLimit);
-  EXPECT_TRUE(batch.ok());
-  return LogStream::EncodeBatch(*batch, compression);
+  auto extent = log.Extent(from, records, kNoLimit);
+  EXPECT_TRUE(extent.ok());
+  EXPECT_EQ(extent->records, records);
+  std::string framed;
+  LogStream::EncodeBatch(extent->payload, compression, &framed);
+  return framed;
 }
 
 /// The unframed payload of the batch Extent(from, max_records, max_bytes)
 /// bounds.
 std::string Payload(const LogStream& log, Lsn from, size_t max_records,
                     size_t max_bytes) {
-  auto batch = log.Read(from, max_records, max_bytes);
-  EXPECT_TRUE(batch.ok());
-  return LogStream::EncodeBatch(*batch, CompressionType::kNone).substr(1);
-}
-
-RedoRecord PrepareWith(TxnId txn, const std::vector<ShardId>& shards) {
-  return RedoRecord::Prepare(txn, shards);
+  auto extent = log.Extent(from, max_records, max_bytes);
+  EXPECT_TRUE(extent.ok());
+  return extent->payload.ToString();
 }
 
 // --- The fixed record set -----------------------------------------------------
 
 const std::string kLongValue(130, 'v');
 const std::string kDdlPayload("CREATE\x00t", 8);
+const std::string kParticipants = rpc::Encode(std::vector<ShardId>{0, 2, 300});
 
 /// One record of every RedoType, with empty keys and values, a value of 128
 /// bytes or more, a DDL payload and a PREPARE participant list. LSNs 1-14.
@@ -64,7 +64,7 @@ void AppendRecordSet(LogStream* log) {
   log->Append(pending);
   log->Append(RedoRecord::Commit(7, 1000));
   log->Append(RedoRecord::Abort(8));
-  RedoRecord prepare = PrepareWith(9, {0, 2, 300});
+  RedoRecord prepare = RedoRecord::Prepare(9, kParticipants);
   prepare.timestamp = 1500;
   log->Append(prepare);
   log->Append(RedoRecord::CommitPrepared(9, 2000));

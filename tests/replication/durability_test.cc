@@ -29,6 +29,13 @@ constexpr NodeId kPrimary = 1;
 constexpr NodeId kReplicaA = 2;
 constexpr NodeId kReplicaB = 3;
 
+/// The uncompressed wire batch of a slice of the log.
+std::string RawBatch(Slice payload) {
+  std::string batch;
+  LogStream::EncodeBatch(payload, CompressionType::kNone, &batch);
+  return batch;
+}
+
 // --- Watermark math (no network) -------------------------------------------
 
 TEST(DurabilityManagerTest, WatermarkWithoutShipperFollowsCheckpoint) {
@@ -47,8 +54,8 @@ TEST(DurabilityManagerTest, WatermarkWithoutShipperFollowsCheckpoint) {
   EXPECT_EQ(dm.TruncationWatermark(), 6u);
   EXPECT_EQ(stream.begin_lsn(), 7u);
   // Records past the checkpoint stay readable.
-  EXPECT_TRUE(stream.Read(7, 1, 1 << 20).ok());
-  EXPECT_FALSE(stream.Read(6, 1, 1 << 20).ok());
+  EXPECT_TRUE(stream.Extent(7, 1, 1 << 20).ok());
+  EXPECT_FALSE(stream.Extent(6, 1, 1 << 20).ok());
 }
 
 TEST(DurabilityManagerTest, ReadHorizonIsMonotoneAcrossModeFallback) {
@@ -413,14 +420,13 @@ TEST_F(DurabilityShipperTest, SnapshotInstallClearsReorderBufferAndPending) {
   bool done = false;
   auto driver = [&]() -> sim::Task<void> {
     // Ship records 4..6 ahead of 1..3: they park in the reorder buffer.
-    auto tail = stream_.Read(4, 3, 1 << 20);
+    auto tail = stream_.Extent(4, 3, 1 << 20);
     EXPECT_TRUE(tail.ok());
     if (!tail.ok()) co_return;
     ReplAppendRequest ahead;
     ahead.shard = 0;
     ahead.start_lsn = 4;
-    const std::string ahead_batch =
-        LogStream::EncodeBatch(*tail, CompressionType::kNone);
+    const std::string ahead_batch = RawBatch(tail->payload);
     ahead.batch = ahead_batch;
     auto reply = co_await client.Call(kReplicaB, kReplAppend, ahead);
     EXPECT_TRUE(reply.ok());
@@ -462,14 +468,13 @@ TEST_F(DurabilityShipperTest, SnapshotInstallClearsReorderBufferAndPending) {
     EXPECT_EQ(replica.applier.applied_lsn(), 6u);
 
     AppendTxn(3, "c", "v3", 30);
-    auto next = stream_.Read(7, 3, 1 << 20);
+    auto next = stream_.Extent(7, 3, 1 << 20);
     EXPECT_TRUE(next.ok());
     if (!next.ok()) co_return;
     ReplAppendRequest follow;
     follow.shard = 0;
     follow.start_lsn = 7;
-    const std::string follow_batch =
-        LogStream::EncodeBatch(*next, CompressionType::kNone);
+    const std::string follow_batch = RawBatch(next->payload);
     follow.batch = follow_batch;
     auto follow_reply = co_await client.Call(kReplicaB, kReplAppend, follow);
     EXPECT_TRUE(follow_reply.ok());
@@ -519,14 +524,13 @@ TEST_F(DurabilityShipperTest, ResetInstallRefusesOtherSendersAppends) {
     colliding.Append(RedoRecord::Insert(9, 1, "z", "stale"));
     colliding.Append(RedoRecord::PendingCommit(9));
     colliding.Append(RedoRecord::Commit(9, 99));
-    auto batch = colliding.Read(41, 3, 1 << 20);
+    auto batch = colliding.Extent(41, 3, 1 << 20);
     EXPECT_TRUE(batch.ok());
     if (!batch.ok()) co_return;
     ReplAppendRequest stale;
     stale.shard = 0;
     stale.start_lsn = 41;  // "collides" with the new primary's next append
-    const std::string stale_batch =
-        LogStream::EncodeBatch(*batch, CompressionType::kNone);
+    const std::string stale_batch = RawBatch(batch->payload);
     stale.batch = stale_batch;
     auto reply = co_await old_primary.Call(kReplicaB, kReplAppend, stale);
     EXPECT_TRUE(reply.ok());

@@ -57,9 +57,11 @@ class ReorderBufferTest : public ::testing::Test {
   }
 
   std::string EncodeRange(Lsn from, Lsn to) {
-    auto records = stream_.Read(from, to - from + 1, 1 << 20);
-    EXPECT_TRUE(records.ok());
-    return LogStream::EncodeBatch(*records, CompressionType::kNone);
+    auto extent = stream_.Extent(from, to - from + 1, 1 << 20);
+    EXPECT_TRUE(extent.ok());
+    std::string batch;
+    LogStream::EncodeBatch(extent->payload, CompressionType::kNone, &batch);
+    return batch;
   }
 
   /// Ships the stream range [from, to] as one batch and returns the reply.

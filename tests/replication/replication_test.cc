@@ -18,6 +18,13 @@ constexpr NodeId kPrimary = 1;
 constexpr NodeId kReplicaLocal = 2;   // same region as primary
 constexpr NodeId kReplicaRemote = 3;  // remote region
 
+/// The uncompressed wire batch of a slice of the log.
+std::string RawBatch(Slice payload) {
+  std::string batch;
+  LogStream::EncodeBatch(payload, CompressionType::kNone, &batch);
+  return batch;
+}
+
 class ReplicationTest : public ::testing::Test {
  protected:
   ReplicationTest()
@@ -328,13 +335,12 @@ TEST_F(ReplicationTest, LaggingReplicaHasLowerMaxCommitTs) {
 TEST_F(ReplicationTest, DuplicateBatchDeliveryIsIdempotent) {
   // Craft a manual duplicate delivery of the same batch.
   AppendTxn(1, "k", "v", 100);
-  auto records = stream_.Read(1, 100, 1 << 20);
-  ASSERT_TRUE(records.ok());
+  auto extent = stream_.Extent(1, 100, 1 << 20);
+  ASSERT_TRUE(extent.ok());
   ReplAppendRequest request;
   request.shard = 0;
   request.start_lsn = 1;
-  const std::string request_batch =
-      LogStream::EncodeBatch(*records, CompressionType::kNone);
+  const std::string request_batch = RawBatch(extent->payload);
   request.batch = request_batch;
 
   rpc::RpcClient client(&net_, kPrimary);
@@ -357,13 +363,12 @@ TEST_F(ReplicationTest, DuplicateBatchDeliveryIsIdempotent) {
 TEST_F(ReplicationTest, GapBatchBufferedNotApplied) {
   AppendTxn(1, "k", "v", 100);
   AppendTxn(2, "j", "w", 200);
-  auto records = stream_.Read(4, 100, 1 << 20);  // second txn only
-  ASSERT_TRUE(records.ok());
+  auto extent = stream_.Extent(4, 100, 1 << 20);  // second txn only
+  ASSERT_TRUE(extent.ok());
   ReplAppendRequest request;
   request.shard = 0;
   request.start_lsn = 4;  // gap: replica has applied nothing
-  const std::string request_batch =
-      LogStream::EncodeBatch(*records, CompressionType::kNone);
+  const std::string request_batch = RawBatch(extent->payload);
   request.batch = request_batch;
   rpc::RpcClient client(&net_, kPrimary);
   auto deliver = [&]() -> sim::Task<void> {
@@ -396,13 +401,12 @@ TEST_F(ReplicationTest, GapBatchRefusedWhenReorderingDisabled) {
   options.reorder_buffer_bytes = 0;  // strict refuse-any-gap policy
   ReplicaApplier applier(&sim_, &net_, 4, /*shard=*/0, &store, &catalog, &cpu,
                          options);
-  auto records = stream_.Read(4, 100, 1 << 20);  // second txn only
-  ASSERT_TRUE(records.ok());
+  auto extent = stream_.Extent(4, 100, 1 << 20);  // second txn only
+  ASSERT_TRUE(extent.ok());
   ReplAppendRequest request;
   request.shard = 0;
   request.start_lsn = 4;  // gap: replica has applied nothing
-  const std::string request_batch =
-      LogStream::EncodeBatch(*records, CompressionType::kNone);
+  const std::string request_batch = RawBatch(extent->payload);
   request.batch = request_batch;
   rpc::RpcClient client(&net_, kPrimary);
   auto deliver = [&]() -> sim::Task<void> {

@@ -258,10 +258,12 @@ std::vector<WireCase> Cases() {
     RedoRecord commit = RedoRecord::Commit(1ull << 33, kTimestampMax);
     commit.lsn = 2;
     cases.push_back(Case("RedoRecord/commit", commit));
-    RedoRecord prepare = RedoRecord::Prepare(9, {0, 1, 300});
+    const std::string participants = rpc::Encode(Participants{0, 1, 300});
+    RedoRecord prepare = RedoRecord::Prepare(9, participants);
     prepare.lsn = 3;
     cases.push_back(Case("RedoRecord/prepare", prepare));
-    RedoRecord ddl = RedoRecord::Ddl(12, std::string("CREATE\x00", 7));
+    const std::string ddl_payload("CREATE\x00", 7);
+    RedoRecord ddl = RedoRecord::Ddl(12, ddl_payload);
     ddl.lsn = 4;
     cases.push_back(Case("RedoRecord/ddl", ddl));
     cases.push_back(Case("RedoRecord/checkpoint", RedoRecord::Checkpoint(0)));

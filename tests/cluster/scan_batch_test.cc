@@ -5,7 +5,8 @@
 // globally ordered result. These tests pin down predicate and limit
 // pushdown (with server-side filtered-row accounting), reverse last-N
 // scans, join pushdown, chunk truncation + continuation, the cross-shard
-// ordered merge, and whole-group failover when a replica dies mid-stream
+// ordered merge, joins of rows the merge's limit drops, and whole-group
+// failover when a replica dies mid-stream
 // (scan_equivalence_test.cc checks results against direct table scans
 // across seeds).
 
@@ -13,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <vector>
@@ -287,6 +289,55 @@ TEST_F(ScanBatchTest, CrossShardMergeIsGloballyOrdered) {
   EXPECT_EQ(cn.metrics().Hist("cn.scan_fanout").values().back(),
             static_cast<int64_t>(cluster_->num_shards()));
   EXPECT_EQ(cn.metrics().Hist("cn.scan_merge_rows").values().back(), 10);
+}
+
+// Each of two shards joins every row it returns, but the global limit drops
+// some of those rows in the merge: no joined row may outlive its base row,
+// for point joins and prefix joins alike.
+TEST_F(ScanBatchTest, LimitDroppedRowsTakeTheirJoinsWithThem) {
+  Build(ThreeCityOptions());
+  auto& cn = cluster_->cn(0);
+  ASSERT_TRUE(RunTask(cn.CreateTable(AccountsSchema())).ok());
+  ASSERT_TRUE(RunTask(cn.CreateTable(LinesSchema())).ok());
+  std::vector<int64_t> ids = IdsOnShard(1, 5);
+  for (int64_t id : IdsOnShard(2, 5)) ids.push_back(id);
+  ASSERT_TRUE(RunTask(WriteIds(&cn, ids, /*with_lines=*/true)).ok());
+  std::sort(ids.begin(), ids.end());
+
+  // Point join: each account to its own row, by id.
+  ScanSpec point;
+  std::tie(point.start, point.end) = WholeTable();
+  point.table = "accounts";
+  point.limit = 4;
+  point.join_table = "accounts";
+  point.join_key_cols = {0};
+  // Prefix join: each account to its two lines.
+  ScanSpec prefix = point;
+  prefix.join_table = "lines";
+  prefix.join_prefix = true;
+  prefix.join_limit = 10;
+  auto out = RunTask(RunBatch(&cn, {point, prefix}));
+  ASSERT_TRUE(out.ok());
+  // Both shards answered with all five of their rows, so the merge dropped
+  // six.
+  EXPECT_EQ(cn.metrics().Hist("cn.scan_fanout").values().back(),
+            static_cast<int64_t>(cluster_->num_shards()));
+  for (const ScanResult& result : *out) {
+    ASSERT_EQ(result.rows.size(), 4u);
+    std::vector<int64_t> returned;
+    for (size_t i = 0; i < result.rows.size(); ++i) {
+      returned.push_back(std::get<int64_t>(result.rows[i][0]));
+      EXPECT_EQ(returned.back(), ids[i]);
+    }
+    for (const Row& joined : result.joined) {
+      EXPECT_NE(std::find(returned.begin(), returned.end(),
+                          std::get<int64_t>(joined[0])),
+                returned.end())
+          << "joined row of dropped id " << std::get<int64_t>(joined[0]);
+    }
+  }
+  EXPECT_EQ((*out)[0].joined.size(), 4u);
+  EXPECT_EQ((*out)[1].joined.size(), 8u);
 }
 
 // A replica that dies mid-stream fails over its WHOLE group to the shard

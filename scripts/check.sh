@@ -99,7 +99,11 @@ ctest --test-dir "${SAN_DIR}" --output-on-failure \
 # PREPARE participant list (MessageWireTest), and the golden bytes and
 # boundaries of shipped redo batches, whose payloads are slices of the byte
 # log and whose decoded records view the received bytes
-# (RedoBatchWireTest), under sanitizers.
-echo "== scan path smoke (batched scans + equivalence + ROR races + views + wire bytes) =="
+# (RedoBatchWireTest), the point join's golden reply bytes, CPU cost and
+# first blocker over duplicate, absent and multi-leaf keys
+# (ScanJoinGoldenTest), and the B-tree finger the join reads its keys
+# through, against FindEntry on random trees with emptied leaves
+# (BTreeFingerTest), under sanitizers.
+echo "== scan path smoke (batched scans + equivalence + ROR races + views + wire bytes + join) =="
 ctest --test-dir "${SAN_DIR}" --output-on-failure \
-  -R 'ScanBatchTest|ScanEquivalenceTest|RorSnapshotRaceTest|ReadPathLifetimeTest|ReadWireTest|MessageWireTest|RedoBatchWireTest'
+  -R 'ScanBatchTest|ScanEquivalenceTest|RorSnapshotRaceTest|ReadPathLifetimeTest|ReadWireTest|MessageWireTest|RedoBatchWireTest|ScanJoinGoldenTest|BTreeFingerTest'

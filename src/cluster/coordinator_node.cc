@@ -888,6 +888,10 @@ sim::Task<StatusOr<std::vector<ScanResult>>> CoordinatorNode::ScanBatch(
       }
     }
     const bool reverse = specs[i].reverse;
+    size_t received = 0;
+    for (const std::vector<KeyValueView>* part : parts) {
+      received += part->size();
+    }
     std::vector<size_t> cursor(parts.size(), 0);
     std::vector<const KeyValueView*> merged;
     while (merged.size() < specs[i].limit) {
@@ -926,15 +930,17 @@ sim::Task<StatusOr<std::vector<ScanResult>>> CoordinatorNode::ScanBatch(
                  joined.end());
     // A shard joins every row it returns, but the global limit can drop
     // some of those rows in the merge — their lookups must not leak into
-    // the result (a join pairs only with rows the spec returns). Keep
-    // exactly the entries whose key derives from a merged row: an exact
-    // match for point joins, a prefix match for prefix joins (join keys
-    // encode the same column sequence, so they are mutually prefix-free
-    // and the sorted predecessor is the only candidate prefix).
-    if (!specs[i].join_table.empty()) {
+    // the result (a join pairs only with rows the spec returns). When the
+    // merge dropped a row, keep exactly the entries whose key derives from
+    // a merged row: an exact match for point joins, a prefix match for
+    // prefix joins (join keys encode the same column sequence, so they are
+    // mutually prefix-free and the sorted predecessor is the only candidate
+    // prefix). When it dropped none, every joined row came from a returned
+    // row.
+    if (!specs[i].join_table.empty() && merged.size() < received) {
       JoinKeys keys(specs[i].join_key_prefix, specs[i].join_key_cols,
-                    out[i].rows.size());
-      for (const Row& row : out[i].rows) keys.Add(row);
+                    merged.size());
+      for (const KeyValueView* row : merged) keys.Add(row->value);
       const std::vector<Slice> keep = keys.Sorted();
       auto survives = [&](const Slice& k) {
         if (!specs[i].join_prefix) {

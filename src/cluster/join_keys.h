@@ -14,9 +14,10 @@ namespace globaldb {
 
 /// The lookup-join keys of a run of rows (DESIGN.md §14), built back to
 /// back into one buffer instead of one string per key. Key i is `prefix`
-/// followed by the encoded join columns of the i-th row added. Views
-/// returned by key() and Sorted() point into the buffer: they stay valid
-/// while the JoinKeys object lives, does not move, and no key is added.
+/// followed by the key parts of the join columns of the i-th row added,
+/// read from the row's encoded bytes. Views returned by key() and Sorted()
+/// point into the buffer: they stay valid while the JoinKeys object lives,
+/// does not move, and no key is added.
 class JoinKeys {
  public:
   JoinKeys(Slice prefix, const std::vector<uint32_t>& cols,
@@ -25,15 +26,15 @@ class JoinKeys {
     spans_.reserve(expected_rows);
   }
 
-  /// Appends the key `row` derives. Returns false, adding nothing, when a
-  /// join column is out of range for the row.
-  bool Add(const Row& row) {
-    for (uint32_t col : *cols_) {
-      if (col >= row.size()) return false;
-    }
+  /// Appends the key the encoded row `row` derives. Returns false, adding
+  /// nothing, when the row does not decode or lacks a join column.
+  bool Add(Slice row) {
     const size_t offset = bytes_.size();
     bytes_.append(prefix_.data(), prefix_.size());
-    for (uint32_t col : *cols_) EncodeKeyPart(row[col], &bytes_);
+    if (!AppendRowKeyParts(row, *cols_, &fields_, &bytes_)) {
+      bytes_.resize(offset);
+      return false;
+    }
     spans_.emplace_back(offset, bytes_.size() - offset);
     return true;
   }
@@ -43,24 +44,22 @@ class JoinKeys {
     return Slice(bytes_.data() + spans_[i].first, spans_[i].second);
   }
 
-  /// Indices of the first occurrence of each distinct key, in insertion
-  /// order: a stable sort groups equal keys with the earliest first.
-  std::vector<uint32_t> FirstOccurrences() const {
+  /// The distinct keys in ascending order, each as the index of its first
+  /// occurrence: one sort of the indices by (key, index), keeping the first
+  /// of each run of equal keys.
+  std::vector<uint32_t> DistinctAscending() const {
     std::vector<uint32_t> order(size());
     for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::stable_sort(order.begin(), order.end(), [this](uint32_t a,
-                                                        uint32_t b) {
-      return key(a) < key(b);
+    std::sort(order.begin(), order.end(), [this](uint32_t a, uint32_t b) {
+      const int c = key(a).Compare(key(b));
+      return c < 0 || (c == 0 && a < b);
     });
-    std::vector<uint32_t> first;
-    first.reserve(order.size());
-    for (size_t i = 0; i < order.size(); ++i) {
-      if (i == 0 || key(order[i - 1]) != key(order[i])) {
-        first.push_back(order[i]);
-      }
-    }
-    std::sort(first.begin(), first.end());
-    return first;
+    order.erase(std::unique(order.begin(), order.end(),
+                            [this](uint32_t a, uint32_t b) {
+                              return key(a) == key(b);
+                            }),
+                order.end());
+    return order;
   }
 
   /// Every key, ascending (duplicates kept).
@@ -77,6 +76,7 @@ class JoinKeys {
   const std::vector<uint32_t>* cols_;
   std::string bytes_;
   std::vector<std::pair<size_t, size_t>> spans_;  // offset, length
+  std::vector<Slice> fields_;  // AppendRowKeyParts' scratch
 };
 
 }  // namespace globaldb

@@ -1,6 +1,7 @@
 #ifndef GLOBALDB_SRC_CLUSTER_SCAN_BATCH_EXEC_H_
 #define GLOBALDB_SRC_CLUSTER_SCAN_BATCH_EXEC_H_
 
+#include <cstdint>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -113,11 +114,26 @@ inline ScanBatchExecResult ExecuteScanBatch(
       const MvccTable* join_table = store.GetTable(range.join_table);
       JoinKeys& keys = join_keys.emplace_back(
           range.join_key_prefix, range.join_key_cols, paged.rows.size());
-      Row row;
-      for (const KeyValueView& entry : paged.rows) {
-        if (DecodeRow(entry.value, &row).ok()) keys.Add(row);
+      for (const KeyValueView& entry : paged.rows) keys.Add(entry.value);
+      // Point joins read the distinct keys in key order through one finger;
+      // every join emits them, and meets blockers, in the order the keys
+      // first occur among the rows.
+      const std::vector<uint32_t> distinct = keys.DistinctAscending();
+      std::vector<ReadResult> reads;
+      if (join_table != nullptr && !range.join_prefix) {
+        reads.reserve(distinct.size());
+        MvccTable::Finger finger;
+        for (uint32_t k : distinct) {
+          reads.push_back(join_table->ReadFrom(&finger, keys.key(k),
+                                               request.snapshot, reader));
+        }
       }
-      for (uint32_t k : keys.FirstOccurrences()) {
+      // Per key: its position in `distinct` if it is a first occurrence.
+      constexpr uint32_t kRepeat = UINT32_MAX;
+      std::vector<uint32_t> first(keys.size(), kRepeat);
+      for (uint32_t d = 0; d < distinct.size(); ++d) first[distinct[d]] = d;
+      for (uint32_t k = 0; k < keys.size(); ++k) {
+        if (first[k] == kRepeat) continue;
         const Slice key = keys.key(k);
         ++out.join_lookups;
         out.cpu_cost += read_cost;
@@ -138,7 +154,7 @@ inline ScanBatchExecResult ExecuteScanBatch(
             res.joined.push_back(j);
           }
         } else {
-          ReadResult rr = join_table->Read(key, request.snapshot, reader);
+          const ReadResult& rr = reads[first[k]];
           if (blocked(rr.provisional_txn)) return out;
           if (rr.found) {
             bytes += key.size() + rr.value.size() + 8;

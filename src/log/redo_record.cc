@@ -4,36 +4,6 @@
 
 namespace globaldb {
 
-const char* RedoTypeName(RedoType type) {
-  switch (type) {
-    case RedoType::kInsert:
-      return "INSERT";
-    case RedoType::kUpdate:
-      return "UPDATE";
-    case RedoType::kDelete:
-      return "DELETE";
-    case RedoType::kPendingCommit:
-      return "PENDING_COMMIT";
-    case RedoType::kCommit:
-      return "COMMIT";
-    case RedoType::kAbort:
-      return "ABORT";
-    case RedoType::kPrepare:
-      return "PREPARE";
-    case RedoType::kCommitPrepared:
-      return "COMMIT_PREPARED";
-    case RedoType::kAbortPrepared:
-      return "ABORT_PREPARED";
-    case RedoType::kHeartbeat:
-      return "HEARTBEAT";
-    case RedoType::kDdl:
-      return "DDL";
-    case RedoType::kCheckpoint:
-      return "CHECKPOINT";
-  }
-  return "?";
-}
-
 Status RedoRecord::DecodeFrom(Slice* input, RedoRecord* out) {
   if (!rpc::DecodeFrom(input, out)) {
     return Status::Corruption("redo: truncated record");

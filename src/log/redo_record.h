@@ -30,9 +30,6 @@ enum class RedoType : uint8_t {
   kCheckpoint = 12,
 };
 
-/// Returns a stable name like "INSERT".
-const char* RedoTypeName(RedoType type);
-
 /// One redo record. Data records (INSERT/UPDATE/DELETE) carry the table,
 /// key, and new tuple image; control records carry the transaction id and,
 /// for commits and heartbeats, the commit timestamp.
@@ -58,14 +55,6 @@ struct RedoRecord {
   /// Consumes one record from *input, rejecting an unknown record type. The
   /// record's key and value view *input's bytes.
   static Status DecodeFrom(Slice* input, RedoRecord* out);
-
-  bool IsData() const {
-    return type == RedoType::kInsert || type == RedoType::kUpdate ||
-           type == RedoType::kDelete;
-  }
-  bool IsCommit() const {
-    return type == RedoType::kCommit || type == RedoType::kCommitPrepared;
-  }
 
   // Convenience constructors.
   static RedoRecord Insert(TxnId txn, TableId table, Slice key, Slice value);

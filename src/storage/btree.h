@@ -214,6 +214,36 @@ class BTree {
     return *entry;
   }
 
+  /// Where the last FindFrom probe landed: its leaf and the probe's position
+  /// in it. A default-constructed finger has no position. Every leaf before
+  /// the finger's holds only keys below the last probe. Valid until the tree
+  /// next changes.
+  class Finger {
+    Leaf* leaf_ = nullptr;
+    size_t index_ = 0;
+    friend class BTree;
+  };
+
+  /// FindEntry(key) for probes in ascending key order through one finger.
+  /// A probe no greater than the finger leaf's last key searches that leaf
+  /// from the last probe's position; one no greater than the next leaf's
+  /// last key searches the next leaf; only a probe past both descends from
+  /// the root.
+  Entry* FindFrom(Finger* finger, std::string_view key) {
+    Leaf* leaf = finger->leaf_;
+    size_t from = finger->index_;
+    if (!UpTo(leaf, key)) {
+      leaf = leaf != nullptr && UpTo(leaf->next, key) ? leaf->next
+                                                       : FindLeaf(key);
+      from = 0;
+    }
+    auto it = LowerBound(leaf, key, from);
+    finger->leaf_ = leaf;
+    finger->index_ = static_cast<size_t>(it - leaf->entries.begin());
+    if (it != leaf->entries.end() && it->key.view() == key) return &*it;
+    return nullptr;
+  }
+
   /// Returns the value for `key`, or nullptr.
   V* Find(std::string_view key) {
     Entry* entry = FindEntry(key);
@@ -432,13 +462,20 @@ class BTree {
     return static_cast<Leaf*>(node);
   }
 
+  /// First entry of `leaf`, at or after position `from`, not below `key`.
   static typename std::vector<Entry>::iterator LowerBound(
-      Leaf* leaf, std::string_view key) {
+      Leaf* leaf, std::string_view key, size_t from = 0) {
     return std::lower_bound(
-        leaf->entries.begin(), leaf->entries.end(), key,
+        leaf->entries.begin() + from, leaf->entries.end(), key,
         [](const Entry& entry, std::string_view k) {
           return entry.key.view() < k;
         });
+  }
+
+  /// True if `leaf` exists and its last key is not below `key`.
+  static bool UpTo(const Leaf* leaf, std::string_view key) {
+    return leaf != nullptr && !leaf->entries.empty() &&
+           !(leaf->entries.back().key.view() < key);
   }
 
   static size_t ChildIndex(const Internal* in, std::string_view key) {

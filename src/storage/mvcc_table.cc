@@ -111,6 +111,7 @@ size_t ChainEncodedSize(std::string_view key, const VersionChain& chain) {
 }  // namespace
 
 MvccTable::Entry* MvccTable::MutableEntry(std::string_view key, bool insert) {
+  changed_ = true;
   if (!insert) {
     Entry* entry = chains_.FindEntry(key);
     if (entry != nullptr) {
@@ -242,6 +243,7 @@ Status MvccTable::LoadCommitted(
     std::vector<std::pair<RowKey, std::string>> rows, TxnId txn,
     Timestamp ts) {
   GDB_CHECK(chains_.empty()) << "bulk load into a non-empty table";
+  changed_ = true;
   // Keys view `rows` until Build interns them.
   std::vector<BTree<VersionChain>::KeyValue> entries;
   entries.reserve(rows.size());
@@ -365,11 +367,17 @@ const VersionValue* MvccTable::VisibleValue(const VersionChain& chain,
 
 ReadResult MvccTable::Read(Slice key, Timestamp snapshot,
                            TxnId reader) const {
+  Finger finger;
+  return ReadFrom(&finger, key, snapshot, reader);
+}
+
+ReadResult MvccTable::ReadFrom(Finger* finger, Slice key, Timestamp snapshot,
+                               TxnId reader) const {
   ReadResult result;
-  const VersionChain* chain = chains_.Find(key.ToView());
-  if (chain == nullptr) return result;
+  const Entry* entry = chains_.FindFrom(finger, key.ToView());
+  if (entry == nullptr) return result;
   const VersionValue* value =
-      VisibleValue(*chain, snapshot, reader, &result.provisional_txn);
+      VisibleValue(entry->value, snapshot, reader, &result.provisional_txn);
   if (value != nullptr) {
     result.found = true;
     result.value = value->view();
@@ -532,6 +540,7 @@ void MvccTable::EncodeFrozenTo(std::string* dst) const {
 }
 
 Status MvccTable::DecodeFrom(Slice* input) {
+  changed_ = true;
   uint64_t num_chains = 0;
   if (!GetVarint64(input, &num_chains)) {
     return Status::Corruption("table image: chain count");
@@ -592,8 +601,14 @@ MvccTable::VacuumStats MvccTable::Vacuum(Timestamp horizon) {
   const auto expired = [horizon](const TupleVersion& v) {
     return v.begin_ts != 0 && v.end_ts != kTimestampMax && v.end_ts <= horizon;
   };
+  if (!changed_ && horizon < earliest_end_) {
+    VacuumStats again = vacuumed_;
+    again.reclaimed = 0;
+    return again;
+  }
   VacuumStats stats;
   stats.image_bytes = VarintLength(chains_.size());
+  Timestamp earliest_end = kTimestampMax;
   for (auto it = chains_.Begin(); it.Valid(); it.Next()) {
     VersionChain& chain = it.value();
     if (freeze_ != nullptr &&
@@ -603,7 +618,13 @@ MvccTable::VacuumStats MvccTable::Vacuum(Timestamp horizon) {
     stats.reclaimed += chain.EraseIf(expired);
     stats.versions += chain.size();
     stats.image_bytes += ChainEncodedSize(it.key(), chain);
+    for (const TupleVersion& v : chain) {
+      if (v.begin_ts != 0) earliest_end = std::min(earliest_end, v.end_ts);
+    }
   }
+  changed_ = false;
+  vacuumed_ = stats;
+  earliest_end_ = earliest_end;
   return stats;
 }
 

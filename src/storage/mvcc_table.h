@@ -220,6 +220,15 @@ class MvccTable {
   ReadResult Read(Slice key, Timestamp snapshot,
                   TxnId reader = kInvalidTxnId) const;
 
+  /// A forward cursor over the table's keys for ReadFrom.
+  using Finger = BTree<VersionChain>::Finger;
+  /// Read(key) through `finger` (BTree::FindFrom): the keys read through
+  /// one finger must ascend, with no change to the table between reads.
+  /// Each read stays in the previous key's leaf or steps to the next one
+  /// instead of descending from the root (the lookup join, DESIGN.md §14).
+  ReadResult ReadFrom(Finger* finger, Slice key, Timestamp snapshot,
+                      TxnId reader = kInvalidTxnId) const;
+
   using ScanEntry = KeyValueView;
   /// Ordered scan of [start, end) — an empty `end` means "to +inf". Collects
   /// unresolved provisional txns seen along the way into *provisional (may
@@ -274,7 +283,10 @@ class MvccTable {
   };
   /// Drops versions that ended at or before `horizon` (no snapshot at or
   /// below the horizon is active). The same walk counts what is left and
-  /// sizes its image, so a checkpoint walks the table once.
+  /// sizes its image, so a checkpoint walks the table once. A table with no
+  /// write since its last walk, whose earliest kept end_ts is above
+  /// `horizon`, has nothing to drop: it returns that walk's counts without
+  /// walking again (DESIGN.md §12 "Checkpointer").
   VacuumStats Vacuum(Timestamp horizon);
 
   // --- Checkpoint snapshot -------------------------------------------------
@@ -344,8 +356,9 @@ class MvccTable {
   static_assert(sizeof(Entry) == 72);
 
   /// The one way a write reaches a chain: looks `key` up, inserting an empty
-  /// chain when `insert` (else null when absent), and first lets a live
-  /// freeze capture it (CaptureBeforeWrite).
+  /// chain when `insert` (else null when absent), marks the table changed
+  /// for Vacuum, and first lets a live freeze capture the chain
+  /// (CaptureBeforeWrite).
   Entry* MutableEntry(std::string_view key, bool insert);
   /// MutableEntry's capture, also called by Vacuum's walk for a chain it is
   /// about to prune. `key` views the interned key. Keeps the chain's bytes
@@ -372,6 +385,12 @@ class MvccTable {
   mutable BTree<VersionChain> chains_;
   std::unordered_map<TxnId, std::vector<std::string_view>> touched_;
   std::unique_ptr<FreezeState> freeze_;
+  // Vacuum's memo: whether a write reached the table since the last walk,
+  // what that walk left, and the earliest end_ts among the ended committed
+  // versions it kept (kTimestampMax when none).
+  bool changed_ = true;
+  VacuumStats vacuumed_;
+  Timestamp earliest_end_ = kTimestampMax;
 };
 
 }  // namespace globaldb

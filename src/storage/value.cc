@@ -181,27 +181,27 @@ Status DecodeRow(Slice* input, Row* out) {
   return Status::OK();
 }
 
-void EncodeKeyPart(const Value& v, std::string* dst) {
-  if (ValueIsNull(v)) {
-    dst->push_back('0');  // nulls sort before all typed values
-    return;
-  }
-  if (std::holds_alternative<int64_t>(v)) {
-    dst->push_back('i');
-    const uint64_t flipped =
-        static_cast<uint64_t>(std::get<int64_t>(v)) ^ (1ULL << 63);
-    PutBigEndian64(dst, flipped);
-    return;
-  }
-  if (std::holds_alternative<double>(v)) {
-    dst->push_back('d');
-    PutBigEndian64(dst, DoubleToOrderedBits(std::get<double>(v)));
-    return;
-  }
-  const std::string& str = std::get<std::string>(v);
+namespace {
+
+// The key part of each value type (EncodeKeyPart).
+
+void PutNullKeyPart(std::string* dst) {
+  dst->push_back('0');  // nulls sort before all typed values
+}
+
+void PutIntKeyPart(int64_t v, std::string* dst) {
+  dst->push_back('i');
+  PutBigEndian64(dst, static_cast<uint64_t>(v) ^ (1ULL << 63));
+}
+
+void PutDoubleKeyPart(double v, std::string* dst) {
+  dst->push_back('d');
+  PutBigEndian64(dst, DoubleToOrderedBits(v));
+}
+
+void PutStringKeyPart(std::string_view rest, std::string* dst) {
   dst->push_back('s');
   // Copy the runs between embedded zeros whole; each zero is escaped.
-  std::string_view rest = str;
   for (size_t zero; (zero = rest.find('\x00')) != rest.npos;) {
     dst->append(rest.data(), zero);
     dst->append("\x00\xff", 2);
@@ -209,6 +209,79 @@ void EncodeKeyPart(const Value& v, std::string* dst) {
   }
   dst->append(rest);
   dst->append("\x00\x00", 2);
+}
+
+}  // namespace
+
+void EncodeKeyPart(const Value& v, std::string* dst) {
+  if (ValueIsNull(v)) {
+    PutNullKeyPart(dst);
+  } else if (std::holds_alternative<int64_t>(v)) {
+    PutIntKeyPart(std::get<int64_t>(v), dst);
+  } else if (std::holds_alternative<double>(v)) {
+    PutDoubleKeyPart(std::get<double>(v), dst);
+  } else {
+    PutStringKeyPart(std::get<std::string>(v), dst);
+  }
+}
+
+namespace {
+
+/// Consumes one EncodeRow field from *row, checking what DecodeRow checks;
+/// *field views it from its tag byte on.
+bool NextRowField(Slice* row, Slice* field) {
+  if (row->empty()) return false;
+  const char* start = row->data();
+  const uint8_t tag = static_cast<uint8_t>((*row)[0]);
+  row->RemovePrefix(1);
+  int64_t i;
+  uint64_t bits;
+  Slice s;
+  const bool ok = tag == kTagNull ||
+                  (tag == kTagInt && GetVarsint64(row, &i)) ||
+                  (tag == kTagDouble && GetFixed64(row, &bits)) ||
+                  (tag == kTagString && GetLengthPrefixed(row, &s));
+  *field = Slice(start, static_cast<size_t>(row->data() - start));
+  return ok;
+}
+
+}  // namespace
+
+bool AppendRowKeyParts(Slice row, const std::vector<uint32_t>& cols,
+                       std::vector<Slice>* fields, std::string* dst) {
+  fields->clear();
+  uint32_t n = 0;
+  if (!GetVarint32(&row, &n)) return false;
+  for (uint32_t i = 0; i < n; ++i) {
+    if (!NextRowField(&row, &fields->emplace_back())) return false;
+  }
+  for (uint32_t col : cols) {
+    if (col >= n) return false;
+  }
+  // Every field parsed above, so these reads cannot fail.
+  for (uint32_t col : cols) {
+    Slice field = (*fields)[col];
+    const uint8_t tag = static_cast<uint8_t>(field[0]);
+    field.RemovePrefix(1);
+    if (tag == kTagNull) {
+      PutNullKeyPart(dst);
+    } else if (tag == kTagInt) {
+      int64_t v = 0;
+      GetVarsint64(&field, &v);
+      PutIntKeyPart(v, dst);
+    } else if (tag == kTagDouble) {
+      uint64_t bits = 0;
+      GetFixed64(&field, &bits);
+      double d;
+      memcpy(&d, &bits, 8);
+      PutDoubleKeyPart(d, dst);
+    } else {
+      Slice s;
+      GetLengthPrefixed(&field, &s);
+      PutStringKeyPart(s.ToView(), dst);
+    }
+  }
+  return true;
 }
 
 RowKey EncodeKey(const Row& row, const std::vector<int>& key_columns) {

@@ -46,6 +46,14 @@ inline Status DecodeRow(Slice input, Row* out) { return DecodeRow(&input, out); 
 void EncodeKeyPart(const Value& v, std::string* dst);
 RowKey EncodeKey(const Row& row, const std::vector<int>& key_columns);
 
+/// Appends the key parts of columns `cols` of the EncodeRow bytes `row` to
+/// *dst, the bytes EncodeKeyPart appends for each of those values, read in
+/// place instead of decoding the row. Returns false, appending nothing,
+/// exactly when DecodeRow would reject the row or it has no column `col`
+/// for one of `cols`. `fields` is scratch that a caller reuses across rows.
+bool AppendRowKeyParts(Slice row, const std::vector<uint32_t>& cols,
+                       std::vector<Slice>* fields, std::string* dst);
+
 /// Decodes one key part (tests / diagnostics).
 Status DecodeKeyPart(Slice* input, Value* out);
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <utility>
@@ -24,6 +25,18 @@ struct BTreeTestPeer {
       sizes.push_back(leaf->entries.size());
     }
     return sizes;
+  }
+  /// Keys per leaf, in key order.
+  static std::vector<std::vector<std::string>> LeafKeys(
+      const BTree<int>& tree) {
+    std::vector<std::vector<std::string>> leaves;
+    for (auto* leaf = tree.first_leaf_; leaf != nullptr; leaf = leaf->next) {
+      leaves.emplace_back();
+      for (const auto& entry : leaf->entries) {
+        leaves.back().emplace_back(entry.key.view());
+      }
+    }
+    return leaves;
   }
   /// Slots (vector capacity) per leaf, in key order.
   static std::vector<size_t> LeafSlots(const BTree<int>& tree) {
@@ -154,6 +167,81 @@ TEST(BTreeTest, EraseEntireLeafThenIterate) {
   auto it = tree.LowerBound(Key(50));
   ASSERT_TRUE(it.Valid());
   EXPECT_EQ(it.key(), Key(200));
+}
+
+// FindFrom through one finger must find exactly what FindEntry finds, for
+// any ascending probe sequence: probes that stay in a leaf, step to the next
+// or skip far ahead; probes before the first key, after the last and in the
+// gaps between leaves; repeated probes; and trees grown through random
+// leaf splits, some with leaves emptied by Erase.
+TEST(BTreeFingerTest, FindFromMatchesFindEntry) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    BTree<int> tree;
+    // Even numbers only, so every odd number is an absent probe.
+    const int range = 200 + static_cast<int>(rng.Uniform(4000));
+    for (int i = 0; i < range; ++i) {
+      const int n = 2 * static_cast<int>(rng.Uniform(range));
+      tree.Put(Key(n), n);
+    }
+    if (seed % 2 == 0) {
+      // Empty some whole leaves (never all of them), and thin others.
+      const auto leaves = BTreeTestPeer::LeafKeys(tree);
+      for (size_t l = 1; l < leaves.size(); ++l) {
+        const uint64_t pick = rng.Uniform(4);
+        for (const std::string& key : leaves[l]) {
+          if (pick == 0 || (pick == 1 && rng.Bernoulli(0.5))) tree.Erase(key);
+        }
+      }
+    }
+    ASSERT_TRUE(tree.CheckInvariants());
+
+    // Candidate probes: every present key, the keys just around each leaf's
+    // ends (between leaves), random absent keys, and keys before the first
+    // and after the last.
+    std::vector<std::string> candidates = {"", "a", "k", "z", "\xff"};
+    for (const auto& leaf : BTreeTestPeer::LeafKeys(tree)) {
+      for (const std::string& key : leaf) candidates.push_back(key);
+      if (leaf.empty()) continue;
+      for (const std::string& end : {leaf.front(), leaf.back()}) {
+        const int n = std::stoi(end.substr(1));
+        candidates.push_back(Key(n - 1));
+        candidates.push_back(Key(n + 1));
+        candidates.push_back(end + std::string(1, '\0'));
+      }
+    }
+    for (int i = 0; i < 200; ++i) {
+      candidates.push_back(Key(static_cast<int>(rng.Uniform(2 * range + 4))));
+    }
+    std::sort(candidates.begin(), candidates.end());
+
+    // Several ascending sequences: every candidate (repeats kept), then
+    // random subsets of growing sparsity.
+    for (double keep : {1.0, 0.5, 0.1, 0.02}) {
+      BTree<int>::Finger finger;
+      size_t probes = 0;
+      for (const std::string& key : candidates) {
+        if (keep < 1.0 && !rng.Bernoulli(keep)) continue;
+        ++probes;
+        ASSERT_EQ(tree.FindFrom(&finger, key), tree.FindEntry(key))
+            << "seed=" << seed << " keep=" << keep << " key=" << key;
+      }
+      if (keep == 1.0) {
+        ASSERT_EQ(probes, candidates.size());
+      }
+    }
+  }
+}
+
+TEST(BTreeFingerTest, EmptyTreeAndSingleLeaf) {
+  BTree<int> tree;
+  BTree<int>::Finger finger;
+  EXPECT_EQ(tree.FindFrom(&finger, "a"), nullptr);
+  for (int i = 0; i < 10; i += 2) tree.Put(Key(i), i);
+  BTree<int>::Finger fresh;
+  for (int i = -1; i < 12; ++i) {
+    ASSERT_EQ(tree.FindFrom(&fresh, Key(i)), tree.FindEntry(Key(i))) << i;
+  }
 }
 
 TEST(BTreeTest, MatchesStdMapUnderRandomOps) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "src/common/rng.h"
 
@@ -188,6 +189,67 @@ TEST(KeyEncodingTest, RandomizedStringOrderProperty) {
       EXPECT_EQ(ka, kb);
     }
   }
+}
+
+// Key parts read in place from a row's bytes equal EncodeKeyPart of the
+// decoded values, for every value type and any column order; a row that
+// DecodeRow rejects, or one missing a column, appends nothing.
+TEST(RowKeyPartsTest, MatchDecodedKeyParts) {
+  Rng rng(47);
+  std::vector<Slice> fields;
+  for (int i = 0; i < 2000; ++i) {
+    Row row;
+    for (uint64_t n = rng.Uniform(7); n > 0; --n) {
+      switch (rng.Uniform(4)) {
+        case 0:
+          row.emplace_back(std::monostate{});
+          break;
+        case 1:
+          row.emplace_back(static_cast<int64_t>(rng.Next()));
+          break;
+        case 2:
+          row.emplace_back(static_cast<double>(
+                               static_cast<int64_t>(rng.Uniform(2001)) - 1000) /
+                           7.0);
+          break;
+        default: {
+          std::string str = rng.AlphaString(0, 6);
+          if (rng.Bernoulli(0.3)) str.insert(rng.Uniform(str.size() + 1), 1, '\0');
+          row.emplace_back(std::move(str));
+        }
+      }
+    }
+    std::vector<uint32_t> cols;
+    for (uint64_t n = rng.Uniform(4); n > 0; --n) {
+      cols.push_back(static_cast<uint32_t>(rng.Uniform(row.size() + 2)));
+    }
+    std::string bytes;
+    EncodeRow(row, &bytes);
+    std::string expected = "prefix";
+    bool in_range = true;
+    for (uint32_t col : cols) {
+      if (col >= row.size()) {
+        in_range = false;
+        break;
+      }
+      EncodeKeyPart(row[col], &expected);
+    }
+    std::string got = "prefix";
+    ASSERT_EQ(AppendRowKeyParts(bytes, cols, &fields, &got), in_range);
+    EXPECT_EQ(got, in_range ? expected : "prefix");
+
+    // Every truncation DecodeRow rejects is rejected here too.
+    Row decoded;
+    for (size_t cut = 0; cut < bytes.size(); ++cut) {
+      const Slice cut_bytes(bytes.data(), cut);
+      if (DecodeRow(cut_bytes, &decoded).ok()) continue;
+      std::string none;
+      EXPECT_FALSE(AppendRowKeyParts(cut_bytes, {}, &fields, &none));
+      EXPECT_TRUE(none.empty());
+    }
+  }
+  std::string none;
+  EXPECT_FALSE(AppendRowKeyParts(Slice("\x01\x09", 2), {}, &fields, &none));
 }
 
 }  // namespace
